@@ -6,7 +6,7 @@
 // the per-reading costs of the old path: one writer-lock acquisition,
 // one commit-log record, and (at tight durability settings) one
 // fdatasync PER READING. `bench_ingest --smoke` (wired into ctest)
-// enforces the two contracts that keep it honest:
+// enforces the contracts that keep it honest:
 //
 //   1. insert_batch at batch 64 sustains >= 5x the readings/sec of the
 //      per-reading path under the same durability bound
@@ -15,6 +15,10 @@
 //   2. decode_batch into a reused view performs ZERO heap allocations in
 //      steady state — the agent decodes on broker session threads, and
 //      per-reading allocation there is the first thing batching wins.
+//   3. Per-section bookkeeping on KNOWN sensors performs ZERO heap
+//      allocations: the agent's TopicMapper::to_sid / lookup,
+//      CacheSet::push and SensorTree::add, and the Pusher's
+//      SensorGroup::read_all plus the per-sensor drain push_once does.
 //
 // It also re-checks the storage-side half of the bargain: a monotone
 // sensor series stored through the v2 SSTable writer costs <= 4 bytes
@@ -31,8 +35,12 @@
 
 #include "bench_util.hpp"
 #include "common/clock.hpp"
+#include "core/hierarchy.hpp"
 #include "core/payload.hpp"
+#include "core/sensor_cache.hpp"
 #include "core/sensor_id.hpp"
+#include "pusher/sensor_group.hpp"
+#include "store/metastore.hpp"
 #include "store/node.hpp"
 #include "store/sstable.hpp"
 
@@ -41,7 +49,8 @@ using namespace dcdb;
 // ------------------------------------------------- allocation counting
 //
 // Global operator new override counting every heap allocation in the
-// process; the smoke check reads the counter around the decode loop.
+// process; the smoke check reads the counter around the decode and
+// bookkeeping loops.
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
@@ -131,6 +140,22 @@ std::vector<std::uint8_t> make_batch_payload(int sections,
     return encode_batch(batches);
 }
 
+/// Pusher group whose sensors all read the group's read count.
+class CountingGroup final : public pusher::SensorGroup {
+  public:
+    using SensorGroup::SensorGroup;
+
+  protected:
+    bool do_read(TimestampNs, std::vector<Value>& out) override {
+        ++reads_;
+        for (auto& v : out) v = reads_;
+        return true;
+    }
+
+  private:
+    Value reads_{0};
+};
+
 // ---------------------------------------------------------- benchmarks
 
 void BM_InsertSingle(benchmark::State& state) {
@@ -173,6 +198,7 @@ BENCHMARK(BM_DecodeBatch);
 constexpr int kSmokeReadings = 8192;
 constexpr double kMinSpeedup = 5.0;
 constexpr int kDecodeIterations = 10000;
+constexpr int kBookkeepRounds = 2000;
 
 int smoke() {
     // 1. Batched vs per-reading throughput under the same loss bound.
@@ -248,7 +274,70 @@ int smoke() {
         return 1;
     }
 
-    // 3. Compressed block density on the acceptance workload.
+    // 3. Zero allocations per section on known sensors, agent and
+    // Pusher side. Readings are a second apart so the 120 s caches
+    // evict instead of growing.
+    {
+        store::MetaStore meta;
+        TopicMapper mapper(meta);
+        CacheSet agent_cache(120 * kNsPerSec);
+        SensorTree tree;
+        CacheSet pusher_cache(120 * kNsPerSec);
+        CountingGroup group("g", kNsPerSec);
+        std::vector<std::string> topics;
+        for (int s = 0; s < 8; ++s) {
+            topics.push_back("/bench/node0/plugin/group/s" +
+                             std::to_string(s));
+            group.add_sensor(std::make_unique<pusher::SensorBase>(
+                "s" + std::to_string(s), topics.back()));
+        }
+        std::vector<Reading> drain;
+        std::uint64_t resolved = 0;
+        const auto round = [&](TimestampNs ts) {
+            for (const auto& topic : topics) {
+                SensorId sid = mapper.to_sid(topic);
+                resolved += mapper.lookup(topic, sid) ? 1 : 0;
+                agent_cache.push(topic, {ts, 1});
+                tree.add(topic);
+            }
+            group.read_all(ts, &pusher_cache);
+            drain.clear();
+            for (const auto& sensor : group.sensors())
+                sensor->drain_pending_into(drain);
+        };
+        // Warm-up: first sightings, cache slots, pending rings, buffers.
+        for (TimestampNs ts = 1; ts <= 4; ++ts) round(ts * kNsPerSec);
+        const std::uint64_t before =
+            g_allocations.load(std::memory_order_relaxed);
+        resolved = 0;
+        for (int i = 0; i < kBookkeepRounds; ++i)
+            round(static_cast<TimestampNs>(i + 5) * kNsPerSec);
+        const std::uint64_t allocs =
+            g_allocations.load(std::memory_order_relaxed) - before;
+        std::printf("ingest smoke: %d bookkeeping rounds of %zu known "
+                    "sensors, %llu heap allocations\n",
+                    kBookkeepRounds, topics.size(),
+                    static_cast<unsigned long long>(allocs));
+        if (resolved != kBookkeepRounds * topics.size() ||
+            drain.size() != topics.size() ||
+            tree.sensor_count() != topics.size() ||
+            agent_cache.view(topics[0], 0, kTimestampMax).empty()) {
+            std::fprintf(stderr, "ingest smoke: bookkeeping lost a "
+                                 "sensor or a reading\n");
+            return 1;
+        }
+        if (allocs != 0) {
+            std::fprintf(stderr,
+                         "ingest smoke: known-sensor bookkeeping "
+                         "allocated %llu times — to_sid, lookup, "
+                         "CacheSet::push, SensorTree::add, read_all and "
+                         "the pending drain must not touch the heap\n",
+                         static_cast<unsigned long long>(allocs));
+            return 1;
+        }
+    }
+
+    // 4. Compressed block density on the acceptance workload.
     {
         bench::ScratchDir scratch("ingest_smoke_blocks");
         std::map<store::Key, std::vector<store::Row>> parts;

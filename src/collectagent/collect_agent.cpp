@@ -189,8 +189,7 @@ void CollectAgent::on_publish(const mqtt::Publish& message) {
             pending.topic = section.topic;
             pending.readings = section.readings;
             try {
-                topic_scratch.assign(section.topic);
-                pending.sid = mapper_.to_sid(topic_scratch);
+                pending.sid = mapper_.to_sid(section.topic);
             } catch (const std::exception& e) {
                 discarded += section.readings.size();
                 DCDB_WARN("collectagent")
@@ -243,16 +242,17 @@ void CollectAgent::on_publish(const mqtt::Publish& message) {
     readings_.add(batch.size());
 
     // Cache the newest persisted reading per sensor, notify the live
-    // listener, and keep the hierarchy browsable.
+    // listener, and keep the hierarchy browsable. For a known sensor the
+    // cache and tree visits are string_view probes under shared locks.
     for (const auto& pending : sections) {
-        topic_scratch.assign(pending.topic);
         if (live_listener_) {
+            topic_scratch.assign(pending.topic);
             for (std::size_t i = 0; i < pending.readings.size(); ++i)
                 live_listener_(topic_scratch, pending.readings[i]);
         }
-        cache_.push(topic_scratch,
+        cache_.push(pending.topic,
                     pending.readings[pending.readings.size() - 1]);
-        tree_.add(topic_scratch);
+        tree_.add(pending.topic);
     }
 }
 

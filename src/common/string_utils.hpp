@@ -2,12 +2,23 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace dcdb {
+
+/// Transparent string hash: paired with std::equal_to<>, it lets an
+/// unordered container keyed by std::string be probed with a
+/// std::string_view without materialising a key.
+struct StringHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view s) const noexcept {
+        return std::hash<std::string_view>{}(s);
+    }
+};
 
 /// Split `s` on `sep`, keeping empty fields.
 std::vector<std::string> split(std::string_view s, char sep);

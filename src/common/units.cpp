@@ -5,6 +5,7 @@
 #include <unordered_map>
 
 #include "common/error.hpp"
+#include "common/string_utils.hpp"
 
 namespace dcdb {
 
@@ -13,12 +14,6 @@ namespace {
 // Transparent hashing so parse_unit can look up a string_view without
 // materialising a std::string per call (performance-* exemplar: this is
 // on the per-reading path via SensorConfig parsing).
-struct StringHash {
-    using is_transparent = void;
-    std::size_t operator()(std::string_view s) const noexcept {
-        return std::hash<std::string_view>{}(s);
-    }
-};
 using UnitMap =
     std::unordered_map<std::string, Unit, StringHash, std::equal_to<>>;
 

@@ -5,10 +5,14 @@
 
 namespace dcdb {
 
-void SensorTree::add(const std::string& topic) {
+void SensorTree::add(std::string_view topic) {
+    {
+        ReaderLock lock(mutex_);
+        if (sensors_.find(topic) != sensors_.end()) return;
+    }
     const std::string normalized = normalize_sensor_topic(topic);
     const auto levels = split_nonempty(normalized, '/');
-    MutexLock lock(mutex_);
+    WriterLock lock(mutex_);
     std::string path;
     for (const auto& level : levels) {
         children_[path.empty() ? "/" : path].insert(level);
@@ -19,7 +23,7 @@ void SensorTree::add(const std::string& topic) {
 
 std::vector<std::string> SensorTree::children(const std::string& path) const {
     std::string key = path.empty() ? "/" : normalize_sensor_topic(path);
-    MutexLock lock(mutex_);
+    ReaderLock lock(mutex_);
     const auto it = children_.find(key);
     if (it == children_.end()) return {};
     return {it->second.begin(), it->second.end()};
@@ -29,7 +33,7 @@ std::vector<std::string> SensorTree::sensors_below(
     const std::string& path) const {
     const std::string prefix =
         path.empty() || path == "/" ? "/" : normalize_sensor_topic(path);
-    MutexLock lock(mutex_);
+    ReaderLock lock(mutex_);
     std::vector<std::string> out;
     for (const auto& sensor : sensors_) {
         if (prefix == "/" || sensor == prefix ||
@@ -42,12 +46,12 @@ std::vector<std::string> SensorTree::sensors_below(
 }
 
 bool SensorTree::is_sensor(const std::string& path) const {
-    MutexLock lock(mutex_);
+    ReaderLock lock(mutex_);
     return sensors_.count(normalize_sensor_topic(path)) > 0;
 }
 
 std::size_t SensorTree::sensor_count() const {
-    MutexLock lock(mutex_);
+    ReaderLock lock(mutex_);
     return sensors_.size();
 }
 

@@ -8,19 +8,24 @@
 // Grafana-equivalent hierarchical browsing in the examples.
 #pragma once
 
+#include <functional>
 #include <map>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/mutex.hpp"
 
 namespace dcdb {
 
+/// Read-mostly: re-adding a registered sensor (every ingest does) is a
+/// string_view find under the shared lock; only a new or un-normalized
+/// topic is normalized and takes the writer lock.
 class SensorTree {
   public:
     /// Register a sensor topic ("/sys/rack0/node1/power").
-    void add(const std::string& topic) DCDB_EXCLUDES(mutex_);
+    void add(std::string_view topic) DCDB_EXCLUDES(mutex_);
 
     /// Child level names under `path` ("" or "/" = root).
     std::vector<std::string> children(const std::string& path) const
@@ -36,11 +41,12 @@ class SensorTree {
     std::size_t sensor_count() const DCDB_EXCLUDES(mutex_);
 
   private:
-    mutable Mutex mutex_;
+    mutable SharedMutex mutex_;
     // path -> names
     std::map<std::string, std::set<std::string>> children_
         DCDB_GUARDED_BY(mutex_);
-    std::set<std::string> sensors_ DCDB_GUARDED_BY(mutex_);  // leaf topics
+    // leaf topics, normalized; std::less<> allows string_view probes
+    std::set<std::string, std::less<>> sensors_ DCDB_GUARDED_BY(mutex_);
 };
 
 }  // namespace dcdb

@@ -1,6 +1,7 @@
 #include "core/sensor_cache.hpp"
 
 #include <algorithm>
+#include <atomic>
 
 namespace dcdb {
 
@@ -78,62 +79,102 @@ std::optional<double> SensorCache::average(TimestampNs horizon_ns) const {
     return sum / static_cast<double>(n);
 }
 
-void CacheSet::push(const std::string& topic, const Reading& r,
-                    TimestampNs interval_hint_ns) {
+void CacheSet::Slot::push(const Reading& r) {
     MutexLock lock(mutex_);
-    auto it = caches_.find(topic);
-    if (it == caches_.end()) {
-        it = caches_
-                 .emplace(std::piecewise_construct,
-                          std::forward_as_tuple(topic),
-                          std::forward_as_tuple(window_ns_, interval_hint_ns))
-                 .first;
+    cache_.push(r);
+}
+
+std::optional<Reading> CacheSet::Slot::latest() const {
+    MutexLock lock(mutex_);
+    return cache_.latest();
+}
+
+std::vector<Reading> CacheSet::Slot::view(TimestampNs t0,
+                                          TimestampNs t1) const {
+    MutexLock lock(mutex_);
+    return cache_.view(t0, t1);
+}
+
+std::optional<double> CacheSet::Slot::average(TimestampNs horizon_ns) const {
+    MutexLock lock(mutex_);
+    return cache_.average(horizon_ns);
+}
+
+std::size_t CacheSet::Slot::memory_bytes() const {
+    MutexLock lock(mutex_);
+    return cache_.memory_bytes();
+}
+
+namespace {
+// dcdblint: allow-atomic(id source, not a stat counter)
+std::atomic<std::uint64_t> g_next_cache_set_id{1};
+}  // namespace
+
+CacheSet::CacheSet(TimestampNs window_ns)
+    : window_ns_(window_ns),
+      id_(g_next_cache_set_id.fetch_add(1, std::memory_order_relaxed)) {}
+
+const CacheSet::Slot* CacheSet::find(std::string_view topic) const {
+    ReaderLock lock(mutex_);
+    const auto it = slots_.find(topic);
+    return it == slots_.end() ? nullptr : &it->second;
+}
+
+CacheSet::Slot& CacheSet::slot(std::string_view topic,
+                               TimestampNs interval_hint_ns) {
+    {
+        ReaderLock lock(mutex_);
+        const auto it = slots_.find(topic);
+        if (it != slots_.end()) return it->second;
     }
-    it->second.push(r);
+    WriterLock lock(mutex_);
+    // try_emplace keeps a slot another thread created meanwhile.
+    return slots_
+        .try_emplace(std::string(topic), window_ns_, interval_hint_ns)
+        .first->second;
 }
 
-std::optional<Reading> CacheSet::latest(const std::string& topic) const {
-    MutexLock lock(mutex_);
-    const auto it = caches_.find(topic);
-    if (it == caches_.end()) return std::nullopt;
-    return it->second.latest();
+void CacheSet::push(std::string_view topic, const Reading& r,
+                    TimestampNs interval_hint_ns) {
+    slot(topic, interval_hint_ns).push(r);
 }
 
-std::vector<Reading> CacheSet::view(const std::string& topic, TimestampNs t0,
+std::optional<Reading> CacheSet::latest(std::string_view topic) const {
+    const Slot* s = find(topic);
+    return s ? s->latest() : std::nullopt;
+}
+
+std::vector<Reading> CacheSet::view(std::string_view topic, TimestampNs t0,
                                     TimestampNs t1) const {
-    MutexLock lock(mutex_);
-    const auto it = caches_.find(topic);
-    if (it == caches_.end()) return {};
-    return it->second.view(t0, t1);
+    const Slot* s = find(topic);
+    return s ? s->view(t0, t1) : std::vector<Reading>{};
 }
 
-std::optional<double> CacheSet::average(const std::string& topic,
+std::optional<double> CacheSet::average(std::string_view topic,
                                         TimestampNs horizon_ns) const {
-    MutexLock lock(mutex_);
-    const auto it = caches_.find(topic);
-    if (it == caches_.end()) return std::nullopt;
-    return it->second.average(horizon_ns);
+    const Slot* s = find(topic);
+    return s ? s->average(horizon_ns) : std::nullopt;
 }
 
 std::vector<std::string> CacheSet::topics() const {
-    MutexLock lock(mutex_);
+    ReaderLock lock(mutex_);
     std::vector<std::string> out;
-    out.reserve(caches_.size());
-    for (const auto& [topic, cache] : caches_) out.push_back(topic);
+    out.reserve(slots_.size());
+    for (const auto& [topic, slot] : slots_) out.push_back(topic);
     std::sort(out.begin(), out.end());
     return out;
 }
 
 std::size_t CacheSet::sensor_count() const {
-    MutexLock lock(mutex_);
-    return caches_.size();
+    ReaderLock lock(mutex_);
+    return slots_.size();
 }
 
 std::size_t CacheSet::memory_bytes() const {
-    MutexLock lock(mutex_);
+    ReaderLock lock(mutex_);
     std::size_t total = 0;
-    for (const auto& [topic, cache] : caches_)
-        total += cache.memory_bytes() + topic.size();
+    for (const auto& [topic, slot] : slots_)
+        total += slot.memory_bytes() + topic.size();
     return total;
 }
 

@@ -9,12 +9,16 @@
 // allocation-free on the sampling hot path once warm.
 #pragma once
 
+#include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "common/mutex.hpp"
+#include "common/string_utils.hpp"
 #include "common/types.hpp"
 
 namespace dcdb {
@@ -60,20 +64,51 @@ class SensorCache {
 
 /// Thread-safe set of named sensor caches (one per sensor topic), shared
 /// by the sampler threads and the REST server.
+///
+/// Each topic owns a Slot: its cache plus a leaf mutex. Slots are created
+/// on first sight and live as long as the set, at a stable address, so a
+/// known topic costs a string_view probe under the shared map lock and a
+/// caller that always feeds one sensor can resolve its Slot once.
 class CacheSet {
   public:
-    explicit CacheSet(TimestampNs window_ns = 120 * kNsPerSec)
-        : window_ns_(window_ns) {}
+    class Slot {
+      public:
+        Slot(TimestampNs window_ns, TimestampNs interval_hint_ns)
+            : cache_(window_ns, interval_hint_ns) {}
+        Slot(const Slot&) = delete;
+        Slot& operator=(const Slot&) = delete;
+
+        void push(const Reading& r) DCDB_EXCLUDES(mutex_);
+        std::optional<Reading> latest() const DCDB_EXCLUDES(mutex_);
+        std::vector<Reading> view(TimestampNs t0, TimestampNs t1) const
+            DCDB_EXCLUDES(mutex_);
+        std::optional<double> average(TimestampNs horizon_ns) const
+            DCDB_EXCLUDES(mutex_);
+        std::size_t memory_bytes() const DCDB_EXCLUDES(mutex_);
+
+      private:
+        mutable Mutex mutex_;
+        SensorCache cache_ DCDB_GUARDED_BY(mutex_);
+    };
+
+    explicit CacheSet(TimestampNs window_ns = 120 * kNsPerSec);
+
+    /// The slot for `topic`, created on first sight (sized with
+    /// `interval_hint_ns`). Valid for the set's lifetime.
+    Slot& slot(std::string_view topic,
+               TimestampNs interval_hint_ns = kNsPerSec)
+        DCDB_EXCLUDES(mutex_);
 
     /// Insert a reading for `topic`, creating the cache on first sight.
-    void push(const std::string& topic, const Reading& r,
-              TimestampNs interval_hint_ns = kNsPerSec) DCDB_EXCLUDES(mutex_);
-
-    std::optional<Reading> latest(const std::string& topic) const
+    void push(std::string_view topic, const Reading& r,
+              TimestampNs interval_hint_ns = kNsPerSec)
         DCDB_EXCLUDES(mutex_);
-    std::vector<Reading> view(const std::string& topic, TimestampNs t0,
+
+    std::optional<Reading> latest(std::string_view topic) const
+        DCDB_EXCLUDES(mutex_);
+    std::vector<Reading> view(std::string_view topic, TimestampNs t0,
                               TimestampNs t1) const DCDB_EXCLUDES(mutex_);
-    std::optional<double> average(const std::string& topic,
+    std::optional<double> average(std::string_view topic,
                                   TimestampNs horizon_ns) const
         DCDB_EXCLUDES(mutex_);
 
@@ -82,11 +117,21 @@ class CacheSet {
     std::size_t memory_bytes() const DCDB_EXCLUDES(mutex_);
     TimestampNs window_ns() const { return window_ns_; }
 
+    /// Unique per set for the process lifetime (never reused, unlike an
+    /// address), so a cached Slot& can be checked against its set.
+    std::uint64_t id() const { return id_; }
+
   private:
+    const Slot* find(std::string_view topic) const DCDB_EXCLUDES(mutex_);
+
     TimestampNs window_ns_;
-    mutable Mutex mutex_;
-    std::unordered_map<std::string, SensorCache> caches_
-        DCDB_GUARDED_BY(mutex_);
+    std::uint64_t id_;
+    // Lock order: mutex_ -> Slot::mutex_ (memory_bytes walks the slots
+    // under the shared lock); push/latest/view/average take the slot
+    // lock after releasing mutex_.
+    mutable SharedMutex mutex_;
+    std::unordered_map<std::string, Slot, StringHash, std::equal_to<>>
+        slots_ DCDB_GUARDED_BY(mutex_);
 };
 
 }  // namespace dcdb

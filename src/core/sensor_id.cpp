@@ -32,6 +32,7 @@ std::string rev_key(std::size_t level, std::uint16_t id) {
 }  // namespace
 
 TopicMapper::TopicMapper(store::MetaStore& meta) : meta_(meta) {
+    WriterLock lock(mutex_);
     next_id_.fill(1);
     // Rebuild the in-memory dictionaries from the persistent store.
     for (std::size_t level = 0; level < kSidLevels; ++level) {
@@ -47,23 +48,64 @@ TopicMapper::TopicMapper(store::MetaStore& meta) : meta_(meta) {
                 next_id_[level] = static_cast<std::uint16_t>(id16 + 1);
         }
     }
-    known_topics_ = meta_.scan_prefix("topics/").size();
+    const std::string prefix = "topics/";
+    const auto topics = meta_.scan_prefix(prefix);
+    known_topics_ = topics.size();
+    registered_.reserve(topics.size());
+    for (const auto& entry : topics) {
+        // A topic whose components did not survive stays unregistered:
+        // its next sighting takes the first-sighting path.
+        std::array<std::string_view, kSidLevels> levels;
+        const std::size_t depth = sensor_topic_levels(
+            std::string_view(entry.first).substr(prefix.size()), levels);
+        SensorId sid;
+        if (depth > 0 && depth <= kSidLevels &&
+            resolve_locked(Levels(levels.data(), depth), sid))
+            registered_.insert(sid);
+    }
 }
 
-SensorId TopicMapper::to_sid(const std::string& topic) {
-    const std::string normalized = normalize_sensor_topic(topic);
-    const auto levels = split_nonempty(normalized, '/');
-    if (levels.empty()) throw Error("empty sensor topic");
-    if (levels.size() > kSidLevels)
-        throw Error("topic exceeds " + std::to_string(kSidLevels) +
-                    " hierarchy levels: " + topic);
+bool TopicMapper::resolve_locked(Levels levels, SensorId& out) const {
+    SensorId sid;
+    for (std::size_t i = 0; i < levels.size(); ++i) {
+        const auto it = forward_[i].find(levels[i]);
+        if (it == forward_[i].end()) return false;
+        sid.set_level(i, it->second);
+    }
+    out = sid;
+    return true;
+}
 
-    MutexLock lock(mutex_);
+SensorId TopicMapper::to_sid(std::string_view topic) {
+    std::array<std::string_view, kSidLevels> levels;
+    const std::size_t depth = sensor_topic_levels(topic, levels);
+    if (depth == 0) throw Error("empty sensor topic");
+    if (depth > kSidLevels)
+        throw Error("topic exceeds " + std::to_string(kSidLevels) +
+                    " hierarchy levels: " + std::string(topic));
+    const Levels path(levels.data(), depth);
+    {
+        ReaderLock lock(mutex_);
+        SensorId sid;
+        if (resolve_locked(path, sid) && registered_.contains(sid))
+            return sid;
+    }
+    return register_topic(path);
+}
+
+SensorId TopicMapper::register_topic(Levels levels) {
+    std::string normalized;  // == normalize_sensor_topic(topic)
+    for (const std::string_view level : levels) {
+        normalized += '/';
+        normalized += level;
+    }
+
+    WriterLock lock(mutex_);
     SensorId sid;
     for (std::size_t i = 0; i < levels.size(); ++i) {
         auto& dict = forward_[i];
         auto it = dict.find(levels[i]);
-        std::uint16_t id;
+        std::uint16_t id = 0;
         if (it != dict.end()) {
             id = it->second;
         } else {
@@ -71,23 +113,28 @@ SensorId TopicMapper::to_sid(const std::string& topic) {
                 throw Error("hierarchy level " + std::to_string(i) +
                             " dictionary exhausted");
             id = next_id_[i]++;
-            dict.emplace(levels[i], id);
-            reverse_[i].emplace(id, levels[i]);
-            meta_.put(dict_key(i, levels[i]), std::to_string(id));
-            meta_.put(rev_key(i, id), levels[i]);
+            const std::string component(levels[i]);
+            dict.emplace(component, id);
+            reverse_[i].emplace(id, component);
+            meta_.put(dict_key(i, component), std::to_string(id));
+            meta_.put(rev_key(i, id), component);
         }
         sid.set_level(i, id);
     }
+    // Another session may have registered the topic while this one
+    // waited for the writer lock.
+    if (registered_.contains(sid)) return sid;
     const std::string topic_key = "topics/" + normalized;
     if (!meta_.contains(topic_key)) {
         meta_.put(topic_key, sid.hex());
         ++known_topics_;
     }
+    registered_.insert(sid);
     return sid;
 }
 
 std::string TopicMapper::to_topic(const SensorId& sid) const {
-    MutexLock lock(mutex_);
+    ReaderLock lock(mutex_);
     std::string out;
     for (std::size_t i = 0; i < kSidLevels; ++i) {
         const std::uint16_t id = sid.level(i);
@@ -103,22 +150,21 @@ std::string TopicMapper::to_topic(const SensorId& sid) const {
     return out;
 }
 
-bool TopicMapper::lookup(const std::string& topic, SensorId& out) const {
-    const auto levels = split_nonempty(normalize_sensor_topic(topic), '/');
-    if (levels.empty() || levels.size() > kSidLevels) return false;
-    MutexLock lock(mutex_);
+bool TopicMapper::lookup(std::string_view topic, SensorId& out) const {
+    std::array<std::string_view, kSidLevels> levels;
+    const std::size_t depth = sensor_topic_levels(topic, levels);
+    if (depth == 0 || depth > kSidLevels) return false;
+    ReaderLock lock(mutex_);
     SensorId sid;
-    for (std::size_t i = 0; i < levels.size(); ++i) {
-        const auto it = forward_[i].find(levels[i]);
-        if (it == forward_[i].end()) return false;
-        sid.set_level(i, it->second);
-    }
+    if (!resolve_locked(Levels(levels.data(), depth), sid) ||
+        !registered_.contains(sid))
+        return false;
     out = sid;
     return true;
 }
 
 std::size_t TopicMapper::known_topics() const {
-    MutexLock lock(mutex_);
+    ReaderLock lock(mutex_);
     return known_topics_;
 }
 

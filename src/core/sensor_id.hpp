@@ -18,11 +18,15 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
-#include <vector>
+#include <unordered_set>
 
 #include "common/mutex.hpp"
+#include "common/string_utils.hpp"
 #include "common/types.hpp"
 #include "store/key.hpp"
 #include "store/metastore.hpp"
@@ -76,6 +80,11 @@ inline store::Key sensor_key(const SensorId& sid, TimestampNs ts) {
 ///
 /// Thread-safe; backed by a MetaStore so the mapping survives restarts
 /// (a requirement for SIDs to be usable as long-term storage keys).
+///
+/// Read-mostly: a topic seen before resolves under the shared lock by
+/// probing the per-level dictionaries with string_view levels and the
+/// registered-SID set, allocating nothing. Only a first sighting takes
+/// the writer lock to allocate components and persist the topic.
 class TopicMapper {
   public:
     /// `meta` must outlive the mapper; pass a fresh in-memory MetaStore
@@ -84,28 +93,46 @@ class TopicMapper {
 
     /// Map a topic to its SID, allocating component numbers on first
     /// sight. Throws Error for invalid topics or >8 levels.
-    SensorId to_sid(const std::string& topic) DCDB_EXCLUDES(mutex_);
+    SensorId to_sid(std::string_view topic) DCDB_EXCLUDES(mutex_);
 
     /// Reverse lookup. Throws Error if the SID was never allocated.
     std::string to_topic(const SensorId& sid) const DCDB_EXCLUDES(mutex_);
 
     /// Lookup without allocating; false if the topic is unknown.
-    bool lookup(const std::string& topic, SensorId& out) const
+    bool lookup(std::string_view topic, SensorId& out) const
         DCDB_EXCLUDES(mutex_);
 
     std::size_t known_topics() const DCDB_EXCLUDES(mutex_);
 
   private:
+    using Levels = std::span<const std::string_view>;
+
+    /// SID of `levels` if every component is known; does not check that
+    /// the topic itself was registered.
+    bool resolve_locked(Levels levels, SensorId& out) const
+        DCDB_REQUIRES_SHARED(mutex_);
+    /// First-sighting path: allocate missing components and persist the
+    /// topic's `topics/` record.
+    SensorId register_topic(Levels levels) DCDB_EXCLUDES(mutex_);
+
     store::MetaStore& meta_;
-    mutable Mutex mutex_;
+    mutable SharedMutex mutex_;
     // Per-level dictionaries. meta_ has its own internal lock; it is
-    // only written while mutex_ is held (dictionary allocation), so the
-    // lock order is always mutex_ -> MetaStore::mutex_.
-    std::array<std::unordered_map<std::string, std::uint16_t>, kSidLevels>
+    // only written while mutex_ is held exclusively (dictionary
+    // allocation), so the lock order is always mutex_ ->
+    // MetaStore::mutex_.
+    std::array<std::unordered_map<std::string, std::uint16_t, StringHash,
+                                  std::equal_to<>>,
+               kSidLevels>
         forward_ DCDB_GUARDED_BY(mutex_);
     std::array<std::unordered_map<std::uint16_t, std::string>, kSidLevels>
         reverse_ DCDB_GUARDED_BY(mutex_);
     std::array<std::uint16_t, kSidLevels> next_id_ DCDB_GUARDED_BY(mutex_){};
+    // SIDs whose topic has a `topics/` record. Topics and SIDs are 1:1,
+    // so membership means the topic is registered; a SID enters only
+    // after its record is written.
+    std::unordered_set<SensorId, SensorIdHash> registered_
+        DCDB_GUARDED_BY(mutex_);
     std::size_t known_topics_ DCDB_GUARDED_BY(mutex_){0};
 };
 

@@ -56,4 +56,21 @@ std::string normalize_sensor_topic(std::string_view topic) {
     return out.empty() ? "/" : out;
 }
 
+std::size_t sensor_topic_levels(std::string_view topic,
+                                std::span<std::string_view> out) {
+    std::size_t count = 0;
+    std::size_t start = 0;
+    while (start < topic.size()) {
+        std::size_t end = topic.find('/', start);
+        if (end == std::string_view::npos) end = topic.size();
+        if (end > start) {
+            if (count < out.size())
+                out[count] = topic.substr(start, end - start);
+            ++count;
+        }
+        start = end + 1;
+    }
+    return count;
+}
+
 }  // namespace dcdb

@@ -7,6 +7,8 @@
 // by the full broker; the Collect Agent's reduced broker never filters.
 #pragma once
 
+#include <cstddef>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -29,5 +31,12 @@ std::vector<std::string> topic_levels(std::string_view topic);
 /// Normalize a sensor topic: ensure single leading '/', collapse duplicate
 /// separators, strip a trailing '/'. DCDB configs are tolerant about this.
 std::string normalize_sensor_topic(std::string_view topic);
+
+/// The non-empty levels of a sensor topic as views into `topic` — the
+/// levels of normalize_sensor_topic(topic), without allocating. Fills at
+/// most `out.size()` entries and returns the total level count, so a
+/// count above `out.size()` flags a topic too deep for the caller.
+std::size_t sensor_topic_levels(std::string_view topic,
+                                std::span<std::string_view> out);
 
 }  // namespace dcdb

@@ -1,10 +1,20 @@
 #include "pusher/mqtt_pusher.hpp"
 
+#include <algorithm>
+
 #include "common/clock.hpp"
 #include "common/logging.hpp"
 #include "core/payload.hpp"
 
 namespace dcdb::pusher {
+
+namespace {
+
+/// The drain buffer is kept across rounds unless it is over 4x this or
+/// 4x the round's largest group drain.
+constexpr std::size_t kMinDrainBuffer = 1024;
+
+}  // namespace
 
 MqttPusher::MqttPusher(ClientProvider client_provider,
                        const std::vector<std::unique_ptr<Plugin>>* plugins,
@@ -67,7 +77,7 @@ void MqttPusher::stop() {
 
 bool MqttPusher::publish_batch(mqtt::MqttClient* client,
                                const std::string& topic,
-                               const std::vector<Reading>& readings) {
+                               std::span<const Reading> readings) {
     try {
         client->publish(topic, encode_readings(readings), config_.qos);
     } catch (const std::exception& e) {
@@ -137,31 +147,34 @@ std::size_t MqttPusher::flush_retries(mqtt::MqttClient* client,
     return sent;
 }
 
+std::span<const Reading> MqttPusher::readings_of(const Drained& d) const {
+    return std::span<const Reading>(drain_).subspan(d.begin, d.count);
+}
+
 void MqttPusher::publish_coalesced(
-    mqtt::MqttClient* client, std::vector<PendingBatch>& drained,
-    std::size_t& sent, const telemetry::trace::TraceContext& trace) {
-    if (drained.empty()) return;
-    if (drained.size() == 1 && !trace.valid()) {
+    mqtt::MqttClient* client, std::size_t& sent,
+    const telemetry::trace::TraceContext& trace) {
+    if (drained_.empty()) return;
+    if (drained_.size() == 1 && !trace.valid()) {
         // A lone sensor keeps the v0 single-sensor payload: no batching
         // overhead, and old agents keep decoding it. A traced round uses
         // the v1 form below regardless — v0 has nowhere to carry the
         // trailer.
-        if (publish_batch(client, drained.front().topic,
-                          drained.front().readings)) {
+        const Drained& only = drained_.front();
+        const auto readings = readings_of(only);
+        if (publish_batch(client, only.sensor->topic(), readings)) {
             ++sent;
         } else {
-            requeue(std::move(drained.front().topic),
-                    std::move(drained.front().readings));
+            requeue(only.sensor->topic(), {readings.begin(), readings.end()});
         }
         return;
     }
 
-    std::vector<SensorBatch> sections;
-    sections.reserve(drained.size());
+    sections_.clear();
     std::size_t total = 0;
-    for (const auto& batch : drained) {
-        sections.push_back(SensorBatch{batch.topic, batch.readings});
-        total += batch.readings.size();
+    for (const auto& d : drained_) {
+        sections_.push_back(SensorBatch{d.sensor->topic(), readings_of(d)});
+        total += d.count;
     }
     const TimestampNs publish_wall = trace.valid() ? now_ns() : 0;
     const TimestampNs publish_start = trace.valid() ? steady_ns() : 0;
@@ -169,17 +182,19 @@ void MqttPusher::publish_coalesced(
         // The message topic is informational for a batch payload (the
         // agent routes on the per-section topics); the first sensor's
         // topic keeps broker-side accounting meaningful.
-        client->publish(drained.front().topic,
-                        encode_batch(sections, trace), config_.qos);
+        client->publish(drained_.front().sensor->topic(),
+                        encode_batch(sections_, trace), config_.qos);
     } catch (const std::exception& e) {
         publish_failures_.add(1);
-        DCDB_DEBUG("pusher") << "coalesced publish of " << drained.size()
+        DCDB_DEBUG("pusher") << "coalesced publish of " << drained_.size()
                              << " sensors failed: " << e.what();
         // Re-enter the retry path sensor-at-a-time so the queue bound
         // and per-sensor ordering semantics stay exactly as before.
         // The trace ends here: requeued batches republish as v0.
-        for (auto& batch : drained)
-            requeue(std::move(batch.topic), std::move(batch.readings));
+        for (const auto& d : drained_) {
+            const auto readings = readings_of(d);
+            requeue(d.sensor->topic(), {readings.begin(), readings.end()});
+        }
         return;
     }
     if (trace.valid() && config_.tracer) {
@@ -193,11 +208,12 @@ void MqttPusher::publish_coalesced(
 }
 
 std::size_t MqttPusher::push_once() {
+    MutexLock lock(push_mutex_);
     mqtt::MqttClient* client = client_provider_();
     if (!client) return 0;  // agent unreachable; retry next round
     // Backlog first: keeps per-sensor batches arriving in send order.
     std::size_t sent = flush_retries(client, /*ignore_backoff=*/false);
-    std::vector<PendingBatch> drained;
+    std::size_t largest_drain = 0;
     for (const auto& plugin : *plugins_) {
         for (const auto& group : plugin->groups()) {
             // A trace the sampler parked on this group rides the
@@ -210,33 +226,42 @@ std::size_t MqttPusher::push_once() {
                     : telemetry::trace::TraceContext{};
             const TimestampNs drain_wall = trace.valid() ? now_ns() : 0;
             const TimestampNs drain_start = trace.valid() ? steady_ns() : 0;
-            drained.clear();
+            // The whole group drains into one reused buffer; sections
+            // are views into it, so nothing is copied unless a failed
+            // publish has to requeue.
+            drain_.clear();
+            drained_.clear();
             for (const auto& sensor : group->sensors()) {
-                if (sensor->pending_count() == 0) continue;
-                auto readings = sensor->drain_pending();
-                if (readings.empty()) continue;
+                const std::size_t begin = drain_.size();
+                const std::size_t count = sensor->drain_pending_into(drain_);
+                if (count == 0) continue;
+                const Drained d{sensor.get(), begin, count};
                 if (config_.coalesce) {
-                    drained.push_back(
-                        PendingBatch{sensor->topic(), std::move(readings)});
-                } else if (publish_batch(client, sensor->topic(),
-                                         readings)) {
+                    drained_.push_back(d);
+                    continue;
+                }
+                const auto readings = readings_of(d);
+                if (publish_batch(client, sensor->topic(), readings)) {
                     ++sent;
                 } else {
-                    requeue(sensor->topic(), std::move(readings));
+                    requeue(sensor->topic(),
+                            {readings.begin(), readings.end()});
                 }
             }
-            if (trace.valid() && !drained.empty()) {
-                std::size_t total = 0;
-                for (const auto& batch : drained)
-                    total += batch.readings.size();
+            largest_drain = std::max(largest_drain, drain_.size());
+            if (trace.valid() && !drained_.empty()) {
                 config_.tracer->record_span(
                     trace, telemetry::trace::Stage::kCoalesce, drain_wall,
                     steady_ns() - drain_start,
-                    static_cast<std::uint32_t>(total));
+                    static_cast<std::uint32_t>(drain_.size()));
             }
-            publish_coalesced(client, drained, sent, trace);
+            publish_coalesced(client, sent, trace);
         }
     }
+    // Like the sensors' pending rings: give back a buffer sized by a
+    // backlog once the rounds are small again.
+    if (drain_.capacity() > 4 * std::max(largest_drain, kMinDrainBuffer))
+        std::vector<Reading>().swap(drain_);
     return sent;
 }
 

@@ -22,12 +22,14 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/mutex.hpp"
 #include "common/random.hpp"
+#include "core/payload.hpp"
 #include "mqtt/client.hpp"
 #include "pusher/plugin.hpp"
 #include "telemetry/registry.hpp"
@@ -110,20 +112,29 @@ class MqttPusher {
         std::string topic;
         std::vector<Reading> readings;
     };
+    /// One sensor drained this round: its readings are
+    /// drain_[begin, begin + count).
+    struct Drained {
+        const SensorBase* sensor{nullptr};
+        std::size_t begin{0};
+        std::size_t count{0};
+    };
 
     void loop();
     /// Publish one batch; returns false (after counting the failure)
     /// instead of throwing so callers can re-queue.
     bool publish_batch(mqtt::MqttClient* client, const std::string& topic,
-                       const std::vector<Reading>& readings);
-    /// Publish a whole group's drained sensors as one coalesced
-    /// multi-sensor payload; on failure each sensor's batch is requeued
-    /// individually. A valid `trace` forces the v1 payload (even for a
-    /// single sensor) so its trailer can carry the context.
-    void publish_coalesced(mqtt::MqttClient* client,
-                           std::vector<PendingBatch>& drained,
-                           std::size_t& sent,
-                           const telemetry::trace::TraceContext& trace);
+                       std::span<const Reading> readings);
+    std::span<const Reading> readings_of(const Drained& d) const
+        DCDB_REQUIRES(push_mutex_);
+    /// Publish the group drained into drain_/drained_ as one coalesced
+    /// multi-sensor payload; on failure each sensor's readings are
+    /// copied into the retry queue individually. A valid `trace` forces
+    /// the v1 payload (even for a single sensor) so its trailer can
+    /// carry the context.
+    void publish_coalesced(mqtt::MqttClient* client, std::size_t& sent,
+                           const telemetry::trace::TraceContext& trace)
+        DCDB_REQUIRES(push_mutex_);
     void requeue(std::string topic, std::vector<Reading> readings)
         DCDB_EXCLUDES(retry_mutex_);
     std::size_t flush_retries(mqtt::MqttClient* client, bool ignore_backoff)
@@ -147,6 +158,17 @@ class MqttPusher {
     telemetry::Gauge& retry_readings_;
     std::thread thread_;
     std::atomic<bool> stopping_{false};
+
+    // Serializes push rounds (the push thread, push_now, the final
+    // flush). Lock order: push_mutex_ -> SensorBase::mutex_,
+    // push_mutex_ -> retry_mutex_ and push_mutex_ -> the client
+    // provider's lock. The scratch below is reused every round and holds
+    // one group's drain at a time; a backlog-sized buffer is freed once
+    // rounds are small again.
+    Mutex push_mutex_;
+    std::vector<Reading> drain_ DCDB_GUARDED_BY(push_mutex_);
+    std::vector<Drained> drained_ DCDB_GUARDED_BY(push_mutex_);
+    std::vector<SensorBatch> sections_ DCDB_GUARDED_BY(push_mutex_);
 
     Mutex retry_mutex_;
     std::deque<PendingBatch> retry_queue_ DCDB_GUARDED_BY(retry_mutex_);

@@ -1,15 +1,38 @@
 #include "pusher/sensor_base.hpp"
 
+#include <algorithm>
+
 #include "mqtt/topic.hpp"
 
 namespace dcdb::pusher {
+
+namespace {
+
+/// Smallest pending ring; it doubles from here up to kMaxPending.
+constexpr std::size_t kMinPendingRing = 4;
+/// A drain frees a ring above this size once it is 4x what the drain
+/// took, so the backlog of an agent outage is not retained afterwards.
+constexpr std::size_t kShrinkPendingRing = 256;
+
+}  // namespace
 
 SensorBase::SensorBase(std::string name, std::string topic)
     : name_(std::move(name)),
       topic_(normalize_sensor_topic(topic)) {}
 
+void SensorBase::grow_pending() {
+    // Unroll the ring so the oldest reading sits at index 0, then widen.
+    std::rotate(pending_.begin(),
+                pending_.begin() + static_cast<std::ptrdiff_t>(pending_head_),
+                pending_.end());
+    pending_head_ = 0;
+    pending_.resize(std::min(std::max(pending_.size() * 2, kMinPendingRing),
+                             kMaxPending));
+}
+
 void SensorBase::store_reading(Reading r, CacheSet* cache,
                                TimestampNs interval_hint_ns) {
+    CacheSet::Slot* slot = nullptr;
     {
         MutexLock lock(mutex_);
         if (delta_) {
@@ -21,20 +44,50 @@ void SensorBase::store_reading(Reading r, CacheSet* cache,
             r.value = raw - *last_raw_;
             last_raw_ = raw;
         }
-        if (pending_.size() >= kMaxPending) {
-            pending_.erase(pending_.begin());
+        if (pending_count_ == kMaxPending) {
+            // Full at the cap: overwrite the oldest reading in O(1).
+            pending_[pending_head_] = r;
+            pending_head_ = (pending_head_ + 1) % pending_.size();
             ++dropped_;
+        } else {
+            if (pending_count_ == pending_.size()) grow_pending();
+            pending_[(pending_head_ + pending_count_) % pending_.size()] = r;
+            ++pending_count_;
         }
-        pending_.push_back(r);
         latest_ = r;
+        if (cache && cache->id() == cache_id_) slot = cache_slot_;
     }
-    if (cache) cache->push(topic_, r, interval_hint_ns);
+    if (!cache) return;
+    if (!slot) {
+        // First reading into this set: resolve the slot once, outside
+        // the sensor lock (creating it takes the set's writer lock).
+        slot = &cache->slot(topic_, interval_hint_ns);
+        MutexLock lock(mutex_);
+        cache_id_ = cache->id();
+        cache_slot_ = slot;
+    }
+    slot->push(r);
+}
+
+std::size_t SensorBase::drain_pending_into(std::vector<Reading>& out) {
+    MutexLock lock(mutex_);
+    const std::size_t n = pending_count_;
+    const auto head = pending_.begin() +
+                      static_cast<std::ptrdiff_t>(pending_head_);
+    const std::size_t first = std::min(n, pending_.size() - pending_head_);
+    out.insert(out.end(), head, head + static_cast<std::ptrdiff_t>(first));
+    out.insert(out.end(), pending_.begin(),
+               pending_.begin() + static_cast<std::ptrdiff_t>(n - first));
+    pending_head_ = 0;
+    pending_count_ = 0;
+    if (pending_.size() > kShrinkPendingRing && pending_.size() > 4 * n)
+        std::vector<Reading>().swap(pending_);
+    return n;
 }
 
 std::vector<Reading> SensorBase::drain_pending() {
     std::vector<Reading> out;
-    MutexLock lock(mutex_);
-    out.swap(pending_);
+    drain_pending_into(out);
     return out;
 }
 
@@ -45,7 +98,7 @@ std::optional<Reading> SensorBase::latest() const {
 
 std::size_t SensorBase::pending_count() const {
     MutexLock lock(mutex_);
-    return pending_.size();
+    return pending_count_;
 }
 
 std::uint64_t SensorBase::dropped_readings() const {

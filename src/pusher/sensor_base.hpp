@@ -38,18 +38,26 @@ class SensorBase {
 
     /// Record one reading (called from sampler threads). Applies delta
     /// conversion if enabled and mirrors the reading into `cache` (may be
-    /// null in unit tests).
+    /// null in unit tests). The sensor resolves its slot in `cache` once
+    /// and pushes through it afterwards.
     void store_reading(Reading r, CacheSet* cache,
                        TimestampNs interval_hint_ns) DCDB_EXCLUDES(mutex_);
 
-    /// Readings accumulated since the last drain (consumed by the MQTT
-    /// push thread). Swap-based: no allocation on the sampling path.
+    /// Move the readings accumulated since the last drain, oldest first,
+    /// onto the end of `out` under one lock acquisition; returns how many.
+    /// The pending ring keeps its storage, so a steady sampling rate
+    /// drains without allocating on either side.
+    std::size_t drain_pending_into(std::vector<Reading>& out)
+        DCDB_EXCLUDES(mutex_);
+
+    /// drain_pending_into a fresh vector (tests and one-off callers).
     std::vector<Reading> drain_pending() DCDB_EXCLUDES(mutex_);
 
     /// Pending readings are capped so a dead Collect Agent cannot grow a
     /// Pusher without bound; the oldest readings are dropped first (the
     /// sensor cache still covers its window, and the storage layer will
     /// simply have a gap — DCDB favours fresh data over total recall).
+    /// The ring grows on demand up to the cap and drops in O(1) there.
     static constexpr std::size_t kMaxPending = 4096;
 
     std::uint64_t dropped_readings() const DCDB_EXCLUDES(mutex_);
@@ -58,6 +66,8 @@ class SensorBase {
     std::size_t pending_count() const DCDB_EXCLUDES(mutex_);
 
   private:
+    void grow_pending() DCDB_REQUIRES(mutex_);
+
     std::string name_;
     std::string topic_;
     std::string unit_;
@@ -65,11 +75,18 @@ class SensorBase {
     bool delta_{false};
 
     mutable Mutex mutex_;
+    // Pending readings: a ring over pending_ (its size is the ring's
+    // capacity), oldest at pending_head_.
     std::vector<Reading> pending_ DCDB_GUARDED_BY(mutex_);
+    std::size_t pending_head_ DCDB_GUARDED_BY(mutex_){0};
+    std::size_t pending_count_ DCDB_GUARDED_BY(mutex_){0};
     std::optional<Reading> latest_ DCDB_GUARDED_BY(mutex_);
     // last_raw_ feeds delta conversion
     std::optional<Value> last_raw_ DCDB_GUARDED_BY(mutex_);
     std::uint64_t dropped_ DCDB_GUARDED_BY(mutex_){0};
+    // This sensor's slot in the cache set with id cache_id_ (0 = none).
+    std::uint64_t cache_id_ DCDB_GUARDED_BY(mutex_){0};
+    CacheSet::Slot* cache_slot_ DCDB_GUARDED_BY(mutex_){nullptr};
 };
 
 }  // namespace dcdb::pusher

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/clock.hpp"
+#include "common/proc_metrics.hpp"
 #include "common/random.hpp"
 
 namespace dcdb::sim {
@@ -12,9 +13,11 @@ namespace dcdb::sim {
 namespace {
 
 /// One worker's DGEMM package: C += A*B repeated `reps` times on
-/// thread-private buffers (no sharing, no false sharing).
+/// thread-private buffers (no sharing, no false sharing). Reports the
+/// thread's CPU time in `cpu_ns`.
 void dgemm_package(std::size_t n, std::size_t reps, std::uint64_t seed,
-                   double* checksum) {
+                   double* checksum, std::uint64_t* cpu_ns) {
+    const std::uint64_t cpu0 = thread_cpu_ns();
     std::vector<double> a(n * n), b(n * n), c(n * n, 0.0);
     Rng rng(seed);
     for (auto& x : a) x = rng.uniform(-1.0, 1.0);
@@ -42,6 +45,7 @@ void dgemm_package(std::size_t n, std::size_t reps, std::uint64_t seed,
     double sum = 0;
     for (const double x : c) sum += x;
     *checksum = sum;
+    *cpu_ns = thread_cpu_ns() - cpu0;
 }
 
 }  // namespace
@@ -57,7 +61,9 @@ HplAnalog::HplAnalog(int threads, std::size_t matrix_n)
 void HplAnalog::calibrate(double target_seconds) {
     repetitions_ = 1;
     const HplResult probe = run();
-    const double per_rep = std::max(probe.seconds, 1e-4);
+    // Per-worker CPU time is what the wall time would be with every
+    // worker on its own idle core.
+    const double per_rep = std::max(probe.cpu_seconds / threads_, 1e-4);
     repetitions_ = std::max<std::size_t>(
         1, static_cast<std::size_t>(target_seconds / per_rep));
 }
@@ -65,13 +71,15 @@ void HplAnalog::calibrate(double target_seconds) {
 HplResult HplAnalog::run() const {
     std::vector<std::thread> workers;
     std::vector<double> checksums(static_cast<std::size_t>(threads_));
+    std::vector<std::uint64_t> cpu_ns(static_cast<std::size_t>(threads_));
     workers.reserve(static_cast<std::size_t>(threads_));
 
     const ScopeTimer timer;
     for (int t = 0; t < threads_; ++t) {
+        const auto i = static_cast<std::size_t>(t);
         workers.emplace_back(dgemm_package, n_, repetitions_,
                              static_cast<std::uint64_t>(t + 1),
-                             &checksums[static_cast<std::size_t>(t)]);
+                             &checksums[i], &cpu_ns[i]);
     }
     for (auto& w : workers) w.join();
     const double seconds = timer.elapsed_s();
@@ -81,6 +89,8 @@ HplResult HplAnalog::run() const {
                          static_cast<double>(threads_);
     HplResult result;
     result.seconds = seconds;
+    for (const std::uint64_t ns : cpu_ns)
+        result.cpu_seconds += static_cast<double>(ns) / 1e9;
     result.gflops = flops / seconds / 1e9;
     return result;
 }

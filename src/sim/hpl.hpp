@@ -12,8 +12,9 @@
 namespace dcdb::sim {
 
 struct HplResult {
-    double seconds{0};   // wall time for the fixed work package
-    double gflops{0};    // achieved rate
+    double seconds{0};      // wall time for the fixed work package
+    double cpu_seconds{0};  // CPU time of the workers, summed
+    double gflops{0};       // achieved rate
 };
 
 class HplAnalog {
@@ -23,7 +24,8 @@ class HplAnalog {
     explicit HplAnalog(int threads = 0, std::size_t matrix_n = 192);
 
     /// Calibrate `repetitions` so one run() takes roughly
-    /// `target_seconds` on the unloaded machine.
+    /// `target_seconds` on the unloaded machine. Sized from the workers'
+    /// CPU time, so a busy machine does not skew it.
     void calibrate(double target_seconds);
 
     /// Execute the fixed work package; returns wall time and rate.

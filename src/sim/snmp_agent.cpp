@@ -293,8 +293,10 @@ void SnmpAgentSim::serve_loop() {
                 }
             }
             const auto out = snmp_encode(resp);
-            socket_.send_to(out, *from);
+            // Count before replying: a client that got its answer must
+            // already see the request in requests_served().
             served_.fetch_add(1, std::memory_order_relaxed);
+            socket_.send_to(out, *from);
         } catch (const std::exception& e) {
             DCDB_DEBUG("snmp-sim") << "dropped malformed request: "
                                    << e.what();

@@ -397,6 +397,79 @@ TEST_P(SidProperty, RandomTopicSetStaysBijective) {
     }
 }
 
+namespace {
+
+/// `levels` joined by runs of 1-3 slashes, with 0-2 leading and 0-2
+/// trailing slashes: one of the spellings normalize_sensor_topic folds
+/// into "/l0/l1/...".
+std::string random_spelling(Rng& rng, const std::vector<std::string>& levels) {
+    std::string out(rng.below(3), '/');
+    for (std::size_t i = 0; i < levels.size(); ++i) {
+        if (i > 0) out.append(1 + rng.below(3), '/');
+        out += levels[i];
+    }
+    out.append(rng.below(3), '/');
+    return out;
+}
+
+}  // namespace
+
+// The known-topic fast path splits the raw spelling itself; it must land
+// on the SID the first (normalizing) sighting allocated.
+TEST_P(SidProperty, UnnormalizedSpellingsHitTheFirstSid) {
+    Rng rng(seed());
+    store::MetaStore meta;
+    TopicMapper mapper(meta);
+    for (const char* spelling : {"a/b", "//a//b/", "/a/b/"}) {
+        SensorId looked_up;
+        EXPECT_EQ(mapper.to_sid(spelling), mapper.to_sid("/a/b"));
+        ASSERT_TRUE(mapper.lookup(spelling, looked_up));
+        EXPECT_EQ(looked_up, mapper.to_sid("/a/b"));
+    }
+
+    std::map<std::string, SensorId> first;
+    for (int i = 0; i < 500; ++i) {
+        std::vector<std::string> levels(1 + rng.below(kSidLevels));
+        std::string normalized;
+        for (auto& level : levels) {
+            level = "c" + std::to_string(rng.below(6));
+            normalized += "/" + level;
+        }
+        const std::string spelling = random_spelling(rng, levels);
+        const SensorId sid = mapper.to_sid(spelling);
+        const auto [it, fresh] = first.emplace(normalized, sid);
+        EXPECT_EQ(sid, it->second) << spelling << " vs " << normalized;
+        SensorId looked_up;
+        ASSERT_TRUE(mapper.lookup(random_spelling(rng, levels), looked_up));
+        EXPECT_EQ(looked_up, it->second) << normalized;
+        EXPECT_EQ(mapper.to_topic(sid), normalized);
+    }
+    EXPECT_EQ(mapper.known_topics(), first.size() + 1);  // + "/a/b"
+    EXPECT_EQ(meta.scan_prefix("topics/").size(), first.size() + 1);
+}
+
+// Depth is checked before the fast path: a known 8-level topic with a
+// 9th level appended is still rejected, however it is spelled.
+TEST_P(SidProperty, NinthLevelStillThrowsOnceEightAreKnown) {
+    Rng rng(seed());
+    store::MetaStore meta;
+    TopicMapper mapper(meta);
+    std::vector<std::string> levels;
+    for (std::size_t i = 0; i < kSidLevels; ++i)
+        levels.push_back("l" + std::to_string(rng.below(100)));
+    const SensorId eight = mapper.to_sid(random_spelling(rng, levels));
+    EXPECT_EQ(mapper.to_sid(random_spelling(rng, levels)), eight);
+
+    levels.push_back("extra");
+    SensorId unused;
+    for (int i = 0; i < 20; ++i) {
+        const std::string nine = random_spelling(rng, levels);
+        EXPECT_THROW(mapper.to_sid(nine), Error) << nine;
+        EXPECT_FALSE(mapper.lookup(nine, unused)) << nine;
+    }
+    EXPECT_EQ(mapper.known_topics(), 1u);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, SidProperty, ::testing::Values(51, 52, 53));
 
 // ========================================================= batch payload

@@ -60,6 +60,55 @@ TEST(SensorBase, ReadingsMirroredIntoCache) {
     EXPECT_EQ(cache.latest("/t/x")->value, 55);
 }
 
+TEST(SensorBase, CachedSlotIsNeverReusedForAnotherSet) {
+    SensorBase s("x", "/t/x");
+    auto first = std::make_unique<CacheSet>(60 * kNsPerSec);
+    s.store_reading({1, 10}, first.get(), kNsPerSec);
+    // A set built where the first one lived must get its own slot.
+    first.reset();
+    CacheSet second(60 * kNsPerSec);
+    s.store_reading({2, 20}, &second, kNsPerSec);
+    CacheSet third(60 * kNsPerSec);
+    s.store_reading({3, 30}, &third, kNsPerSec);
+    s.store_reading({4, 40}, &second, kNsPerSec);
+    EXPECT_EQ(second.view("/t/x", 0, kTimestampMax).size(), 2u);
+    EXPECT_EQ(second.latest("/t/x")->value, 40);
+    EXPECT_EQ(third.view("/t/x", 0, kTimestampMax).size(), 1u);
+    EXPECT_EQ(third.latest("/t/x")->value, 30);
+}
+
+TEST(SensorBase, FullPendingRingDropsOldestInOrder) {
+    constexpr std::size_t kCap = SensorBase::kMaxPending;
+    SensorBase s("x", "/t/x");
+    for (std::size_t i = 1; i <= 3 * kCap; ++i)
+        s.store_reading({i, static_cast<Value>(i)}, nullptr, kNsPerSec);
+    EXPECT_EQ(s.pending_count(), kCap);
+    EXPECT_EQ(s.dropped_readings(), 2 * kCap);
+    const auto drained = s.drain_pending();
+    ASSERT_EQ(drained.size(), kCap);
+    for (std::size_t i = 0; i < kCap; ++i)
+        ASSERT_EQ(drained[i].ts, 2 * kCap + 1 + i) << "at " << i;
+    EXPECT_EQ(s.pending_count(), 0u);
+}
+
+TEST(SensorBase, DrainAppendsAndTheRingIsReused) {
+    SensorBase s("x", "/t/x");
+    std::vector<Reading> out = {{1, 1}};
+    for (TimestampNs round = 0; round < 5; ++round) {
+        // Wrap the ring: three readings per round into a ring of four.
+        for (TimestampNs i = 0; i < 3; ++i)
+            s.store_reading({10 * round + i, 0}, nullptr, kNsPerSec);
+        out.resize(1);
+        EXPECT_EQ(s.drain_pending_into(out), 3u);
+        ASSERT_EQ(out.size(), 4u);
+        EXPECT_EQ(out[0].ts, 1u);
+        for (TimestampNs i = 0; i < 3; ++i)
+            EXPECT_EQ(out[1 + i].ts, 10 * round + i);
+    }
+    EXPECT_EQ(s.drain_pending_into(out), 0u);
+    EXPECT_EQ(s.dropped_readings(), 0u);
+}
+
 namespace {
 
 class CountingGroup final : public SensorGroup {

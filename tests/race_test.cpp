@@ -21,12 +21,15 @@
 #include <vector>
 
 #include "common/fault.hpp"
+#include "core/hierarchy.hpp"
 #include "core/sensor_cache.hpp"
+#include "core/sensor_id.hpp"
 #include "mqtt/broker.hpp"
 #include "mqtt/client.hpp"
 #include "pusher/sampler.hpp"
 #include "pusher/sensor_group.hpp"
 #include "store/commitlog.hpp"
+#include "store/metastore.hpp"
 #include "store/node.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/registry.hpp"
@@ -125,6 +128,89 @@ TEST(CacheSetRace, ProducersVersusIterators) {
         ASSERT_FALSE(rows.empty());
         EXPECT_EQ(rows.back().ts, (kPushes - 1) * kNsPerMs);
     }
+}
+
+// ------------------------------------------------------------ TopicMapper
+
+// Broker sessions that see one new topic at the same moment all race
+// into to_sid's first-sighting path, then push to the agent-side cache
+// and tree; meanwhile readers probe the mapper (lookup, to_topic) and
+// iterate the cache. The topic must get one SID and one `topics/`
+// record, and the cache one slot holding every reading.
+TEST(TopicMapperRace, NewTopicResolvedOnceWhileReadersProbe) {
+    constexpr int kResolvers = 4;
+    constexpr int kReaders = 2;
+    constexpr int kPushes = 500;
+    const std::string topic = "/race/rack0/node0/power";
+    const char* const spellings[] = {"/race/rack0/node0/power",
+                                     "race//rack0/node0/power/"};
+
+    store::MetaStore meta;
+    TopicMapper mapper(meta);
+    CacheSet cache(/*window_ns=*/10 * kNsPerSec);
+    SensorTree tree;
+    std::vector<SensorId> sids(kResolvers);
+    std::atomic<bool> go{false};
+    std::atomic<bool> done{false};
+
+    std::vector<std::thread> resolvers;
+    for (int r = 0; r < kResolvers; ++r) {
+        resolvers.emplace_back([&, r] {
+            while (!go.load()) std::this_thread::yield();
+            const char* spelling = spellings[r % 2];
+            sids[static_cast<std::size_t>(r)] = mapper.to_sid(spelling);
+            tree.add(spelling);
+            // Half the sessions push by topic, half through a resolved
+            // slot handle.
+            CacheSet::Slot& slot = cache.slot(topic);
+            for (int i = 0; i < kPushes; ++i) {
+                const Reading reading{
+                    static_cast<TimestampNs>(r * kPushes + i + 1), i};
+                if (r % 2 == 0) {
+                    cache.push(topic, reading);
+                } else {
+                    slot.push(reading);
+                }
+                mapper.to_sid(spellings[i % 2]);
+            }
+        });
+    }
+
+    // Pure stressors, like the CacheSet readers above.
+    std::vector<std::thread> readers;
+    for (int r = 0; r < kReaders; ++r) {
+        readers.emplace_back([&] {
+            while (!done.load()) {
+                SensorId sid;
+                if (mapper.lookup(topic, sid)) {
+                    EXPECT_EQ(mapper.to_topic(sid), topic);
+                }
+                for (const auto& t : cache.topics()) {
+                    cache.latest(t);
+                    cache.view(t, 0, kTimestampMax);
+                }
+                cache.memory_bytes();
+                tree.is_sensor(topic);
+                tree.children("/race");
+            }
+        });
+    }
+
+    go.store(true);
+    for (auto& t : resolvers) t.join();
+    done.store(true);
+    for (auto& t : readers) t.join();
+
+    for (const auto& sid : sids) EXPECT_EQ(sid, sids[0]);
+    EXPECT_EQ(mapper.known_topics(), 1u);
+    const auto records = meta.scan_prefix("topics/");
+    ASSERT_EQ(records.size(), 1u);
+    EXPECT_EQ(records[0].first, "topics/" + topic);
+    EXPECT_EQ(records[0].second, sids[0].hex());
+    EXPECT_EQ(cache.sensor_count(), 1u);
+    EXPECT_EQ(cache.view(topic, 0, kTimestampMax).size(),
+              static_cast<std::size_t>(kResolvers * kPushes));
+    EXPECT_EQ(tree.sensor_count(), 1u);
 }
 
 // ----------------------------------------------------------------- Broker
@@ -344,6 +430,79 @@ class TickGroup final : public pusher::SensorGroup {
         return true;
     }
 };
+
+// Sampler threads read their groups into one cache set (each sensor
+// resolving and then reusing its slot) while a push thread drains every
+// sensor into one reused buffer and a REST-like reader walks the cache.
+// Every reading must end up drained, still pending, or counted dropped.
+TEST(SensorBaseRace, SamplersVersusDrainsAndCacheReaders) {
+    constexpr int kGroups = 2;
+    constexpr int kSensors = 8;
+    constexpr int kReads = 2000;
+
+    CacheSet cache(/*window_ns=*/10 * kNsPerSec);
+    std::vector<std::unique_ptr<TickGroup>> groups;
+    for (int g = 0; g < kGroups; ++g) {
+        groups.push_back(
+            std::make_unique<TickGroup>("g" + std::to_string(g), kNsPerMs));
+        for (int s = 0; s < kSensors; ++s) {
+            groups.back()->add_sensor(std::make_unique<pusher::SensorBase>(
+                "s" + std::to_string(s), "/race/g" + std::to_string(g) +
+                                             "/s" + std::to_string(s)));
+        }
+    }
+    std::atomic<bool> go{false};
+    std::atomic<int> sampling{kGroups};
+    std::atomic<bool> done{false};
+
+    std::vector<std::thread> samplers;
+    for (int g = 0; g < kGroups; ++g) {
+        samplers.emplace_back([&, g] {
+            while (!go.load()) std::this_thread::yield();
+            for (int i = 1; i <= kReads; ++i)
+                groups[static_cast<std::size_t>(g)]->read_all(
+                    static_cast<TimestampNs>(i) * kNsPerMs, &cache);
+            sampling.fetch_sub(1);
+        });
+    }
+    std::size_t drained = 0;
+    std::thread pusher_thread([&] {
+        std::vector<Reading> buffer;
+        while (!go.load()) std::this_thread::yield();
+        while (sampling.load() > 0) {
+            for (const auto& group : groups) {
+                buffer.clear();
+                for (const auto& sensor : group->sensors())
+                    drained += sensor->drain_pending_into(buffer);
+            }
+        }
+    });
+    std::thread reader([&] {
+        while (!done.load()) {
+            for (const auto& topic : cache.topics()) cache.latest(topic);
+            cache.memory_bytes();
+        }
+    });
+
+    go.store(true);
+    for (auto& t : samplers) t.join();
+    pusher_thread.join();
+    done.store(true);
+    reader.join();
+
+    std::uint64_t accounted = drained;
+    for (const auto& group : groups) {
+        for (const auto& sensor : group->sensors()) {
+            accounted += sensor->pending_count() + sensor->dropped_readings();
+            EXPECT_EQ(cache.view(sensor->topic(), 0, kTimestampMax).size(),
+                      static_cast<std::size_t>(kReads));
+        }
+    }
+    EXPECT_EQ(accounted, static_cast<std::uint64_t>(kGroups) * kSensors *
+                             kReads);
+    EXPECT_EQ(cache.sensor_count(), static_cast<std::size_t>(kGroups) *
+                                        kSensors);
+}
 
 // Start/stop churn while an observer polls the lock-free running() probe
 // (previously an unsynchronized bool read racing the worker threads).

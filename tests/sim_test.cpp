@@ -49,20 +49,24 @@ TEST(Hpl, FixedWorkIsReproduciblyTimed) {
     EXPECT_GT(r1.gflops, 0.01);
 }
 
+// Durations below are the workers' CPU time, not wall time: under a
+// parallel ctest the workers wait for cores, which stretches wall time
+// by however busy the machine is, but not the CPU time the work takes.
 TEST(Hpl, CalibrationHitsTargetDuration) {
     HplAnalog hpl(2, 96);
     hpl.calibrate(0.3);
     const auto r = hpl.run();
-    EXPECT_GT(r.seconds, 0.05);
-    EXPECT_LT(r.seconds, 2.0);
+    const double per_worker_s = r.cpu_seconds / hpl.threads();
+    EXPECT_GT(per_worker_s, 0.05);
+    EXPECT_LT(per_worker_s, 2.0);
 }
 
 TEST(Hpl, MoreWorkTakesLonger) {
     HplAnalog hpl(2, 96);
     hpl.set_repetitions(1);
-    const double t1 = hpl.run().seconds;
+    const double t1 = hpl.run().cpu_seconds;
     hpl.set_repetitions(4);
-    const double t4 = hpl.run().seconds;
+    const double t4 = hpl.run().cpu_seconds;
     EXPECT_GT(t4, 2.0 * t1);
 }
 
