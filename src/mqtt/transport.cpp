@@ -180,7 +180,8 @@ std::optional<Packet> PacketStream::read_packet() {
         shift += 7;
         if (shift > 21) throw ProtocolError("remaining length too long");
     }
-    if (remaining > (64u << 20)) throw ProtocolError("packet too large");
+    if (remaining > kMaxRemainingLength)
+        throw ProtocolError("packet too large");
 
     std::vector<std::uint8_t> body(remaining);
     for (std::size_t i = 0; i < body.size(); ++i) {

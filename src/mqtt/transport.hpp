@@ -61,6 +61,11 @@ class TcpTransport final : public Transport {
 std::pair<std::unique_ptr<Transport>, std::unique_ptr<Transport>>
 make_inproc_pair();
 
+/// Largest remaining length (the bytes after the fixed header) that
+/// PacketStream::read_packet accepts. A PUBLISH must fit its topic,
+/// packet id and payload in it.
+inline constexpr std::uint32_t kMaxRemainingLength = 64u << 20;
+
 /// Framed MQTT packet stream over a Transport. Reading is single-consumer;
 /// writes are internally serialized so multiple threads may send.
 class PacketStream {

@@ -64,34 +64,31 @@ void MqttPusher::stop() {
     }
     if (thread_.joinable()) thread_.join();
     // Final flush so no sampled or re-queued reading is lost on an
-    // orderly shutdown; the backoff gate is bypassed — this is the last
-    // chance to deliver.
+    // orderly shutdown.
     try {
-        mqtt::MqttClient* client = client_provider_();
-        if (client) flush_retries(client, /*ignore_backoff=*/true);
-        push_once();
+        push_round(/*final_flush=*/true);
     } catch (const std::exception& e) {
         DCDB_WARN("pusher") << "final flush failed: " << e.what();
     }
 }
 
-bool MqttPusher::publish_batch(mqtt::MqttClient* client,
-                               const std::string& topic,
-                               std::span<const Reading> readings) {
+bool MqttPusher::publish(mqtt::MqttClient* client, const std::string& topic,
+                         std::span<const std::uint8_t> payload,
+                         std::size_t readings) {
     try {
-        client->publish(topic, encode_readings(readings), config_.qos);
+        client->publish(topic, payload, config_.qos);
     } catch (const std::exception& e) {
         publish_failures_.add(1);
         DCDB_DEBUG("pusher") << "publish failed on " << topic << ": "
                              << e.what();
         return false;
     }
-    readings_.add(readings.size());
+    readings_.add(readings);
     messages_.add(1);
     return true;
 }
 
-void MqttPusher::bump_backoff_locked() {
+void MqttPusher::bump_backoff() {
     retry_backoff_ns_ =
         retry_backoff_ns_ == 0
             ? config_.retry_backoff_min_ns
@@ -104,41 +101,41 @@ void MqttPusher::bump_backoff_locked() {
         steady_ns() + half + jitter_rng_.below(half + 1);
 }
 
-void MqttPusher::requeue(std::string topic, std::vector<Reading> readings) {
-    MutexLock lock(retry_mutex_);
-    readings_requeued_.add(readings.size());
-    retry_readings_.add(static_cast<std::int64_t>(readings.size()));
-    retry_queue_.push_back({std::move(topic), std::move(readings)});
-    retry_batches_.set(static_cast<std::int64_t>(retry_queue_.size()));
-    while (retry_queue_.size() > config_.retry_max_batches) {
-        // Drop policy: oldest first, and count the loss.
-        const std::size_t lost = retry_queue_.front().readings.size();
+void MqttPusher::requeue(FailedPublish failed) {
+    readings_requeued_.add(failed.readings);
+    retry_readings_.add(static_cast<std::int64_t>(failed.readings));
+    retry_queue_readings_ += failed.readings;
+    retry_queue_.push_back(std::move(failed));
+    while (retry_queue_readings_ > config_.retry_max_readings) {
+        // Drop policy: oldest payloads first, and count the loss.
+        const std::size_t lost = retry_queue_.front().readings;
         retry_queue_.pop_front();
+        retry_queue_readings_ -= lost;
         readings_dropped_.add(lost);
         retry_readings_.sub(static_cast<std::int64_t>(lost));
-        retry_batches_.set(static_cast<std::int64_t>(retry_queue_.size()));
     }
-    bump_backoff_locked();
+    retry_batches_.set(static_cast<std::int64_t>(retry_queue_.size()));
+    bump_backoff();
 }
 
 std::size_t MqttPusher::flush_retries(mqtt::MqttClient* client,
                                       bool ignore_backoff) {
-    MutexLock lock(retry_mutex_);
     if (retry_queue_.empty()) return 0;
     if (!ignore_backoff && steady_ns() < retry_next_attempt_ns_) return 0;
 
     std::size_t sent = 0;
     while (!retry_queue_.empty()) {
-        PendingBatch& batch = retry_queue_.front();
-        // Attempt counted before, success only after: a batch failing N
-        // times must read as N attempts / 0 successes, not N publishes.
+        const FailedPublish& failed = retry_queue_.front();
+        // Attempt counted before, success only after: a payload failing
+        // N times must read as N attempts / 0 successes, not N publishes.
         retry_attempts_.add(1);
-        if (!publish_batch(client, batch.topic, batch.readings)) {
-            bump_backoff_locked();  // still failing: wait longer
+        if (!publish(client, failed.topic, failed.payload, failed.readings)) {
+            bump_backoff();  // still failing: wait longer
             return sent;
         }
         retry_successes_.add(1);
-        retry_readings_.sub(static_cast<std::int64_t>(batch.readings.size()));
+        retry_queue_readings_ -= failed.readings;
+        retry_readings_.sub(static_cast<std::int64_t>(failed.readings));
         retry_queue_.pop_front();
         retry_batches_.set(static_cast<std::int64_t>(retry_queue_.size()));
         ++sent;
@@ -151,111 +148,106 @@ std::span<const Reading> MqttPusher::readings_of(const Drained& d) const {
     return std::span<const Reading>(drain_).subspan(d.begin, d.count);
 }
 
-void MqttPusher::publish_coalesced(
-    mqtt::MqttClient* client, std::size_t& sent,
-    const telemetry::trace::TraceContext& trace) {
-    if (drained_.empty()) return;
-    if (drained_.size() == 1 && !trace.valid()) {
-        // A lone sensor keeps the v0 single-sensor payload: no batching
-        // overhead, and old agents keep decoding it. A traced round uses
-        // the v1 form below regardless — v0 has nowhere to carry the
-        // trailer.
-        const Drained& only = drained_.front();
-        const auto readings = readings_of(only);
-        if (publish_batch(client, only.sensor->topic(), readings)) {
-            ++sent;
-        } else {
-            requeue(only.sensor->topic(), {readings.begin(), readings.end()});
+void MqttPusher::publish_group(mqtt::MqttClient* client, std::size_t& sent,
+                               const telemetry::trace::TraceContext& trace) {
+    // The fewest payloads within the wire limits: the u16 section count
+    // of encode_batch, and a PUBLISH that read_packet accepts, whose
+    // budget keeps room for the longest topic, a packet id, the batch
+    // header and a trailer. One section always fits: at most
+    // kMaxPending readings.
+    constexpr std::size_t kMaxSections = 0xFFFF;
+    constexpr std::size_t kBudget =
+        mqtt::kMaxRemainingLength - (2 + 0xFFFF + 2 + kBatchHeaderBytes +
+                                     telemetry::trace::kTrailerBytes);
+    telemetry::trace::TraceContext first_trace = trace;
+    std::size_t first = 0;
+    std::size_t bytes = 0;
+    for (std::size_t i = 0; i < drained_.size(); ++i) {
+        const std::size_t section = 2 + drained_[i].sensor->topic().size() +
+                                    4 + drained_[i].count * kReadingWireBytes;
+        if (i > first &&
+            (i - first == kMaxSections || bytes + section > kBudget)) {
+            publish_sections(client, first, i, sent, first_trace);
+            first_trace = {};
+            first = i;
+            bytes = 0;
         }
-        return;
+        bytes += section;
     }
+    publish_sections(client, first, drained_.size(), sent, first_trace);
+}
 
+void MqttPusher::publish_sections(
+    mqtt::MqttClient* client, std::size_t first, std::size_t last,
+    std::size_t& sent, const telemetry::trace::TraceContext& trace) {
     sections_.clear();
-    std::size_t total = 0;
-    for (const auto& d : drained_) {
+    std::size_t readings = 0;
+    for (std::size_t i = first; i < last; ++i) {
+        const Drained& d = drained_[i];
         sections_.push_back(SensorBatch{d.sensor->topic(), readings_of(d)});
-        total += d.count;
+        readings += d.count;
     }
+    // The message topic is informational for a batch payload (the agent
+    // routes on the per-section topics); the first sensor's topic keeps
+    // broker-side accounting meaningful.
+    const std::string& topic = drained_[first].sensor->topic();
     const TimestampNs publish_wall = trace.valid() ? now_ns() : 0;
     const TimestampNs publish_start = trace.valid() ? steady_ns() : 0;
-    try {
-        // The message topic is informational for a batch payload (the
-        // agent routes on the per-section topics); the first sensor's
-        // topic keeps broker-side accounting meaningful.
-        client->publish(drained_.front().sensor->topic(),
-                        encode_batch(sections_, trace), config_.qos);
-    } catch (const std::exception& e) {
-        publish_failures_.add(1);
-        DCDB_DEBUG("pusher") << "coalesced publish of " << drained_.size()
-                             << " sensors failed: " << e.what();
-        // Re-enter the retry path sensor-at-a-time so the queue bound
-        // and per-sensor ordering semantics stay exactly as before.
-        // The trace ends here: requeued batches republish as v0.
-        for (const auto& d : drained_) {
-            const auto readings = readings_of(d);
-            requeue(d.sensor->topic(), {readings.begin(), readings.end()});
-        }
+    auto payload = encode_batch(sections_, trace);
+    if (!publish(client, topic, payload, readings)) {
+        requeue({topic, std::move(payload), readings});
         return;
     }
     if (trace.valid() && config_.tracer) {
         config_.tracer->record_span(
             trace, telemetry::trace::Stage::kPublish, publish_wall,
-            steady_ns() - publish_start, static_cast<std::uint32_t>(total));
+            steady_ns() - publish_start,
+            static_cast<std::uint32_t>(readings));
     }
-    readings_.add(total);
-    messages_.add(1);
     ++sent;
 }
 
 std::size_t MqttPusher::push_once() {
+    return push_round(/*final_flush=*/false);
+}
+
+std::size_t MqttPusher::push_round(bool final_flush) {
     MutexLock lock(push_mutex_);
     mqtt::MqttClient* client = client_provider_();
     if (!client) return 0;  // agent unreachable; retry next round
-    // Backlog first: keeps per-sensor batches arriving in send order.
-    std::size_t sent = flush_retries(client, /*ignore_backoff=*/false);
+    // Backlog first: keeps per-sensor readings arriving in send order.
+    // The final flush bypasses the backoff gate — it is the last chance
+    // to deliver.
+    std::size_t sent = flush_retries(client, /*ignore_backoff=*/final_flush);
     std::size_t largest_drain = 0;
     for (const auto& plugin : *plugins_) {
         for (const auto& group : plugin->groups()) {
-            // A trace the sampler parked on this group rides the
-            // coalesced publish; without coalescing there is no v1
-            // payload to carry it, so the slot is simply left to be
-            // overwritten by the next mint.
-            const auto trace =
-                (config_.tracer && config_.coalesce)
-                    ? group->pending_trace().take()
-                    : telemetry::trace::TraceContext{};
+            // A trace the sampler parked on this group rides the group's
+            // first payload.
+            const auto trace = config_.tracer
+                                   ? group->pending_trace().take()
+                                   : telemetry::trace::TraceContext{};
             const TimestampNs drain_wall = trace.valid() ? now_ns() : 0;
             const TimestampNs drain_start = trace.valid() ? steady_ns() : 0;
             // The whole group drains into one reused buffer; sections
-            // are views into it, so nothing is copied unless a failed
-            // publish has to requeue.
+            // are views into it, so nothing is copied but the encoding.
             drain_.clear();
             drained_.clear();
             for (const auto& sensor : group->sensors()) {
                 const std::size_t begin = drain_.size();
                 const std::size_t count = sensor->drain_pending_into(drain_);
-                if (count == 0) continue;
-                const Drained d{sensor.get(), begin, count};
-                if (config_.coalesce) {
-                    drained_.push_back(d);
-                    continue;
-                }
-                const auto readings = readings_of(d);
-                if (publish_batch(client, sensor->topic(), readings)) {
-                    ++sent;
-                } else {
-                    requeue(sensor->topic(),
-                            {readings.begin(), readings.end()});
-                }
+                if (count != 0)
+                    drained_.push_back({sensor.get(), begin, count});
             }
             largest_drain = std::max(largest_drain, drain_.size());
-            if (trace.valid() && !drained_.empty()) {
+            if (drained_.empty()) continue;
+            if (trace.valid()) {
                 config_.tracer->record_span(
                     trace, telemetry::trace::Stage::kCoalesce, drain_wall,
                     steady_ns() - drain_start,
                     static_cast<std::uint32_t>(drain_.size()));
             }
-            publish_coalesced(client, sent, trace);
+            publish_group(client, sent, trace);
         }
     }
     // Like the sensors' pending rings: give back a buffer sized by a

@@ -1,6 +1,7 @@
 // MQTT push thread: periodically drains every sensor's pending readings
-// and publishes them to the Collect Agent, one (batched) PUBLISH per
-// sensor.
+// and publishes them to the Collect Agent, each sensor group as v1 batch
+// payloads (core/payload.hpp): one per group, split only where a payload
+// would exceed the wire limits.
 //
 // Supports the two send disciplines studied in the paper (Section 6.2.1):
 // continuous (drain every push interval, default 1s, with a per-Pusher
@@ -8,14 +9,14 @@
 // and burst mode ("regular bursts twice per minute", which reduced
 // network interference for AMG).
 //
-// Delivery reliability: a drained batch whose publish fails is never
-// discarded — it moves to a bounded retry queue and is retried with
-// exponential backoff plus jitter ahead of fresh data (preserving
-// per-sensor ordering at the Collect Agent for the common case). Only
-// when the queue bound is hit is the oldest batch dropped, and that loss
-// is counted (readings_dropped). The storage layer keys rows by
-// timestamp, so at-least-once redelivery after an unacknowledged QoS-1
-// publish deduplicates server-side.
+// Delivery reliability: a payload whose publish fails is never discarded
+// — it moves, as encoded, to a retry queue bounded in readings and is
+// republished byte for byte with exponential backoff plus jitter ahead
+// of fresh data (preserving per-sensor ordering at the Collect Agent for
+// the common case). Only when the queue bound is hit are the oldest
+// payloads dropped, and that loss is counted (readings_dropped). The
+// storage layer keys rows by timestamp, so at-least-once redelivery
+// after an unacknowledged QoS-1 publish deduplicates server-side.
 #pragma once
 
 #include <atomic>
@@ -43,27 +44,19 @@ struct MqttPusherConfig {
     TimestampNs burst_interval_ns{30 * kNsPerSec};
     std::uint8_t qos{0};
     std::uint64_t stagger_seed{0};  // derives the random send stagger
-    /// Coalesce each sensor group's drained readings into ONE
-    /// multi-sensor batch payload (core/payload.hpp v1) per push round
-    /// instead of one PUBLISH per sensor. A group with a single drained
-    /// sensor keeps the v0 single-sensor payload. Failed coalesced
-    /// publishes re-enter the retry queue as per-sensor batches, so the
-    /// retry bound and ordering guarantees are unchanged.
-    bool coalesce{true};
-    /// Retry queue bound, in batches (one batch = one drained sensor).
-    /// Oldest batches are dropped beyond this — DCDB favours fresh data.
-    std::size_t retry_max_batches{1024};
+    /// Retry queue bound, in readings. Beyond it the oldest failed
+    /// payloads are dropped whole — DCDB favours fresh data.
+    std::size_t retry_max_readings{1u << 20};
     /// Exponential backoff window for retrying failed publishes.
     TimestampNs retry_backoff_min_ns{100 * kNsPerMs};
     TimestampNs retry_backoff_max_ns{10 * kNsPerSec};
     /// Registry for the pusher.push.* counters and retry-queue gauges;
     /// nullptr keeps a private registry.
     telemetry::MetricRegistry* registry{nullptr};
-    /// When set (and coalescing), the push thread picks up traces the
-    /// sampler parked on each group, records coalesce/publish spans,
-    /// and ships the context in the v1 payload trailer. A requeued
-    /// batch republishes as v0: its trace is abandoned by design (the
-    /// retry path has its own counters and is seconds-slow anyway).
+    /// When set, the push thread picks up traces the sampler parked on
+    /// each group, records coalesce/publish spans, and ships the context
+    /// in the trailer of the group's first payload. A retry republishes
+    /// the payload as it was, trailer included.
     telemetry::trace::Tracer* tracer{nullptr};
 };
 
@@ -78,7 +71,7 @@ struct MqttPusherStats {
     std::uint64_t retry_successes{0};
     std::uint64_t readings_requeued{0};
     std::uint64_t readings_dropped{0};  // lost to the queue bound
-    std::size_t retry_queue_batches{0};
+    std::size_t retry_queue_batches{0};  // failed payloads queued
     std::size_t retry_queue_readings{0};
 };
 
@@ -98,8 +91,8 @@ class MqttPusher {
     void start();
     void stop();
 
-    /// Drain and publish once, synchronously (also used by tests and for
-    /// a final flush on shutdown). Retry-queue batches go first.
+    /// Drain and publish once, synchronously (also used by tests).
+    /// Retry-queue payloads go first.
     std::size_t push_once();
 
     std::uint64_t readings_pushed() const { return readings_.value(); }
@@ -108,9 +101,11 @@ class MqttPusher {
     MqttPusherStats stats() const;
 
   private:
-    struct PendingBatch {
+    /// One failed publish, kept as encoded for its retry.
+    struct FailedPublish {
         std::string topic;
-        std::vector<Reading> readings;
+        std::vector<std::uint8_t> payload;
+        std::size_t readings{0};
     };
     /// One sensor drained this round: its readings are
     /// drain_[begin, begin + count).
@@ -121,25 +116,31 @@ class MqttPusher {
     };
 
     void loop();
-    /// Publish one batch; returns false (after counting the failure)
+    /// One push round: the retry queue first (skipping its backoff on
+    /// the final flush), then every group's drain.
+    std::size_t push_round(bool final_flush) DCDB_EXCLUDES(push_mutex_);
+    /// Publish one payload; returns false (after counting the failure)
     /// instead of throwing so callers can re-queue.
-    bool publish_batch(mqtt::MqttClient* client, const std::string& topic,
-                       std::span<const Reading> readings);
+    bool publish(mqtt::MqttClient* client, const std::string& topic,
+                 std::span<const std::uint8_t> payload,
+                 std::size_t readings);
     std::span<const Reading> readings_of(const Drained& d) const
         DCDB_REQUIRES(push_mutex_);
-    /// Publish the group drained into drain_/drained_ as one coalesced
-    /// multi-sensor payload; on failure each sensor's readings are
-    /// copied into the retry queue individually. A valid `trace` forces
-    /// the v1 payload (even for a single sensor) so its trailer can
-    /// carry the context.
-    void publish_coalesced(mqtt::MqttClient* client, std::size_t& sent,
-                           const telemetry::trace::TraceContext& trace)
+    /// Publish the group drained into drain_/drained_ as the fewest v1
+    /// payloads within the wire limits; `trace` rides the first one.
+    void publish_group(mqtt::MqttClient* client, std::size_t& sent,
+                       const telemetry::trace::TraceContext& trace)
         DCDB_REQUIRES(push_mutex_);
-    void requeue(std::string topic, std::vector<Reading> readings)
-        DCDB_EXCLUDES(retry_mutex_);
+    /// Encode drained_[first, last) as one payload and publish it; a
+    /// failed payload enters the retry queue as encoded.
+    void publish_sections(mqtt::MqttClient* client, std::size_t first,
+                          std::size_t last, std::size_t& sent,
+                          const telemetry::trace::TraceContext& trace)
+        DCDB_REQUIRES(push_mutex_);
+    void requeue(FailedPublish failed) DCDB_REQUIRES(push_mutex_);
     std::size_t flush_retries(mqtt::MqttClient* client, bool ignore_backoff)
-        DCDB_EXCLUDES(retry_mutex_);
-    void bump_backoff_locked() DCDB_REQUIRES(retry_mutex_);
+        DCDB_REQUIRES(push_mutex_);
+    void bump_backoff() DCDB_REQUIRES(push_mutex_);
 
     ClientProvider client_provider_;
     const std::vector<std::unique_ptr<Plugin>>* plugins_;
@@ -152,7 +153,7 @@ class MqttPusher {
     telemetry::Counter& retry_successes_;
     telemetry::Counter& readings_requeued_;
     telemetry::Counter& readings_dropped_;
-    // Queue-depth gauges: updated under retry_mutex_ but readable by
+    // Queue-depth gauges: updated under push_mutex_ but readable by
     // stats() without blocking on a publish in flight.
     telemetry::Gauge& retry_batches_;
     telemetry::Gauge& retry_readings_;
@@ -160,23 +161,24 @@ class MqttPusher {
     std::atomic<bool> stopping_{false};
 
     // Serializes push rounds (the push thread, push_now, the final
-    // flush). Lock order: push_mutex_ -> SensorBase::mutex_,
-    // push_mutex_ -> retry_mutex_ and push_mutex_ -> the client
-    // provider's lock. The scratch below is reused every round and holds
-    // one group's drain at a time; a backlog-sized buffer is freed once
-    // rounds are small again.
+    // flush) and guards the retry queue and backoff state they share.
+    // Lock order: push_mutex_ -> SensorBase::mutex_ and push_mutex_ ->
+    // the client provider's lock; it stays held across a publish. The
+    // scratch below is reused every round and holds one group's drain
+    // at a time; a backlog-sized buffer is freed once rounds are small
+    // again.
     Mutex push_mutex_;
     std::vector<Reading> drain_ DCDB_GUARDED_BY(push_mutex_);
     std::vector<Drained> drained_ DCDB_GUARDED_BY(push_mutex_);
     std::vector<SensorBatch> sections_ DCDB_GUARDED_BY(push_mutex_);
 
-    Mutex retry_mutex_;
-    std::deque<PendingBatch> retry_queue_ DCDB_GUARDED_BY(retry_mutex_);
+    std::deque<FailedPublish> retry_queue_ DCDB_GUARDED_BY(push_mutex_);
+    std::size_t retry_queue_readings_ DCDB_GUARDED_BY(push_mutex_){0};
     // 0 = not backing off
-    TimestampNs retry_backoff_ns_ DCDB_GUARDED_BY(retry_mutex_){0};
+    TimestampNs retry_backoff_ns_ DCDB_GUARDED_BY(push_mutex_){0};
     // steady-clock gate
-    TimestampNs retry_next_attempt_ns_ DCDB_GUARDED_BY(retry_mutex_){0};
-    Rng jitter_rng_ DCDB_GUARDED_BY(retry_mutex_){0xD1CEu};
+    TimestampNs retry_next_attempt_ns_ DCDB_GUARDED_BY(push_mutex_){0};
+    Rng jitter_rng_ DCDB_GUARDED_BY(push_mutex_){0xD1CEu};
 };
 
 }  // namespace dcdb::pusher

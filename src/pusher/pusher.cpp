@@ -85,10 +85,9 @@ Pusher::Pusher(ConfigNode config, std::unique_ptr<mqtt::Transport> transport)
         mc.burst_mode = config_.get_bool_or("global.burstMode", false);
         mc.qos = static_cast<std::uint8_t>(
             config_.get_i64_or("global.qos", 0));
-        mc.coalesce = config_.get_bool_or("global.coalescePush", true);
         mc.stagger_seed = std::hash<std::string>{}(topic_prefix_);
-        mc.retry_max_batches = static_cast<std::size_t>(
-            config_.get_u64_or("global.retryQueueMax", 1024));
+        mc.retry_max_readings = static_cast<std::size_t>(
+            config_.get_u64_or("global.retryQueueMax", mc.retry_max_readings));
         mc.retry_backoff_min_ns = config_.get_duration_ns_or(
             "global.retryBackoffMin", 100 * kNsPerMs);
         mc.retry_backoff_max_ns = config_.get_duration_ns_or(

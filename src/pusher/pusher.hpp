@@ -12,7 +12,6 @@
 //       cacheWindow  2m               ; sensor cache history
 //       pushInterval 1s
 //       burstMode    false            ; send 2x/minute instead
-//       coalescePush true             ; one multi-sensor payload per group
 //       qos          0
 //       restApi      true
 //   }

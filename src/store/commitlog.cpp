@@ -16,16 +16,12 @@ namespace dcdb::store {
 
 namespace {
 
-// v2 file header: magic 'DCL2' + version. A legacy log has no header;
-// its first record starts with a serialized key, and a sensor SID whose
-// leading 8 bytes spell 'DCL2'\0\0\0\2 is not a realistic collision.
+// File header: magic 'DCL2' + version.
 constexpr std::uint32_t kLogMagic = 0x44434C32;  // 'DCL2'
 constexpr std::uint32_t kLogVersion = 2;
 constexpr std::size_t kHeaderBytes = 4 + 4;
 
-// Legacy record: key(20) + ts(8) + value(8) + expiry(4) + crc(4)
-constexpr std::size_t kLegacyRecordBytes = Key::kBytes + 8 + 8 + 4 + 4;
-// v2 per-entry payload inside a batch record: key(20) + ts + value + expiry
+// Per-entry payload inside a batch record: key(20) + ts + value + expiry
 constexpr std::size_t kEntryBytes = Key::kBytes + 8 + 8 + 4;
 // Replay sanity bound on a batch record's count field: anything larger
 // is treated as a corrupt tail rather than a 40 MB allocation.
@@ -54,7 +50,7 @@ KeyedRow read_entry(ByteReader& r) {
     return entry;
 }
 
-void write_v2_header(std::FILE* f, const std::string& path) {
+void write_header(std::FILE* f, const std::string& path) {
     ByteWriter w(kHeaderBytes);
     w.u32be(kLogMagic);
     w.u32be(kLogVersion);
@@ -62,32 +58,26 @@ void write_v2_header(std::FILE* f, const std::string& path) {
         throw StoreError("cannot write commit log header: " + path);
 }
 
+bool is_header(const std::uint8_t (&hdr)[kHeaderBytes]) {
+    ByteReader r(hdr);
+    return r.u32be() == kLogMagic && r.u32be() == kLogVersion;
+}
+
 }  // namespace
 
 CommitLog::CommitLog(std::string path) : path_(std::move(path)) {
-    // Sniff the existing file's format before opening for append: a
-    // non-empty legacy log must stay legacy (a header written mid-file
-    // would orphan everything behind it on replay).
-    bool empty = true;
-    bool v2 = false;
-    if (std::FILE* probe = std::fopen(path_.c_str(), "rb")) {
-        std::uint8_t hdr[kHeaderBytes];
-        const std::size_t got = std::fread(hdr, 1, sizeof hdr, probe);
-        std::fclose(probe);
-        if (got > 0) empty = false;
-        if (got == sizeof hdr) {
-            ByteReader r(std::span<const std::uint8_t>(hdr, sizeof hdr));
-            v2 = r.u32be() == kLogMagic && r.u32be() == kLogVersion;
-        }
-    }
-
-    file_ = std::fopen(path_.c_str(), "ab");
+    // "a+": the header check reads from offset 0, every write appends.
+    file_ = std::fopen(path_.c_str(), "ab+");
     if (!file_) throw StoreError("cannot open commit log " + path_);
-    if (empty) {
-        write_v2_header(file_, path_);
-        v2_ = true;
-    } else {
-        v2_ = v2;
+    std::rewind(file_);
+    std::uint8_t hdr[kHeaderBytes];
+    const std::size_t got = std::fread(hdr, 1, sizeof hdr, file_);
+    std::fseek(file_, 0, SEEK_END);
+    if (got == 0) {
+        write_header(file_, path_);
+    } else if (got != sizeof hdr || !is_header(hdr)) {
+        std::fclose(file_);
+        throw StoreError("not a DCL2 commit log: " + path_);
     }
 }
 
@@ -113,30 +103,16 @@ void CommitLog::append_batch(std::span<const KeyedRow> entries) {
         FaultAction::kError)
         throw StoreError("injected commit log fault: " + path_);
 
-    MutexLock lock(mutex_);
-    append_batch_locked(entries);
-    records_.add(static_cast<std::int64_t>(entries.size()));
-}
+    // One record, one write, one crc for the whole batch.
+    ByteWriter w(4 + entries.size() * kEntryBytes + 4);
+    w.u32be(static_cast<std::uint32_t>(entries.size()));
+    for (const auto& entry : entries) write_entry(w, entry);
+    w.u32be(record_crc(w.data()));
 
-void CommitLog::append_batch_locked(std::span<const KeyedRow> entries) {
-    if (v2_) {
-        // One record, one write, one crc for the whole batch.
-        ByteWriter w(4 + entries.size() * kEntryBytes + 4);
-        w.u32be(static_cast<std::uint32_t>(entries.size()));
-        for (const auto& entry : entries) write_entry(w, entry);
-        w.u32be(record_crc(w.data()));
-        if (std::fwrite(w.data().data(), 1, w.size(), file_) != w.size())
-            throw StoreError("commit log append failed: " + path_);
-        return;
-    }
-    // Legacy log: per-row records until reset() converts the file.
-    for (const auto& entry : entries) {
-        ByteWriter w(kLegacyRecordBytes);
-        write_entry(w, entry);
-        w.u32be(record_crc(w.data()));
-        if (std::fwrite(w.data().data(), 1, w.size(), file_) != w.size())
-            throw StoreError("commit log append failed: " + path_);
-    }
+    MutexLock lock(mutex_);
+    if (std::fwrite(w.data().data(), 1, w.size(), file_) != w.size())
+        throw StoreError("commit log append failed: " + path_);
+    records_.add(static_cast<std::int64_t>(entries.size()));
 }
 
 void CommitLog::sync() {
@@ -155,8 +131,7 @@ void CommitLog::reset() {
     std::fclose(file_);
     file_ = std::fopen(path_.c_str(), "wb");
     if (!file_) throw StoreError("cannot truncate commit log " + path_);
-    write_v2_header(file_, path_);
-    v2_ = true;
+    write_header(file_, path_);
     records_.set(0);
 }
 
@@ -166,63 +141,46 @@ CommitLog::ReplayResult CommitLog::replay(
     std::FILE* f = std::fopen(path.c_str(), "rb");
     if (!f) return {};  // no log, nothing to recover
 
-    ReplayResult result;
+    // A file without the header replays nothing: its valid prefix is
+    // empty, so the caller truncates it like any torn tail.
     std::uint8_t hdr[kHeaderBytes];
-    const std::size_t got = std::fread(hdr, 1, sizeof hdr, f);
-    bool v2 = false;
-    if (got == sizeof hdr) {
-        ByteReader r(std::span<const std::uint8_t>(hdr, sizeof hdr));
-        v2 = r.u32be() == kLogMagic && r.u32be() == kLogVersion;
+    if (std::fread(hdr, 1, sizeof hdr, f) != sizeof hdr || !is_header(hdr)) {
+        std::fclose(f);
+        return {};
     }
-
-    if (v2) {
-        result.valid_bytes = kHeaderBytes;
-        std::vector<std::uint8_t> rec;
-        for (;;) {
-            std::uint8_t cnt[4];
-            if (std::fread(cnt, 1, sizeof cnt, f) != sizeof cnt) break;
-            const std::uint32_t count =
-                (static_cast<std::uint32_t>(cnt[0]) << 24) |
-                (static_cast<std::uint32_t>(cnt[1]) << 16) |
-                (static_cast<std::uint32_t>(cnt[2]) << 8) |
-                static_cast<std::uint32_t>(cnt[3]);
-            if (count == 0 || count > kMaxBatchEntries) break;  // corrupt
-            const std::size_t body = count * kEntryBytes;
-            rec.resize(4 + body + 4);
-            std::memcpy(rec.data(), cnt, 4);
-            if (std::fread(rec.data() + 4, 1, body + 4, f) != body + 4)
-                break;  // torn batch: none of its rows replay
-            ByteReader r(rec);
-            const auto checked =
-                std::span<const std::uint8_t>(rec.data(), 4 + body);
-            r.bytes(4);  // count, already parsed
-            const std::uint32_t crc =
-                (static_cast<std::uint32_t>(rec[4 + body]) << 24) |
-                (static_cast<std::uint32_t>(rec[4 + body + 1]) << 16) |
-                (static_cast<std::uint32_t>(rec[4 + body + 2]) << 8) |
-                static_cast<std::uint32_t>(rec[4 + body + 3]);
-            if (crc != record_crc(checked)) break;  // corrupt tail
-            for (std::uint32_t i = 0; i < count; ++i) {
-                const KeyedRow entry = read_entry(r);
-                apply(entry.key, entry.row);
-            }
-            result.records += count;
-            result.valid_bytes += 4 + body + 4;
-        }
-    } else {
-        std::fseek(f, 0, SEEK_SET);
-        std::vector<std::uint8_t> rec(kLegacyRecordBytes);
-        while (std::fread(rec.data(), 1, rec.size(), f) == rec.size()) {
-            ByteReader r(rec);
-            const auto body = std::span<const std::uint8_t>(
-                rec.data(), kLegacyRecordBytes - 4);
+    ReplayResult result;
+    result.valid_bytes = kHeaderBytes;
+    std::vector<std::uint8_t> rec;
+    for (;;) {
+        std::uint8_t cnt[4];
+        if (std::fread(cnt, 1, sizeof cnt, f) != sizeof cnt) break;
+        const std::uint32_t count =
+            (static_cast<std::uint32_t>(cnt[0]) << 24) |
+            (static_cast<std::uint32_t>(cnt[1]) << 16) |
+            (static_cast<std::uint32_t>(cnt[2]) << 8) |
+            static_cast<std::uint32_t>(cnt[3]);
+        if (count == 0 || count > kMaxBatchEntries) break;  // corrupt
+        const std::size_t body = count * kEntryBytes;
+        rec.resize(4 + body + 4);
+        std::memcpy(rec.data(), cnt, 4);
+        if (std::fread(rec.data() + 4, 1, body + 4, f) != body + 4)
+            break;  // torn batch: none of its rows replay
+        ByteReader r(rec);
+        const auto checked =
+            std::span<const std::uint8_t>(rec.data(), 4 + body);
+        r.bytes(4);  // count, already parsed
+        const std::uint32_t crc =
+            (static_cast<std::uint32_t>(rec[4 + body]) << 24) |
+            (static_cast<std::uint32_t>(rec[4 + body + 1]) << 16) |
+            (static_cast<std::uint32_t>(rec[4 + body + 2]) << 8) |
+            static_cast<std::uint32_t>(rec[4 + body + 3]);
+        if (crc != record_crc(checked)) break;  // corrupt tail
+        for (std::uint32_t i = 0; i < count; ++i) {
             const KeyedRow entry = read_entry(r);
-            const std::uint32_t crc = r.u32be();
-            if (crc != record_crc(body)) break;  // corrupt tail: stop
             apply(entry.key, entry.row);
-            ++result.records;
-            result.valid_bytes += kLegacyRecordBytes;
         }
+        result.records += count;
+        result.valid_bytes += 4 + body + 4;
     }
     std::fclose(f);
     return result;

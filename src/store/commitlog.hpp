@@ -6,22 +6,15 @@
 // the log in append mode — otherwise post-crash appends would land after
 // garbage and be unreachable on the next replay.
 //
-// Two on-disk formats coexist:
+// On-disk format: an 8-byte file header (u32 magic 'DCL2', u32 version
+// 2), then one record per *batch*:
 //
-//   legacy  — no file header; one 44-byte record per row:
-//               key(20) + ts(8) + value(8) + expiry(4) + crc(4).
-//   v2      — 8-byte file header (u32 magic 'DCL2', u32 version 2); one
-//             record per *batch*:
-//               u32 count + count x (key(20) + ts(8) + value(8) +
-//               expiry(4)) + crc(4)
-//             with the crc covering the count and every entry. A batch
-//             is atomic under crash: replay either delivers all of its
-//             rows or (torn/corrupt) none, and a torn batch ends replay.
+//   u32 count + count x (key(20) + ts(8) + value(8) + expiry(4)) + crc(4)
 //
-// A log opened over an existing legacy file keeps appending legacy
-// records — rewriting the header in place would orphan the records
-// behind it — and converts to v2 at the next reset() (i.e. after the
-// first successful memtable flush). New/empty logs start as v2.
+// with the crc covering the count and every entry. A batch is atomic
+// under crash: replay either delivers all of its rows or (torn/corrupt)
+// none, and a torn batch ends replay. A file without the header replays
+// nothing (its valid prefix is empty).
 #pragma once
 
 #include <cstdio>
@@ -46,7 +39,9 @@ struct KeyedRow {
 
 class CommitLog {
   public:
-    /// Open (creating if needed) the log at `path` for appending.
+    /// Open (creating if needed) the log at `path` for appending. An
+    /// empty file gets the header; a non-empty file without it is
+    /// refused with StoreError.
     explicit CommitLog(std::string path);
     ~CommitLog();
 
@@ -55,9 +50,8 @@ class CommitLog {
 
     void append(const Key& key, const Row& row) DCDB_EXCLUDES(mutex_);
 
-    /// Append a whole batch as ONE checksummed record (v2 logs): one
-    /// lock acquisition, one buffered write, crash-atomic. On a legacy
-    /// log this degrades to a loop of legacy records.
+    /// Append a whole batch as ONE checksummed record: one lock
+    /// acquisition, one buffered write, crash-atomic.
     void append_batch(std::span<const KeyedRow> entries)
         DCDB_EXCLUDES(mutex_);
 
@@ -66,8 +60,8 @@ class CommitLog {
     /// level; StorageNode calls it every commitlog_sync_every appends.
     void sync() DCDB_EXCLUDES(mutex_);
 
-    /// Truncate after a successful memtable flush. The truncated log is
-    /// (re)written with a v2 header.
+    /// Truncate after a successful memtable flush, leaving only the
+    /// header.
     void reset() DCDB_EXCLUDES(mutex_);
 
     const std::string& path() const { return path_; }
@@ -84,18 +78,13 @@ class CommitLog {
 
     /// Replay a log file in append order; `apply` is invoked for each
     /// intact row. Replay stops at the first corrupt or short record.
-    /// Dispatches on the file header, so both formats replay.
     static ReplayResult replay(
         const std::string& path,
         const std::function<void(const Key&, const Row&)>& apply);
 
   private:
-    void append_batch_locked(std::span<const KeyedRow> entries)
-        DCDB_REQUIRES(mutex_);
-
     std::string path_;
     std::FILE* file_ DCDB_PT_GUARDED_BY(mutex_){nullptr};
-    bool v2_ DCDB_GUARDED_BY(mutex_){false};
     dcdb::Mutex mutex_;
     // Read by stats paths without the mutex. records_ is a gauge: it
     // drops back to zero when reset() truncates the log.

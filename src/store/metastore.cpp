@@ -1,10 +1,12 @@
 #include "store/metastore.hpp"
 
 #include <cstdio>
+#include <filesystem>
 #include <vector>
 
 #include "common/bytebuf.hpp"
 #include "common/error.hpp"
+#include "common/logging.hpp"
 
 namespace dcdb::store {
 
@@ -38,7 +40,8 @@ void write_u32(std::FILE* f, std::uint32_t v) {
 MetaStore::MetaStore(std::string path) : path_(std::move(path)) {
     if (path_.empty()) return;
 
-    // Load existing records.
+    // Load existing records; `valid` ends the last complete one.
+    std::uint64_t valid = 0;
     if (std::FILE* f = std::fopen(path_.c_str(), "rb")) {
         while (true) {
             std::uint32_t klen = 0, vlen = 0;
@@ -49,13 +52,28 @@ MetaStore::MetaStore(std::string path) : path_(std::move(path)) {
             if (std::fread(key.data(), 1, klen, f) != klen) break;
             if (vlen == kTombstone) {
                 map_.erase(key);
+                valid += 8 + klen;
                 continue;
             }
             std::string value(vlen, '\0');
             if (std::fread(value.data(), 1, vlen, f) != vlen) break;
             map_[std::move(key)] = std::move(value);
+            valid += 8 + klen + vlen;
         }
         std::fclose(f);
+    }
+
+    // Truncate a torn tail (crash mid-append) before reopening in append
+    // mode: records written after leftover garbage would be unreachable
+    // on every later load, and their SIDs handed out again.
+    std::error_code ec;
+    const auto size = std::filesystem::file_size(path_, ec);
+    if (!ec && size > valid) {
+        DCDB_WARN("store") << "metastore " << path_ << ": truncating "
+                           << (size - valid) << " torn tail bytes";
+        std::filesystem::resize_file(path_, valid, ec);
+        if (ec)
+            throw StoreError("cannot truncate torn metastore tail: " + path_);
     }
     file_ = std::fopen(path_.c_str(), "ab");
     if (!file_) throw StoreError("cannot open metastore " + path_);

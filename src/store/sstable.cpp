@@ -14,20 +14,12 @@ namespace dcdb::store {
 
 namespace {
 
-constexpr std::uint32_t kMagicV1 = 0x44535354;  // 'DSST'
-constexpr std::uint32_t kMagicV2 = 0x44535432;  // 'DST2'
+constexpr std::uint32_t kMagic = 0x44535432;  // 'DST2'
 constexpr std::size_t kFooterBytes = 8 + 8 + 8 + 8 + 4;
-// v2 index: per-partition head + per-block directory entry.
+// Index: per-partition head + per-block directory entry; bloom head.
 constexpr std::size_t kEntryHeadBytes = Key::kBytes + 8 + 8 + 8 + 8 + 4;
 constexpr std::size_t kBlockDirBytes = 1 + 4 + 4 + 8 + 8;
-
-Row read_row(ByteReader& r) {
-    Row row;
-    row.ts = r.u64be();
-    row.value = r.i64be();
-    row.expiry_s = r.u32be();
-    return row;
-}
+constexpr std::size_t kBloomHeadBytes = 4 + 8;
 
 void pread_exact(int fd, void* buf, std::size_t n, std::uint64_t offset,
                  const std::string& path) {
@@ -180,7 +172,7 @@ std::unique_ptr<SsTable> SsTableWriter::finish() {
     tail.u64be(bloom_offset);
     tail.u64be(index_.size());
     tail.u64be(generation_);
-    tail.u32be(kMagicV2);
+    tail.u32be(kMagic);
     put(tail.data().data(), tail.size());
 
     // Durability ordering: the data must be on the device before the
@@ -230,21 +222,26 @@ std::unique_ptr<SsTable> SsTable::open(const std::string& path) {
     const std::uint64_t bloom_offset = fr.u64be();
     const std::uint64_t n_partitions = fr.u64be();
     table->generation_ = fr.u64be();
-    const std::uint32_t magic = fr.u32be();
-    if (magic != kMagicV1 && magic != kMagicV2)
-        throw StoreError("bad magic in " + path);
+    if (fr.u32be() != kMagic) throw StoreError("bad magic in " + path);
     if (index_offset > bloom_offset ||
         bloom_offset > static_cast<std::uint64_t>(size) - kFooterBytes)
         throw StoreError("bad section offsets in " + path);
     table->data_bytes_ = index_offset;
 
-    // Index section.
+    // Index section. Every count is checked against the bytes left to
+    // hold it and every block against the data section, so a corrupt
+    // table fails here as a StoreError (and is quarantined) instead of
+    // reading past a buffer or reserving a huge vector.
     std::vector<std::uint8_t> raw(bloom_offset - index_offset);
     if (!raw.empty())
         pread_exact(table->fd_, raw.data(), raw.size(), index_offset, path);
     ByteReader ir(raw);
+    if (n_partitions > raw.size() / kEntryHeadBytes)
+        throw StoreError("bad partition count in " + path);
     table->index_.reserve(n_partitions);
     for (std::uint64_t i = 0; i < n_partitions; ++i) {
+        if (ir.remaining() < kEntryHeadBytes)
+            throw StoreError("truncated index in " + path);
         IndexEntry e;
         const auto kb = ir.bytes(Key::kBytes);
         e.key = Key::deserialize(kb.data());
@@ -252,35 +249,30 @@ std::unique_ptr<SsTable> SsTable::open(const std::string& path) {
         e.rows = ir.u64be();
         e.min_ts = ir.u64be();
         e.max_ts = ir.u64be();
-        if (magic == kMagicV2) {
-            const std::uint32_t n_blocks = ir.u32be();
-            e.blocks.reserve(n_blocks);
-            std::uint64_t rel_offset = 0, first_row = 0;
-            for (std::uint32_t b = 0; b < n_blocks; ++b) {
-                BlockRef block;
-                block.format = static_cast<BlockFormat>(ir.u8());
-                block.rows = ir.u32be();
-                block.bytes = ir.u32be();
-                block.min_ts = ir.u64be();
-                block.max_ts = ir.u64be();
-                block.rel_offset = rel_offset;
-                block.first_row = first_row;
-                rel_offset += block.bytes;
-                first_row += block.rows;
-                e.blocks.push_back(block);
-            }
-            if (first_row != e.rows)
-                throw StoreError("block directory row mismatch in " + path);
-        } else {
-            // v1: the whole partition is one raw block.
+        const std::uint32_t n_blocks = ir.u32be();
+        if (n_blocks > ir.remaining() / kBlockDirBytes ||
+            e.offset > index_offset)
+            throw StoreError("bad block directory in " + path);
+        e.blocks.reserve(n_blocks);
+        std::uint64_t rel_offset = 0, first_row = 0;
+        for (std::uint32_t b = 0; b < n_blocks; ++b) {
             BlockRef block;
-            block.format = BlockFormat::kRaw;
-            block.rows = e.rows;
-            block.bytes = e.rows * Row::kBytes;
-            block.min_ts = e.min_ts;
-            block.max_ts = e.max_ts;
+            block.format = static_cast<BlockFormat>(ir.u8());
+            block.rows = ir.u32be();
+            block.bytes = ir.u32be();
+            block.min_ts = ir.u64be();
+            block.max_ts = ir.u64be();
+            block.rel_offset = rel_offset;
+            block.first_row = first_row;
+            rel_offset += block.bytes;
+            first_row += block.rows;
+            if (block.rows == 0 || block.rows > kBlockRows ||
+                rel_offset > index_offset - e.offset)
+                throw StoreError("bad block in " + path);
             e.blocks.push_back(block);
         }
+        if (first_row != e.rows)
+            throw StoreError("block directory row mismatch in " + path);
         table->index_.push_back(std::move(e));
     }
 
@@ -290,8 +282,12 @@ std::unique_ptr<SsTable> SsTable::open(const std::string& path) {
     if (!braw.empty())
         pread_exact(table->fd_, braw.data(), braw.size(), bloom_offset, path);
     ByteReader br(braw);
+    if (br.remaining() < kBloomHeadBytes)
+        throw StoreError("truncated bloom filter in " + path);
     const std::uint32_t hashes = br.u32be();
     const std::uint64_t words = br.u64be();
+    if (words > br.remaining() / 8)
+        throw StoreError("bad bloom word count in " + path);
     std::vector<std::uint64_t> bits;
     bits.reserve(words);
     for (std::uint64_t i = 0; i < words; ++i) bits.push_back(br.u64be());
@@ -348,24 +344,13 @@ void SsTable::read_rows(const IndexEntry& entry, std::size_t first_row,
         const std::uint64_t hi =
             std::min<std::uint64_t>(want_end, block.first_row + block.rows);
         if (lo >= hi) continue;
-        if (block.format == BlockFormat::kRaw) {
-            // Random access within the raw block: read only what we need.
-            const std::size_t count = static_cast<std::size_t>(hi - lo);
-            std::vector<std::uint8_t> raw(count * Row::kBytes);
-            pread_exact(fd_, raw.data(), raw.size(),
-                        entry.offset + block.rel_offset +
-                            (lo - block.first_row) * Row::kBytes,
-                        path_);
-            ByteReader r(raw);
-            for (std::size_t i = 0; i < count; ++i)
-                out.push_back(read_row(r));
-        } else {
-            scratch.clear();
-            read_block(entry, block, scratch);
-            for (std::uint64_t i = lo - block.first_row;
-                 i < hi - block.first_row; ++i)
-                out.push_back(scratch[static_cast<std::size_t>(i)]);
-        }
+        scratch.clear();
+        read_block(entry, block, scratch);
+        out.insert(out.end(),
+                   scratch.begin() +
+                       static_cast<std::ptrdiff_t>(lo - block.first_row),
+                   scratch.begin() +
+                       static_cast<std::ptrdiff_t>(hi - block.first_row));
     }
 }
 
@@ -373,46 +358,6 @@ void SsTable::read_partition_rows(std::size_t partition,
                                   std::size_t first_row, std::size_t n,
                                   std::vector<Row>& out) const {
     read_rows(index_[partition], first_row, n, out);
-}
-
-void SsTable::query_raw_block(const IndexEntry& entry, const BlockRef& block,
-                              TimestampNs t0, TimestampNs t1,
-                              std::vector<Row>& out) const {
-    // Binary search for the first row >= t0 using fixed-size records.
-    // (v1 partitions arrive here as one arbitrarily large raw block, so
-    // this path must stay sublinear in block size.)
-    const std::uint64_t base = entry.offset + block.rel_offset;
-    std::uint64_t lo = 0, hi = block.rows;
-    std::uint8_t rowbuf[Row::kBytes];
-    while (lo < hi) {
-        const std::uint64_t mid = lo + (hi - lo) / 2;
-        pread_exact(fd_, rowbuf, sizeof rowbuf, base + mid * Row::kBytes,
-                    path_);
-        ByteReader r(rowbuf);
-        if (r.u64be() < t0)
-            lo = mid + 1;
-        else
-            hi = mid;
-    }
-
-    // Read forward until past t1 (in chunks to bound memory).
-    constexpr std::uint64_t kChunk = 4096;
-    std::vector<Row> chunk;
-    for (std::uint64_t i = lo; i < block.rows;) {
-        const std::uint64_t n = std::min(kChunk, block.rows - i);
-        chunk.clear();
-        std::vector<std::uint8_t> raw(static_cast<std::size_t>(n) *
-                                      Row::kBytes);
-        pread_exact(fd_, raw.data(), raw.size(), base + i * Row::kBytes,
-                    path_);
-        ByteReader r(raw);
-        for (std::uint64_t j = 0; j < n; ++j) chunk.push_back(read_row(r));
-        for (const auto& row : chunk) {
-            if (row.ts > t1) return;
-            out.push_back(row);
-        }
-        i += n;
-    }
 }
 
 void SsTable::query(const Key& key, TimestampNs t0, TimestampNs t1,
@@ -424,15 +369,11 @@ void SsTable::query(const Key& key, TimestampNs t0, TimestampNs t1,
     for (const auto& block : entry->blocks) {
         if (block.min_ts > t1) break;  // blocks ascend in ts
         if (block.max_ts < t0) continue;
-        if (block.format == BlockFormat::kRaw) {
-            query_raw_block(*entry, block, t0, t1, out);
-        } else {
-            scratch.clear();
-            read_block(*entry, block, scratch);
-            for (const auto& row : scratch) {
-                if (row.ts > t1) break;
-                if (row.ts >= t0) out.push_back(row);
-            }
+        scratch.clear();
+        read_block(*entry, block, scratch);
+        for (const auto& row : scratch) {
+            if (row.ts > t1) break;
+            if (row.ts >= t0) out.push_back(row);
         }
     }
 }

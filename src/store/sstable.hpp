@@ -1,6 +1,6 @@
 // Immutable on-disk sorted string table.
 //
-// v2 file layout (all integers big-endian):
+// File layout (all integers big-endian):
 //
 //   [data]    per partition, in key order: a sequence of *blocks* of up
 //               to kBlockRows rows each (sorted by ts). Every block is
@@ -16,14 +16,11 @@
 //   [footer]  u64 index offset, u64 bloom offset, u64 partition count,
 //               u64 generation, u32 magic 'DST2'
 //
-// v1 files (magic 'DSST', fixed 20-byte rows, no block directory) are
-// still opened: each v1 partition is surfaced as a single raw block, so
-// every read path — query, compaction cursors — is format-agnostic.
-// Writers always produce v2; v1 disappears through normal compaction.
-//
-// The index and bloom filter are loaded at open; row data is served with
-// pread, so a table costs O(partitions + blocks) memory regardless of
-// row volume.
+// The index and bloom filter are loaded at open, which checks every
+// count and block range against the file and throws StoreError on a
+// malformed table. Row data is served with pread one whole block at a
+// time, whatever its encoding, so a table costs O(partitions + blocks)
+// memory regardless of row volume.
 //
 // Durability ordering (DESIGN.md §9): tables are written to `path.tmp`,
 // fsynced, renamed into place, and the parent directory is fsynced —
@@ -57,7 +54,7 @@ class SsTable {
         const std::string& path, std::uint64_t generation,
         const std::map<Key, std::vector<Row>>& partitions);
 
-    /// Open an existing table (loads index + bloom; v1 and v2 files).
+    /// Open an existing table (loads index + bloom).
     static std::unique_ptr<SsTable> open(const std::string& path);
 
     ~SsTable();
@@ -129,9 +126,6 @@ class SsTable {
     /// Decode one whole block of `entry` into `out`.
     void read_block(const IndexEntry& entry, const BlockRef& block,
                     std::vector<Row>& out) const;
-    void query_raw_block(const IndexEntry& entry, const BlockRef& block,
-                         TimestampNs t0, TimestampNs t1,
-                         std::vector<Row>& out) const;
     const IndexEntry* find_entry(const Key& key) const;
 
     std::string path_;

@@ -3,8 +3,8 @@
 // Two formats, selected per block by the writer (the flag lives in the
 // SSTable block directory, not in the payload):
 //
-//   kRaw      — the v1 row encoding: 20 bytes big-endian per row
-//               (u64 ts, i64 value, u32 expiry). Random access.
+//   kRaw      — 20 bytes big-endian per row (u64 ts, i64 value,
+//               u32 expiry), for blocks that do not compress.
 //   kGorilla  — Gorilla-style compression (Pelkonen et al., VLDB 2015):
 //               the first row is stored raw, then per row
 //                 * timestamps as delta-of-delta with prefix codes
@@ -17,7 +17,9 @@
 //                 * expiries as delta-of-delta ('0' dod = 0;
 //                   '1' + 64-bit zigzag escape — a fixed TTL stream is
 //                   one bit per row).
-//               Sequential access only; blocks are decoded whole.
+//
+// Readers decode a block whole in either format; a block holds at most
+// kBlockRows (store/sstable.hpp) rows.
 //
 // The paper-regular workload (fixed sampling stride, slowly moving
 // values, constant TTL) compresses to ~2 bits/row timestamps and a few

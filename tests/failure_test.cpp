@@ -11,11 +11,13 @@
 #include "common/clock.hpp"
 #include "common/fault.hpp"
 #include "core/payload.hpp"
+#include "core/sensor_id.hpp"
 #include "mqtt/broker.hpp"
 #include "mqtt/client.hpp"
 #include "net/http.hpp"
 #include "pusher/pusher.hpp"
 #include "store/cluster.hpp"
+#include "store/metastore.hpp"
 #include "store/node.hpp"
 
 namespace dcdb {
@@ -203,36 +205,91 @@ TEST(Failure, HttpServerSurvivesMalformedRequests) {
 
 // ------------------------------------------------------- store failures
 
-TEST(Failure, NodeQuarantinesCorruptSsTableAndServesTheRest) {
-    TempDir dir;
-    store::Key key;
-    key.sid[0] = 1;
-    {
-        store::StorageNode node({dir.str(), 1u << 20, false});
-        node.insert(key, 100, 1);
-        node.flush();
-        node.insert(key, 200, 2);
-        node.flush();
-    }
-    // Corrupt the second table's tail (torn write during a crash).
-    std::vector<fs::path> tables;
-    for (const auto& entry : fs::directory_iterator(dir.path())) {
-        if (entry.path().extension() == ".db") tables.push_back(entry.path());
-    }
-    ASSERT_EQ(tables.size(), 2u);
-    std::sort(tables.begin(), tables.end());
-    fs::resize_file(tables[1], fs::file_size(tables[1]) / 2);
+/// Overwrite an SSTable's footer partition count: the u64 20 bytes
+/// before the end (then u64 generation, u32 magic).
+void patch_partition_count(const fs::path& table, std::uint64_t count) {
+    std::fstream f(table, std::ios::binary | std::ios::in | std::ios::out);
+    f.seekp(static_cast<std::streamoff>(fs::file_size(table)) - 20);
+    char be[8];
+    for (int i = 0; i < 8; ++i)
+        be[i] = static_cast<char>(count >> (56 - 8 * i));
+    f.write(be, sizeof be);
+}
 
-    store::StorageNode recovered({dir.str(), 1u << 20, false});
-    const auto rows = recovered.query(key, 0, kTimestampMax);
-    ASSERT_EQ(rows.size(), 1u) << "intact table must still be served";
-    EXPECT_EQ(rows[0].value, 1);
-    // The corrupt file is quarantined, not deleted.
-    EXPECT_TRUE(fs::exists(tables[1].string() + ".corrupt"));
-    // New writes go to a fresh generation without clashing.
-    recovered.insert(key, 300, 3);
-    recovered.flush();
-    EXPECT_EQ(recovered.query(key, 0, kTimestampMax).size(), 2u);
+TEST(Failure, NodeQuarantinesCorruptSsTableAndServesTheRest) {
+    // The second of two tables goes bad three ways: a torn write (crash
+    // during flush/compaction), and a footer partition count of 2 or
+    // 2^60 where the table holds 1.
+    for (int corruption = 0; corruption < 3; ++corruption) {
+        SCOPED_TRACE(corruption);
+        TempDir dir;
+        store::Key key;
+        key.sid[0] = 1;
+        {
+            store::StorageNode node({dir.str(), 1u << 20, false});
+            node.insert(key, 100, 1);
+            node.flush();
+            node.insert(key, 200, 2);
+            node.flush();
+        }
+        std::vector<fs::path> tables;
+        for (const auto& entry : fs::directory_iterator(dir.path())) {
+            if (entry.path().extension() == ".db")
+                tables.push_back(entry.path());
+        }
+        ASSERT_EQ(tables.size(), 2u);
+        std::sort(tables.begin(), tables.end());
+        if (corruption == 0)
+            fs::resize_file(tables[1], fs::file_size(tables[1]) / 2);
+        else
+            patch_partition_count(tables[1], corruption == 1
+                                                 ? std::uint64_t{2}
+                                                 : std::uint64_t{1} << 60);
+
+        store::StorageNode recovered({dir.str(), 1u << 20, false});
+        const auto rows = recovered.query(key, 0, kTimestampMax);
+        ASSERT_EQ(rows.size(), 1u) << "intact table must still be served";
+        EXPECT_EQ(rows[0].value, 1);
+        // The corrupt file is quarantined, not deleted.
+        EXPECT_TRUE(fs::exists(tables[1].string() + ".corrupt"));
+        // New writes go to a fresh generation without clashing.
+        recovered.insert(key, 300, 3);
+        recovered.flush();
+        EXPECT_EQ(recovered.query(key, 0, kTimestampMax).size(), 2u);
+    }
+}
+
+TEST(Failure, TornMetaStoreTailIsTruncatedSoSidsStayUnique) {
+    TempDir dir;
+    const std::string path = dir.str() + "/meta.db";
+    SensorId temp, fan;
+    {
+        store::MetaStore meta(path);
+        TopicMapper mapper(meta);
+        temp = mapper.to_sid("/site/rack1/node7/temp");
+    }
+    {
+        // Crash mid-append: a torn 3-byte record behind the intact ones.
+        std::ofstream f(path, std::ios::binary | std::ios::app);
+        f.write("\x5A\x5A\x5A", 3);
+    }
+    {
+        store::MetaStore meta(path);
+        TopicMapper mapper(meta);
+        fan = mapper.to_sid("/site/rack2/node9/fan");
+    }
+    // Next restart: the dictionary entries written after the tear must
+    // still be there, or their SIDs are handed to new topics.
+    store::MetaStore meta(path);
+    TopicMapper mapper(meta);
+    SensorId found;
+    ASSERT_TRUE(mapper.lookup("/site/rack2/node9/fan", found))
+        << "entries appended after a torn tail were lost";
+    EXPECT_EQ(found, fan);
+    const SensorId volt = mapper.to_sid("/site/rack3/node1/volt");
+    EXPECT_NE(volt, fan) << volt.hex();
+    EXPECT_NE(volt, temp) << volt.hex();
+    EXPECT_EQ(mapper.to_sid("/site/rack1/node7/temp"), temp);
 }
 
 TEST(Failure, TornCommitLogRecoversPrefix) {
@@ -398,7 +455,9 @@ TEST(Failure, PusherRetryQueueBoundsLossAndDrainsOnRecovery) {
     std::atomic<std::uint64_t> received{0};
     mqtt::MqttBroker broker(
         mqtt::BrokerMode::kReduced, [&](const mqtt::Publish& p) {
-            received.fetch_add(decode_readings(p.payload).size());
+            BatchPayloadView view;
+            decode_batch(p.payload, view);
+            received.fetch_add(view.total_readings);
         });
     auto config = parse_config(
         "global { topicPrefix /rq ; pushInterval 30ms ; qos 1 ;\n"
@@ -407,8 +466,9 @@ TEST(Failure, PusherRetryQueueBoundsLossAndDrainsOnRecovery) {
         "plugins { tester { group g { sensors 1 ; interval 30ms } } }\n");
     pusher::Pusher pusher(std::move(config), broker.connect_inproc());
 
-    // Network down for every publish: batches pile into the retry queue
-    // until the bound evicts the oldest (counted, never silent).
+    // Network down for every publish: payloads pile into the retry
+    // queue until the bound (3 readings) evicts the oldest (counted,
+    // never silent).
     auto fault = std::make_unique<ScopedFault>(
         FaultPoint::kMqttSend, FaultSpec{.error_prob = 1.0});
     pusher.start();

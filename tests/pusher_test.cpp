@@ -11,6 +11,7 @@
 #include <thread>
 
 #include "common/clock.hpp"
+#include "common/fault.hpp"
 #include "core/payload.hpp"
 #include "mqtt/broker.hpp"
 #include "net/http.hpp"
@@ -259,21 +260,18 @@ TEST(Pusher, EndToEndThroughInprocBroker) {
     bool found = false;
     for (const auto& m : messages) {
         EXPECT_TRUE(m.topic.starts_with("/test/node0/tester/g0/"));
-        // The pusher coalesces a multi-sensor group into one v1 batch
-        // payload; a round that drained a single sensor stays v0.
+        // Every message is a v1 batch payload, however many sensors
+        // the round drained.
+        ASSERT_TRUE(is_batch_payload(m.payload));
         std::vector<Reading> readings;
-        if (is_batch_payload(m.payload)) {
-            BatchPayloadView view;
-            decode_batch(m.payload, view);
-            EXPECT_EQ(view.torn_bytes, 0u);
-            for (const auto& section : view.sections) {
-                EXPECT_TRUE(std::string(section.topic)
-                                .starts_with("/test/node0/tester/g0/"));
-                for (std::size_t i = 0; i < section.readings.size(); ++i)
-                    readings.push_back(section.readings[i]);
-            }
-        } else {
-            readings = decode_readings(m.payload);
+        BatchPayloadView view;
+        decode_batch(m.payload, view);
+        EXPECT_EQ(view.torn_bytes, 0u);
+        for (const auto& section : view.sections) {
+            EXPECT_TRUE(std::string(section.topic)
+                            .starts_with("/test/node0/tester/g0/"));
+            for (std::size_t i = 0; i < section.readings.size(); ++i)
+                readings.push_back(section.readings[i]);
         }
         EXPECT_FALSE(readings.empty());
         for (const auto& r : readings)
@@ -329,42 +327,93 @@ TEST(Pusher, CoalescedGroupArrivesAsOneMultiSensorMessage) {
         << "coalescing must send fewer messages than readings";
 }
 
-TEST(Pusher, CoalescingCanBeDisabledByConfig) {
-    std::mutex mutex;
-    std::condition_variable cv;
-    std::vector<mqtt::Publish> messages;
+/// Tallies what an in-process broker received.
+struct BrokerTally {
+    std::atomic<std::uint64_t> messages{0};
+    std::atomic<std::uint64_t> readings{0};
+    std::atomic<std::uint64_t> not_v1{0};
+    std::atomic<std::size_t> largest_remaining{0};
+
+    void add(const mqtt::Publish& p) {
+        messages.fetch_add(1);
+        // A QoS-1 PUBLISH: topic length, topic, packet id, payload.
+        const std::size_t remaining = 2 + p.topic.size() + 2 + p.payload.size();
+        if (remaining > largest_remaining.load())
+            largest_remaining.store(remaining);
+        if (!is_batch_payload(p.payload)) {
+            not_v1.fetch_add(1);
+            return;
+        }
+        BatchPayloadView view;
+        decode_batch(p.payload, view);
+        readings.fetch_add(view.total_readings);
+    }
+};
+
+/// One tester group of `sensors` sensors, sampled by the test itself.
+ConfigNode wide_config(std::size_t sensors) {
+    return parse_config(
+        "global { topicPrefix /wide ; qos 1 ;\n"
+        "  retryBackoffMin 1ms ; retryBackoffMax 1ms }\n"
+        "plugins { tester { group g { sensors " + std::to_string(sensors) +
+        " ; interval 1s } } }\n");
+}
+
+TEST(Pusher, FailedPublishOfTenThousandSensorsIsRetriedAsOneMessage) {
+    BrokerTally tally;
     mqtt::MqttBroker broker(
         mqtt::BrokerMode::kReduced,
-        [&](const mqtt::Publish& p) {
-            std::scoped_lock lock(mutex);
-            messages.push_back(p);
-            cv.notify_all();
-        },
-        0, /*listen_tcp=*/false);
-
-    auto config = parse_config(
-        "global {\n"
-        "    topicPrefix /test/node0\n"
-        "    pushInterval 100ms\n"
-        "    coalescePush false\n"
-        "    restApi false\n"
-        "}\n"
-        "plugins { tester { group g0 { sensors 4 ; interval 100ms } } }\n");
-    Pusher pusher(std::move(config), broker.connect_inproc());
-    pusher.start();
+        [&](const mqtt::Publish& p) { tally.add(p); }, 0,
+        /*listen_tcp=*/false);
+    Pusher pusher(wide_config(10000), broker.connect_inproc());
+    pusher.plugins().front()->groups().front()->read_all(kNsPerSec, nullptr);
     {
-        std::unique_lock lock(mutex);
-        ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(5),
-                                [&] { return messages.size() >= 8; }));
+        ScopedFault fault(FaultPoint::kMqttSend,
+                          {.error_prob = 1.0, .max_triggers = 1});
+        pusher.push_now();
     }
-    pusher.stop();
+    auto s = pusher.stats();
+    EXPECT_EQ(s.publish_failures, 1u);
+    EXPECT_EQ(s.retry_queue_batches, 1u);
+    EXPECT_EQ(s.retry_queue_readings, 10000u);
 
-    // Legacy discipline: every message is a v0 single-sensor payload.
-    std::scoped_lock lock(mutex);
-    for (const auto& m : messages) {
-        EXPECT_FALSE(is_batch_payload(m.payload));
-        EXPECT_FALSE(decode_readings(m.payload).empty());
-    }
+    // Past the 1 ms backoff, the next round republishes the payload.
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    pusher.push_now();
+    s = pusher.stats();
+    EXPECT_EQ(s.readings_dropped, 0u);
+    EXPECT_EQ(s.readings_pushed, 10000u);
+    EXPECT_EQ(s.retry_successes, 1u);
+    EXPECT_EQ(s.retry_queue_batches, 0u);
+    EXPECT_EQ(tally.messages.load(), 1u) << "the recovery is one message";
+    EXPECT_EQ(tally.readings.load(), 10000u);
+    EXPECT_EQ(tally.not_v1.load(), 0u);
+}
+
+TEST(Pusher, DrainOverThePacketCapIsSplitIntoPayloadsUnderIt) {
+    // 2,000 sensors x 2,200 readings encode to 70.4 MB, above the
+    // 64 MiB a PUBLISH may carry.
+    constexpr std::uint64_t kSensors = 2000;
+    constexpr std::uint64_t kReads = 2200;
+    BrokerTally tally;
+    mqtt::MqttBroker broker(
+        mqtt::BrokerMode::kReduced,
+        [&](const mqtt::Publish& p) { tally.add(p); }, 0,
+        /*listen_tcp=*/false);
+    Pusher pusher(wide_config(kSensors), broker.connect_inproc());
+    SensorGroup& group = *pusher.plugins().front()->groups().front();
+    for (TimestampNs i = 1; i <= kReads; ++i)
+        group.read_all(i * kNsPerSec, nullptr);
+    pusher.push_now();
+
+    const auto s = pusher.stats();
+    EXPECT_EQ(s.publish_failures, 0u);
+    EXPECT_EQ(s.readings_dropped, 0u);
+    EXPECT_EQ(s.readings_pushed, kSensors * kReads);
+    EXPECT_GE(tally.messages.load(), 2u);
+    EXPECT_EQ(tally.readings.load(), kSensors * kReads);
+    EXPECT_LE(tally.largest_remaining.load(), mqtt::kMaxRemainingLength);
+    EXPECT_EQ(tally.not_v1.load(), 0u);
 }
 
 TEST(Pusher, CacheOnlyOperationWithoutBroker) {

@@ -26,6 +26,7 @@
 #include "core/sensor_id.hpp"
 #include "mqtt/broker.hpp"
 #include "mqtt/client.hpp"
+#include "pusher/pusher.hpp"
 #include "pusher/sampler.hpp"
 #include "pusher/sensor_group.hpp"
 #include "store/commitlog.hpp"
@@ -502,6 +503,58 @@ TEST(SensorBaseRace, SamplersVersusDrainsAndCacheReaders) {
                              kReads);
     EXPECT_EQ(cache.sensor_count(), static_cast<std::size_t>(kGroups) *
                                         kSensors);
+}
+
+// Two threads push while a third stops the Pusher, with half of all
+// MQTT sends failing: every round, the retry queue and the final flush
+// share one push lock, and every sampled reading is still accounted for.
+TEST(PusherRace, PushNowVersusStopWithFlakySends) {
+    mqtt::MqttBroker broker(mqtt::BrokerMode::kReduced, nullptr, 0,
+                            /*listen_tcp=*/false);
+    // One sensor per group, so one sample is one reading.
+    pusher::Pusher pusher(
+        parse_config("global { topicPrefix /race ; pushInterval 5ms ;\n"
+                     "  retryBackoffMin 1ms ; retryBackoffMax 4ms }\n"
+                     "plugins { tester {\n"
+                     "  group a { sensors 1 ; interval 2ms }\n"
+                     "  group b { sensors 1 ; interval 3ms } } }\n"),
+        broker.connect_inproc());
+    ScopedFault fault(FaultPoint::kMqttSend, {.error_prob = 0.5});
+    pusher.start();
+
+    std::atomic<bool> stopped{false};
+    std::vector<std::thread> pushers;
+    for (int t = 0; t < 2; ++t) {
+        pushers.emplace_back([&] {
+            for (int i = 0; i < 200 || !stopped.load(); ++i) {
+                pusher.push_now();
+                std::this_thread::yield();
+            }
+        });
+    }
+    std::thread stopper([&] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(100));
+        pusher.stop();
+        stopped.store(true);
+    });
+    stopper.join();
+    for (auto& t : pushers) t.join();
+
+    const auto s = pusher.stats();
+    std::uint64_t pending = 0;
+    for (const auto& plugin : pusher.plugins()) {
+        for (const auto& group : plugin->groups()) {
+            for (const auto& sensor : group->sensors()) {
+                pending += sensor->pending_count();
+                EXPECT_EQ(sensor->dropped_readings(), 0u);
+            }
+        }
+    }
+    EXPECT_GT(s.samples_taken, 0u);
+    EXPECT_GT(s.publish_failures, 0u);
+    EXPECT_EQ(s.readings_pushed + s.readings_dropped +
+                  s.retry_queue_readings + pending,
+              s.samples_taken);
 }
 
 // Start/stop churn while an observer polls the lock-free running() probe

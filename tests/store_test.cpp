@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <random>
 #include <thread>
 
 #include "common/bytebuf.hpp"
@@ -314,35 +315,56 @@ TEST(SsTable, RegularSeriesCompressBelowFourBytesPerRow) {
 }
 
 TEST(SsTable, QueriesAndRowReadsCrossCompressedBlockBoundaries) {
-    TempDir dir;
-    std::map<Key, std::vector<Row>> parts;
-    const Key k = make_key(1);
-    for (TimestampNs ts = 0; ts < 2000; ++ts)
-        parts[k].push_back(Row{ts, static_cast<Value>(ts * 3), 0});
-    auto table = SsTable::write(dir.str() + "/t.db", 1, parts);
-
-    // kBlockRows = 512: [500, 530] spans the first block boundary.
-    std::vector<Row> out;
-    table->query(k, 500, 530, out);
-    ASSERT_EQ(out.size(), 31u);
-    for (std::size_t i = 0; i < out.size(); ++i) {
-        EXPECT_EQ(out[i].ts, 500 + i);
-        EXPECT_EQ(out[i].value, static_cast<Value>((500 + i) * 3));
+    // Two inputs: a regular series (Gorilla blocks) and a random one
+    // that does not compress (raw blocks); every read decodes whole
+    // blocks either way.
+    std::mt19937_64 rng(42);
+    std::vector<std::vector<Row>> inputs(2);
+    TimestampNs ts = 0;
+    for (TimestampNs i = 0; i < 2000; ++i) {
+        inputs[0].push_back(Row{i, static_cast<Value>(i * 3), 0});
+        ts += 1 + rng() % (1ull << 40);
+        inputs[1].push_back(Row{ts, static_cast<Value>(rng()),
+                                static_cast<std::uint32_t>(rng())});
     }
+    for (std::size_t input = 0; input < inputs.size(); ++input) {
+        SCOPED_TRACE(input);
+        const std::vector<Row>& rows = inputs[input];
+        TempDir dir;
+        std::map<Key, std::vector<Row>> parts;
+        const Key k = make_key(1);
+        parts[k] = rows;
+        auto table = SsTable::write(dir.str() + "/t.db", 1, parts);
+        if (input == 1) {
+            EXPECT_EQ(table->data_bytes(), 2000u * Row::kBytes);
+        }
 
-    // Positional reads (the compaction cursor path) across blocks.
-    out.clear();
-    table->read_partition_rows(0, 510, 520, out);
-    ASSERT_EQ(out.size(), 520u);
-    EXPECT_EQ(out.front().ts, 510u);
-    EXPECT_EQ(out.back().ts, 1029u);
+        // kBlockRows = 512: [500, 530] spans the first block boundary.
+        std::vector<Row> out;
+        table->query(k, rows[500].ts, rows[530].ts, out);
+        ASSERT_EQ(out.size(), 31u);
+        for (std::size_t i = 0; i < out.size(); ++i) {
+            EXPECT_EQ(out[i].ts, rows[500 + i].ts);
+            EXPECT_EQ(out[i].value, rows[500 + i].value);
+            EXPECT_EQ(out[i].expiry_s, rows[500 + i].expiry_s);
+        }
 
-    // Reopen: the block directory round-trips through disk.
-    auto reopened = SsTable::open(dir.str() + "/t.db");
-    out.clear();
-    reopened->query(k, 1535, 1540, out);
-    ASSERT_EQ(out.size(), 6u);
-    EXPECT_EQ(out.front().ts, 1535u);
+        // Positional reads (the compaction cursor path) across blocks.
+        out.clear();
+        table->read_partition_rows(0, 510, 520, out);
+        ASSERT_EQ(out.size(), 520u);
+        EXPECT_EQ(out.front().ts, rows[510].ts);
+        EXPECT_EQ(out.back().ts, rows[1029].ts);
+        EXPECT_EQ(out.back().value, rows[1029].value);
+
+        // Reopen: the block directory round-trips through disk.
+        auto reopened = SsTable::open(dir.str() + "/t.db");
+        out.clear();
+        reopened->query(k, rows[1535].ts, rows[1540].ts, out);
+        ASSERT_EQ(out.size(), 6u);
+        EXPECT_EQ(out.front().ts, rows[1535].ts);
+        EXPECT_EQ(out.back().value, rows[1540].value);
+    }
 }
 
 // ------------------------------------------------------------- commitlog
@@ -456,49 +478,60 @@ TEST(CommitLog, TornBatchedTailReplaysNoneOfItsRows) {
     EXPECT_EQ(seen.back().ts, 3u);
 }
 
-TEST(CommitLog, LegacyHeaderlessLogStaysLegacyUntilReset) {
+/// A headerless log: one 44-byte per-row record, the format commit logs
+/// had before the DCL2 header.
+void write_headerless_log(const std::string& path) {
+    ByteWriter w(44);
+    std::uint8_t kb[Key::kBytes];
+    make_key(1).serialize(kb);
+    w.bytes(kb, sizeof kb);
+    w.u64be(10);
+    w.i64be(100);
+    w.u32be(0);
+    w.u32be(static_cast<std::uint32_t>(murmur3_token(w.data())));
+    FILE* f = fopen(path.c_str(), "wb");
+    fwrite(w.data().data(), 1, w.size(), f);
+    fclose(f);
+}
+
+TEST(CommitLog, HeaderlessFileReplaysNothingAndIsNotAppendedTo) {
     TempDir dir;
     const std::string path = dir.str() + "/commit.log";
-    // Hand-write a headerless legacy (v1) record:
-    // key(20) + ts(8) + value(8) + expiry(4) + crc(4).
-    {
-        ByteWriter w(44);
-        std::uint8_t kb[Key::kBytes];
-        make_key(1).serialize(kb);
-        w.bytes(kb, sizeof kb);
-        w.u64be(10);
-        w.i64be(100);
-        w.u32be(0);
-        w.u32be(static_cast<std::uint32_t>(murmur3_token(w.data())));
-        FILE* f = fopen(path.c_str(), "wb");
-        fwrite(w.data().data(), 1, w.size(), f);
-        fclose(f);
-    }
-    {
-        // Appends to a non-empty legacy file must stay legacy: a v2
-        // header written mid-file would orphan the prefix on replay.
-        CommitLog log(path);
-        log.append(make_key(2), Row{20, 200, 0});
-        log.sync();
-    }
-    EXPECT_EQ(fs::file_size(path), 2u * 44u);
+    write_headerless_log(path);
     std::uint64_t count = 0;
-    CommitLog::replay(path, [&](const Key&, const Row&) { ++count; });
-    EXPECT_EQ(count, 2u);
+    const auto n =
+        CommitLog::replay(path, [&](const Key&, const Row&) { ++count; });
+    EXPECT_EQ(count, 0u);
+    EXPECT_EQ(n.records, 0u);
+    EXPECT_EQ(n.valid_bytes, 0u);
+    // Appending behind bytes replay cannot read would lose the appends.
+    EXPECT_THROW(CommitLog log(path), StoreError);
+    EXPECT_EQ(fs::file_size(path), 44u);
+}
 
-    // reset() truncates and converts the file to the v2 batch format.
+TEST(StorageNode, HeaderlessCommitLogRestartsAsDcl2AndKeepsNewWrites) {
+    TempDir dir;
+    NodeConfig config;
+    config.data_dir = dir.str();
+    const std::string path = dir.str() + "/commit.log";
+    write_headerless_log(path);
     {
-        CommitLog log(path);
-        log.reset();
-        log.append(make_key(3), Row{30, 300, 0});
-        log.sync();
+        StorageNode node(config);
+        EXPECT_TRUE(node.query(make_key(1), 0, kTimestampMax).empty());
+        node.insert(make_key(2), 20, 200);
+        // Crash before any flush: the row lives only in the log.
     }
-    std::vector<Key> keys;
-    const auto n = CommitLog::replay(
-        path, [&](const Key& k, const Row&) { keys.push_back(k); });
-    EXPECT_EQ(n.records, 1u);
-    ASSERT_EQ(keys.size(), 1u);
-    EXPECT_EQ(keys[0], make_key(3));
+    std::FILE* f = fopen(path.c_str(), "rb");
+    ASSERT_NE(f, nullptr);
+    char magic[4] = {};
+    EXPECT_EQ(fread(magic, 1, sizeof magic, f), sizeof magic);
+    fclose(f);
+    EXPECT_EQ(std::string(magic, sizeof magic), "DCL2");
+
+    StorageNode recovered(config);
+    const auto rows = recovered.query(make_key(2), 0, kTimestampMax);
+    ASSERT_EQ(rows.size(), 1u);
+    EXPECT_EQ(rows[0].value, 200);
 }
 
 // ---------------------------------------------------------- storage node

@@ -47,6 +47,11 @@
 //                      they are sharded, exported and self-fed.
 //                      std::atomic<bool> flags are fine; anything else
 //                      needs a `dcdblint: allow-atomic(<why>)` marker.
+//   pusher-v0-encode   the pusher layer emits only v1 batch payloads
+//                      (encode_batch): an `encode_readings(` call there
+//                      would bring back the v0 single-sensor format on
+//                      the Pusher -> Collect Agent hop. The v0 encoder
+//                      stays in core for the peers that publish v0.
 //   trace-stage        a Tracer::record_span call site must name its
 //                      stage from the canonical Stage enum (Stage::k...)
 //                      at the call (within two lines, for wrapped
@@ -276,6 +281,15 @@ std::optional<std::size_t> find_word(const std::string& s,
     return std::nullopt;
 }
 
+// True when `name` appears in `code` as a call: the word, then '('.
+bool calls(const std::string& code, std::string_view name) {
+    const auto pos = find_word(code, name);
+    if (!pos) return false;
+    std::size_t j = *pos + name.size();
+    while (j < code.size() && code[j] == ' ') ++j;
+    return j < code.size() && code[j] == '(';
+}
+
 // Marker on the offending line or the line directly above.
 bool has_marker(const std::vector<Line>& lines, std::size_t idx,
                 std::string_view marker) {
@@ -410,19 +424,27 @@ void check_per_reading_insert(const std::string& rel,
                               std::vector<Violation>& out) {
     if (layer_of(rel) != "collectagent") return;
     for (std::size_t i = 0; i < lines.size(); ++i) {
-        const std::string& code = lines[i].code;
-        const auto pos = find_word(code, "insert");
-        if (!pos) continue;
-        // Only calls: `insert` immediately followed by '('.
-        std::size_t j = *pos + std::string("insert").size();
-        while (j < code.size() && code[j] == ' ') ++j;
-        if (j >= code.size() || code[j] != '(') continue;
+        if (!calls(lines[i].code, "insert")) continue;
         if (has_marker(lines, i, "dcdblint: allow-single-insert")) continue;
         out.push_back(
             {rel, i + 1, "per-reading-insert",
              "per-reading insert() in the collect-agent layer — batch "
              "readings and call insert_batch(), or justify with "
              "`dcdblint: allow-single-insert(<why>)`"});
+    }
+}
+
+// One wire format per hop: the Pusher publishes v1 batches only.
+void check_pusher_v0_encode(const std::string& rel,
+                            const std::vector<Line>& lines,
+                            std::vector<Violation>& out) {
+    if (layer_of(rel) != "pusher") return;
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+        if (!calls(lines[i].code, "encode_readings")) continue;
+        out.push_back({rel, i + 1, "pusher-v0-encode",
+                       "v0 encode_readings() in the pusher layer — the "
+                       "Pusher publishes v1 batch payloads only "
+                       "(encode_batch)"});
     }
 }
 
@@ -584,6 +606,7 @@ std::vector<Violation> lint_file(const std::string& rel,
     check_unguarded_mutex(rel, lines, out);
     check_sleep(rel, lines, out);
     check_per_reading_insert(rel, lines, out);
+    check_pusher_v0_encode(rel, lines, out);
     check_naked_atomic(rel, lines, out);
     check_trace_stage(rel, lines, out);
     check_includes(rel, lines, out);
@@ -645,6 +668,15 @@ const Case kCases[] = {
      nullptr},
     {"per-reading insert ok outside collect agent", "src/store/good9.cpp",
      "memtable_.insert(key, row);\n", nullptr},
+    {"v0 encode fires in pusher", "src/pusher/bad4.cpp",
+     "client->publish(topic, encode_readings(readings), qos);\n",
+     "pusher-v0-encode"},
+    {"v1 encode clean in pusher", "src/pusher/good7.cpp",
+     "client->publish(topic, encode_batch(sections_, trace), qos);\n",
+     nullptr},
+    {"v0 encode ok outside pusher", "src/core/good3.cpp",
+     "return encode_readings(std::span<const Reading>(readings));\n",
+     nullptr},
     {"naked atomic counter fires", "src/store/bad3.hpp",
      "std::atomic<std::uint64_t> writes_{0};\n", "naked-atomic"},
     {"atomic bool flag clean", "src/store/good6.hpp",
