@@ -19,6 +19,13 @@
 //      allocations: the agent's TopicMapper::to_sid / lookup,
 //      CacheSet::push and SensorTree::add, and the Pusher's
 //      SensorGroup::read_all plus the per-sensor drain push_once does.
+//   5. The byte path from the Pusher's encoder to the commit-log record
+//      performs ZERO heap allocations per round trip once warm: encode
+//      into a reused buffer, write_publish over an in-proc pair,
+//      read_packet into a reused Packet, decode_batch, build the
+//      BatchEntrys, encode the commit-log record, then write and read
+//      the PUBACK. And a header that declares a 64 MiB body which never
+//      arrives pins under 1 MiB before it ends in ProtocolError.
 //
 // It also re-checks the storage-side half of the bargain: a monotone
 // sensor series stored through the v2 SSTable writer costs <= 4 bytes
@@ -39,7 +46,9 @@
 #include "core/payload.hpp"
 #include "core/sensor_cache.hpp"
 #include "core/sensor_id.hpp"
+#include "mqtt/transport.hpp"
 #include "pusher/sensor_group.hpp"
+#include "store/commitlog.hpp"
 #include "store/metastore.hpp"
 #include "store/node.hpp"
 #include "store/sstable.hpp"
@@ -49,25 +58,33 @@ using namespace dcdb;
 // ------------------------------------------------- allocation counting
 //
 // Global operator new override counting every heap allocation in the
-// process; the smoke check reads the counter around the decode and
-// bookkeeping loops.
+// process, and the bytes asked for; the smoke check reads the counters
+// around the decode, bookkeeping and byte-path loops.
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::uint64_t> g_allocated_bytes{0};
 }  // namespace
 
 void* operator new(std::size_t size) {
     g_allocations.fetch_add(1, std::memory_order_relaxed);
+    g_allocated_bytes.fetch_add(size, std::memory_order_relaxed);
     if (void* p = std::malloc(size ? size : 1)) return p;
     throw std::bad_alloc();
 }
 
 void* operator new[](std::size_t size) { return ::operator new(size); }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+// Out of line: inlined into a caller, GCC pairs the free() with that
+// caller's operator new and warns of a mismatch (-Wmismatched-new-delete).
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+    std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+    std::free(p);
+}
 
 namespace {
 
@@ -199,6 +216,132 @@ constexpr int kSmokeReadings = 8192;
 constexpr double kMinSpeedup = 5.0;
 constexpr int kDecodeIterations = 10000;
 constexpr int kBookkeepRounds = 2000;
+constexpr int kByteRoundTrips = 2000;
+
+/// Check 5: Pusher encoder -> MQTT frame -> agent decode -> commit-log
+/// record -> PUBACK, 32 sensors x 32 readings per publish.
+int byte_path_smoke() {
+    constexpr int kSensors = 32;
+    constexpr int kReadingsEach = 32;
+    store::MetaStore meta;
+    TopicMapper mapper(meta);
+    std::vector<std::string> topics;
+    std::vector<std::vector<Reading>> readings(
+        kSensors, std::vector<Reading>(kReadingsEach));
+    std::vector<SensorBatch> sections;
+    for (int s = 0; s < kSensors; ++s)
+        topics.push_back("/bench/node0/plugin/group/s" + std::to_string(s));
+    for (int s = 0; s < kSensors; ++s) {
+        sections.push_back({topics[static_cast<std::size_t>(s)],
+                            readings[static_cast<std::size_t>(s)]});
+    }
+    auto [pusher_side, agent_side] = mqtt::make_inproc_pair();
+    mqtt::PacketStream pusher_end(std::move(pusher_side));
+    mqtt::PacketStream agent_end(std::move(agent_side));
+    std::vector<std::uint8_t> payload;
+    mqtt::Packet packet;
+    mqtt::Packet ack;
+    BatchPayloadView view;
+    std::vector<store::BatchEntry> batch;
+    std::vector<std::uint8_t> record;
+    std::uint64_t stored = 0;
+    std::uint64_t acked = 0;
+    const auto round_trip = [&](int round) {
+        // Fresh readings each round, written into the same storage.
+        for (int s = 0; s < kSensors; ++s) {
+            auto& rs = readings[static_cast<std::size_t>(s)];
+            for (int i = 0; i < kReadingsEach; ++i) {
+                const auto ts = static_cast<TimestampNs>(
+                    round * kReadingsEach + i + 1) * kNsPerSec;
+                rs[static_cast<std::size_t>(i)] = {ts, s + round};
+            }
+        }
+        const auto id = static_cast<std::uint16_t>(round % 0xFFFF + 1);
+        encode_batch(sections, {}, payload);
+        pusher_end.write_publish(topics[0], payload, 1, id);
+        if (!agent_end.read_packet(packet)) return;
+        const auto* pub = std::get_if<mqtt::Publish>(&packet);
+        if (pub == nullptr) return;
+        decode_batch(pub->payload, view);
+        batch.clear();
+        for (const auto& section : view.sections) {
+            const SensorId sid = mapper.to_sid(section.topic);
+            for (std::size_t i = 0; i < section.readings.size(); ++i) {
+                const Reading r = section.readings[i];
+                batch.push_back({sensor_key(sid, r.ts), r.ts, r.value, 0});
+            }
+        }
+        store::CommitLog::encode_record(batch, record);
+        stored += batch.size();
+        agent_end.write_packet(mqtt::Puback{pub->packet_id});
+        if (!pusher_end.read_packet(ack)) return;
+        const auto* puback = std::get_if<mqtt::Puback>(&ack);
+        if (puback != nullptr && puback->packet_id == id) ++acked;
+    };
+    // Warm-up: first sightings, buffers and pipes grow once.
+    for (int round = 0; round < 4; ++round) round_trip(round);
+    stored = 0;
+    acked = 0;
+    const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+    for (int round = 4; round < 4 + kByteRoundTrips; ++round)
+        round_trip(round);
+    const std::uint64_t allocs =
+        g_allocations.load(std::memory_order_relaxed) - before;
+    std::printf("ingest smoke: %d byte-path round trips of %d readings "
+                "(%zu-byte payload), %llu heap allocations\n",
+                kByteRoundTrips, kSensors * kReadingsEach, payload.size(),
+                static_cast<unsigned long long>(allocs));
+    const std::uint64_t expected =
+        static_cast<std::uint64_t>(kByteRoundTrips) * kSensors * kReadingsEach;
+    if (stored != expected ||
+        acked != static_cast<std::uint64_t>(kByteRoundTrips) ||
+        record.size() != 4 + kSensors * kReadingsEach * 40 + 4) {
+        std::fprintf(stderr, "ingest smoke: byte path lost a reading or "
+                             "an acknowledgement\n");
+        return 1;
+    }
+    if (allocs != 0) {
+        std::fprintf(stderr,
+                     "ingest smoke: byte path allocated %llu times — "
+                     "encode, framing, read_packet, decode, the record "
+                     "and the PUBACK must reuse their buffers\n",
+                     static_cast<unsigned long long>(allocs));
+        return 1;
+    }
+
+    // A PUBLISH header declaring 64 MiB, 10 body bytes, then EOF: the
+    // reader must grow with the bytes that arrived, not the declared
+    // length.
+    auto [writer, reader_side] = mqtt::make_inproc_pair();
+    mqtt::PacketStream reader(std::move(reader_side));
+    const std::uint8_t header[] = {0x30, 0x80, 0x80, 0x80, 0x20};
+    const std::uint8_t body[10] = {};
+    writer->send(header);
+    writer->send(body);
+    writer->close();
+    const std::uint64_t bytes_before =
+        g_allocated_bytes.load(std::memory_order_relaxed);
+    bool protocol_error = false;
+    try {
+        reader.read_packet(packet);
+    } catch (const ProtocolError&) {
+        protocol_error = true;
+    }
+    const std::uint64_t pinned =
+        g_allocated_bytes.load(std::memory_order_relaxed) - bytes_before;
+    std::printf("ingest smoke: 64 MiB declared, 10 bytes sent: %llu bytes "
+                "allocated (budget %u), %s\n",
+                static_cast<unsigned long long>(pinned), 1u << 20,
+                protocol_error ? "ProtocolError" : "no ProtocolError");
+    if (!protocol_error || pinned >= (1u << 20)) {
+        std::fprintf(stderr,
+                     "ingest smoke: a declared length pinned memory before "
+                     "its bytes arrived, or the stalled frame was not "
+                     "refused\n");
+        return 1;
+    }
+    return 0;
+}
 
 int smoke() {
     // 1. Batched vs per-reading throughput under the same loss bound.
@@ -361,7 +504,10 @@ int smoke() {
             return 1;
         }
     }
-    return 0;
+
+    // 5. Zero allocations on the byte path, and no memory pinned by a
+    // declared length.
+    return byte_path_smoke();
 }
 
 }  // namespace

@@ -49,15 +49,14 @@ void BM_CommitLogAppendSyncEvery(benchmark::State& state) {
     store::CommitLog log(dir.str() + "/commit.log");
     const auto cadence = static_cast<std::uint64_t>(state.range(0));
 
-    store::Key key;
-    key.sid[0] = 7;
-    store::Row row;
-    row.ts = 1;
-    row.value = 42;
+    store::BatchEntry entry;
+    entry.key.sid[0] = 7;
+    entry.ts = 1;
+    entry.value = 42;
     std::uint64_t since_sync = 0;
     for (auto _ : state) {
-        ++row.ts;
-        log.append(key, row);
+        ++entry.ts;
+        log.append_batch(std::span<const store::BatchEntry>(&entry, 1));
         if (cadence != 0 && ++since_sync >= cadence) {
             log.sync();
             since_sync = 0;

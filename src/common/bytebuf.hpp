@@ -2,6 +2,7 @@
 // files). Big-endian ("network order") primitives as required by MQTT.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -12,6 +13,35 @@
 #include "common/error.hpp"
 
 namespace dcdb {
+
+// Direct big-endian stores for encoders that size their output first and
+// then fill it in place (one pass, no per-byte push_back).
+inline void store_be16(std::uint8_t* p, std::uint16_t v) {
+    p[0] = static_cast<std::uint8_t>(v >> 8);
+    p[1] = static_cast<std::uint8_t>(v);
+}
+inline void store_be32(std::uint8_t* p, std::uint32_t v) {
+    if constexpr (std::endian::native == std::endian::little)
+        v = __builtin_bswap32(v);
+    std::memcpy(p, &v, sizeof v);
+}
+inline void store_be64(std::uint8_t* p, std::uint64_t v) {
+    if constexpr (std::endian::native == std::endian::little)
+        v = __builtin_bswap64(v);
+    std::memcpy(p, &v, sizeof v);
+}
+
+/// Scratch buffers reused across messages keep up to this much capacity.
+/// One grown past it by a one-off large message (a preload burst, a
+/// backlog drain) is given back after use, so the peak is not pinned for
+/// the life of a session.
+inline constexpr std::size_t kScratchKeepBytes = 256u << 10;
+
+template <typename T>
+void trim_scratch(std::vector<T>& buf) {
+    if (buf.capacity() * sizeof(T) > kScratchKeepBytes)
+        std::vector<T>().swap(buf);
+}
 
 class ByteWriter {
   public:

@@ -17,9 +17,9 @@ struct ProcSample {
     std::uint64_t rss_bytes{0};
 };
 
-/// Snapshot of the calling process (utime+stime from /proc/self/stat,
-/// resident set from /proc/self/statm). Falls back to getrusage when /proc
-/// is unavailable.
+/// Snapshot of the calling process: utime+stime of all its threads from
+/// getrusage(RUSAGE_SELF), resident set from /proc/self/statm (0 when
+/// /proc is unavailable).
 ProcSample sample_self();
 
 /// CPU time consumed by the calling *thread* (CLOCK_THREAD_CPUTIME_ID).

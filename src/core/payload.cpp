@@ -1,6 +1,7 @@
 #include "core/payload.hpp"
 
 #include <algorithm>
+#include <cstring>
 
 #include "common/bytebuf.hpp"
 
@@ -46,33 +47,47 @@ bool is_batch_payload(std::span<const std::uint8_t> payload) noexcept {
            payload[1] == kBatchPayloadVersion;
 }
 
-std::vector<std::uint8_t> encode_batch(std::span<const SensorBatch> batches) {
+void encode_batch(std::span<const SensorBatch> batches,
+                  const telemetry::trace::TraceContext& trace,
+                  std::vector<std::uint8_t>& out) {
     if (batches.size() > 0xFFFF)
         throw ProtocolError("batch payload: too many sections");
-    std::size_t reserve = kBatchHeaderBytes;
-    for (const auto& b : batches)
-        reserve += 2 + b.topic.size() + 4 +
-                   b.readings.size() * kReadingWireBytes;
-    ByteWriter w(reserve);
-    w.u8(kBatchPayloadMagic);
-    w.u8(kBatchPayloadVersion);
-    w.u16be(static_cast<std::uint16_t>(batches.size()));
+    std::size_t size = kBatchHeaderBytes;
     for (const auto& b : batches) {
-        w.mqtt_str(b.topic);
-        w.u32be(static_cast<std::uint32_t>(b.readings.size()));
+        if (b.topic.size() > 0xFFFF) throw ProtocolError("string too long");
+        size += 2 + b.topic.size() + 4 + b.readings.size() * kReadingWireBytes;
+    }
+    if (trace.valid()) size += telemetry::trace::kTrailerBytes;
+
+    // No clear(): resize only zero-fills growth, and every byte below is
+    // overwritten.
+    out.resize(size);
+    std::uint8_t* p = out.data();
+    *p++ = kBatchPayloadMagic;
+    *p++ = kBatchPayloadVersion;
+    store_be16(p, static_cast<std::uint16_t>(batches.size()));
+    p += 2;
+    for (const auto& b : batches) {
+        store_be16(p, static_cast<std::uint16_t>(b.topic.size()));
+        if (!b.topic.empty())
+            std::memcpy(p + 2, b.topic.data(), b.topic.size());
+        p += 2 + b.topic.size();
+        store_be32(p, static_cast<std::uint32_t>(b.readings.size()));
+        p += 4;
         for (const auto& r : b.readings) {
-            w.u64be(r.ts);
-            w.i64be(r.value);
+            store_be64(p, r.ts);
+            store_be64(p + 8, static_cast<std::uint64_t>(r.value));
+            p += kReadingWireBytes;
         }
     }
-    return w.take();
+    if (trace.valid()) telemetry::trace::store_trailer(p, trace);
 }
 
 std::vector<std::uint8_t> encode_batch(
     std::span<const SensorBatch> batches,
     const telemetry::trace::TraceContext& trace) {
-    std::vector<std::uint8_t> payload = encode_batch(batches);
-    telemetry::trace::append_trailer(payload, trace);
+    std::vector<std::uint8_t> payload;
+    encode_batch(batches, trace, payload);
     return payload;
 }
 

@@ -123,15 +123,19 @@ struct SensorBatch {
     std::span<const Reading> readings;
 };
 
-/// Serialize a v1 multi-sensor batch payload. Throws ProtocolError when
+/// Serialize a v1 multi-sensor batch payload into `out`, replacing its
+/// contents, plus the trace-context trailer when `trace` is valid. One
+/// pass sizes the payload and a second stores it in place, so a reused
+/// `out` allocates nothing once it has grown. Throws ProtocolError when
 /// a topic exceeds 64 KiB or more than 65535 sections are given.
-std::vector<std::uint8_t> encode_batch(std::span<const SensorBatch> batches);
+void encode_batch(std::span<const SensorBatch> batches,
+                  const telemetry::trace::TraceContext& trace,
+                  std::vector<std::uint8_t>& out);
 
-/// As above, plus the trace-context trailer when `trace` is valid (an
-/// invalid context encodes byte-identically to the overload above).
+/// As above, into a fresh buffer (an invalid `trace` adds no trailer).
 std::vector<std::uint8_t> encode_batch(
     std::span<const SensorBatch> batches,
-    const telemetry::trace::TraceContext& trace);
+    const telemetry::trace::TraceContext& trace = {});
 
 /// Decode a v1 batch payload into `out` (reusing its section storage —
 /// steady-state decoding allocates nothing). Throws ProtocolError when

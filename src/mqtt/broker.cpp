@@ -92,21 +92,23 @@ void MqttBroker::reap_finished_locked() {
 }
 
 void MqttBroker::session_loop(Session* session) {
+    // One packet reused for the session: every PUBLISH decodes into the
+    // same topic and payload storage.
+    Packet packet;
     try {
         while (!stopping_.load(std::memory_order_relaxed)) {
-            auto packet = session->stream.read_packet();
-            if (!packet) break;
+            if (!session->stream.read_packet(packet)) break;
 
-            if (auto* connect = std::get_if<Connect>(&*packet)) {
+            if (auto* connect = std::get_if<Connect>(&packet)) {
                 session->client_id = connect->client_id;
                 session->connected.store(true, std::memory_order_release);
                 connections_.add(1);
                 session->stream.write_packet(Connack{0, false});
             } else if (!session->connected.load(std::memory_order_relaxed)) {
                 throw ProtocolError("packet before CONNECT");
-            } else if (auto* pub = std::get_if<Publish>(&*packet)) {
+            } else if (auto* pub = std::get_if<Publish>(&packet)) {
                 handle_publish(session, *pub);
-            } else if (auto* sub = std::get_if<Subscribe>(&*packet)) {
+            } else if (auto* sub = std::get_if<Subscribe>(&packet)) {
                 Suback ack;
                 ack.packet_id = sub->packet_id;
                 if (mode_ == BrokerMode::kReduced) {
@@ -121,16 +123,16 @@ void MqttBroker::session_loop(Session* session) {
                     }
                 }
                 session->stream.write_packet(ack);
-            } else if (auto* unsub = std::get_if<Unsubscribe>(&*packet)) {
+            } else if (auto* unsub = std::get_if<Unsubscribe>(&packet)) {
                 {
                     MutexLock lock(mutex_);
                     for (const auto& f : unsub->filters)
                         std::erase(session->filters, f);
                 }
                 session->stream.write_packet(Unsuback{unsub->packet_id});
-            } else if (std::get_if<Pingreq>(&*packet)) {
+            } else if (std::get_if<Pingreq>(&packet)) {
                 session->stream.write_packet(Pingresp{});
-            } else if (std::get_if<Disconnect>(&*packet)) {
+            } else if (std::get_if<Disconnect>(&packet)) {
                 break;
             }
             // PUBACKs from subscribers and stray CONNACK/SUBACKs ignored.
@@ -181,16 +183,13 @@ void MqttBroker::route(const Publish& p) {
     // Forwarded messages are delivered at QoS 0: DCDB's only subscriber is
     // the storage path (already served by the sink), so downstream
     // consumers are best-effort by design.
-    Publish out = p;
-    out.qos = 0;
-    out.packet_id = 0;
     MutexLock lock(mutex_);
     for (auto& session : sessions_) {
         if (!session->connected.load(std::memory_order_acquire)) continue;
         for (const auto& filter : session->filters) {
             if (topic_matches(filter, p.topic)) {
                 try {
-                    session->stream.write_packet(out);
+                    session->stream.write_publish(p.topic, p.payload, 0, 0);
                 } catch (const std::exception&) {
                     // Subscriber went away; its session loop will clean up.
                 }

@@ -1,5 +1,6 @@
 #include "mqtt/client.hpp"
 
+#include <algorithm>
 #include <chrono>
 
 #include "common/clock.hpp"
@@ -41,9 +42,10 @@ std::unique_ptr<MqttClient> MqttClient::connect_tcp(
 void MqttClient::connect(std::uint16_t keepalive_s) {
     stream_.write_packet(Connect{client_id_, keepalive_s, true});
     // Handshake happens before the reader thread exists, so read inline.
-    const auto reply = stream_.read_packet();
-    if (!reply) throw NetError("connection closed during MQTT handshake");
-    const auto* ack = std::get_if<Connack>(&*reply);
+    Packet reply;
+    if (!stream_.read_packet(reply))
+        throw NetError("connection closed during MQTT handshake");
+    const auto* ack = std::get_if<Connack>(&reply);
     if (!ack) throw ProtocolError("expected CONNACK");
     if (ack->return_code != 0)
         throw ProtocolError("connection refused, rc=" +
@@ -53,11 +55,13 @@ void MqttClient::connect(std::uint16_t keepalive_s) {
 }
 
 void MqttClient::reader_loop() {
+    // One packet reused for the session: inbound publishes decode into
+    // its storage.
+    Packet packet;
     try {
         while (!stopping_.load(std::memory_order_relaxed)) {
-            auto packet = stream_.read_packet();
-            if (!packet) break;
-            if (auto* pub = std::get_if<Publish>(&*packet)) {
+            if (!stream_.read_packet(packet)) break;
+            if (auto* pub = std::get_if<Publish>(&packet)) {
                 if (pub->qos == 1) stream_.write_packet(Puback{pub->packet_id});
                 MessageHandler handler;
                 {
@@ -65,12 +69,12 @@ void MqttClient::reader_loop() {
                     handler = handler_;
                 }
                 if (handler) handler(*pub);
-            } else if (auto* ack = std::get_if<Puback>(&*packet)) {
+            } else if (auto* ack = std::get_if<Puback>(&packet)) {
                 acks_.add(1);
                 MutexLock lock(ack_mutex_);
-                pending_acks_.erase(ack->packet_id);
+                std::erase(pending_acks_, ack->packet_id);
                 ack_cv_.notify_all();
-            } else if (auto* sub_ack = std::get_if<Suback>(&*packet)) {
+            } else if (auto* sub_ack = std::get_if<Suback>(&packet)) {
                 MutexLock lock(ack_mutex_);
                 for (const auto rc : sub_ack->return_codes) {
                     if (rc == 0x80) {
@@ -78,11 +82,11 @@ void MqttClient::reader_loop() {
                             << "broker rejected a subscription filter";
                     }
                 }
-                pending_acks_.erase(sub_ack->packet_id);
+                std::erase(pending_acks_, sub_ack->packet_id);
                 ack_cv_.notify_all();
-            } else if (std::get_if<Unsuback>(&*packet)) {
+            } else if (std::get_if<Unsuback>(&packet)) {
                 // No unsubscribe waiters implemented; ignore.
-            } else if (std::get_if<Pingresp>(&*packet)) {
+            } else if (std::get_if<Pingresp>(&packet)) {
                 MutexLock lock(ack_mutex_);
                 ping_outstanding_ = false;
                 ack_cv_.notify_all();
@@ -97,6 +101,11 @@ void MqttClient::reader_loop() {
     ack_cv_.notify_all();
 }
 
+bool MqttClient::ack_pending(std::uint16_t packet_id) const {
+    return std::find(pending_acks_.begin(), pending_acks_.end(),
+                     packet_id) != pending_acks_.end();
+}
+
 std::uint16_t MqttClient::next_packet_id() {
     // Caller holds ack_mutex_. Zero is not a valid MQTT packet id.
     if (++packet_id_seq_ == 0) ++packet_id_seq_;
@@ -106,12 +115,12 @@ std::uint16_t MqttClient::next_packet_id() {
 void MqttClient::wait_ack(std::uint16_t packet_id, const char* what) {
     const auto deadline = std::chrono::steady_clock::now() + kAckTimeout;
     MutexLock lock(ack_mutex_);
-    while (pending_acks_.count(packet_id) != 0 && connected_.load()) {
+    while (ack_pending(packet_id) && connected_.load()) {
         if (ack_cv_.wait_until(ack_mutex_, deadline) ==
             std::cv_status::timeout)
             break;
     }
-    if (pending_acks_.count(packet_id))
+    if (ack_pending(packet_id))
         throw NetError(std::string(what) + " not acknowledged");
 }
 
@@ -119,25 +128,22 @@ void MqttClient::publish(const std::string& topic,
                          std::span<const std::uint8_t> payload,
                          std::uint8_t qos) {
     if (!connected_.load()) throw NetError("publish on disconnected client");
-    Publish p;
-    p.topic = topic;
-    p.payload.assign(payload.begin(), payload.end());
-    p.qos = qos;
     const TimestampNs start = steady_ns();
     if (qos == 0) {
-        stream_.write_packet(p);
+        stream_.write_publish(topic, payload, qos, 0);
     } else {
+        std::uint16_t packet_id = 0;
         {
             MutexLock lock(ack_mutex_);
-            p.packet_id = next_packet_id();
-            pending_acks_.insert(p.packet_id);
+            packet_id = next_packet_id();
+            pending_acks_.push_back(packet_id);
         }
-        stream_.write_packet(p);
-        wait_ack(p.packet_id, "publish");
+        stream_.write_publish(topic, payload, qos, packet_id);
+        wait_ack(packet_id, "publish");
     }
     publish_latency_.record(steady_ns() - start);
     publishes_sent_.add(1);
-    bytes_sent_.add(p.payload.size() + topic.size());
+    bytes_sent_.add(payload.size() + topic.size());
 }
 
 void MqttClient::publish(const std::string& topic, const std::string& payload,
@@ -160,7 +166,7 @@ void MqttClient::subscribe(const std::vector<std::string>& filters,
     {
         MutexLock lock(ack_mutex_);
         s.packet_id = next_packet_id();
-        pending_acks_.insert(s.packet_id);
+        pending_acks_.push_back(s.packet_id);
     }
     for (const auto& f : filters) s.filters.emplace_back(f, qos);
     stream_.write_packet(s);

@@ -13,7 +13,6 @@
 #include <memory>
 #include <string>
 #include <thread>
-#include <unordered_set>
 #include <vector>
 
 #include "common/mutex.hpp"
@@ -78,6 +77,8 @@ class MqttClient {
   private:
     void reader_loop();
     std::uint16_t next_packet_id() DCDB_REQUIRES(ack_mutex_);
+    bool ack_pending(std::uint16_t packet_id) const
+        DCDB_REQUIRES(ack_mutex_);
     void wait_ack(std::uint16_t packet_id, const char* what)
         DCDB_EXCLUDES(ack_mutex_);
 
@@ -96,8 +97,9 @@ class MqttClient {
     Mutex ack_mutex_;
     CondVar ack_cv_;
     MessageHandler handler_ DCDB_GUARDED_BY(ack_mutex_);
-    std::unordered_set<std::uint16_t> pending_acks_
-        DCDB_GUARDED_BY(ack_mutex_);
+    // Ids awaiting their PUBACK/SUBACK: one per publishing thread, so a
+    // short vector that keeps its capacity (no node per publish).
+    std::vector<std::uint16_t> pending_acks_ DCDB_GUARDED_BY(ack_mutex_);
     std::uint16_t packet_id_seq_ DCDB_GUARDED_BY(ack_mutex_){0};
     bool ping_outstanding_ DCDB_GUARDED_BY(ack_mutex_){false};
 };

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -86,12 +87,31 @@ using Packet = std::variant<Connect, Connack, Publish, Puback, Subscribe,
 
 PacketType packet_type(const Packet& p);
 
-/// Encode a packet to its full wire representation (fixed header included).
+/// Encode a packet to its full wire representation (fixed header
+/// included) into `out`, replacing its contents. Every frame is sized
+/// first and then filled in place, so a reused `out` allocates nothing
+/// once it has grown to the largest frame.
+void encode(const Packet& p, std::vector<std::uint8_t>& out);
+
+/// Frame a PUBLISH straight from its parts into `out`, replacing its
+/// contents: the payload is copied once, into the frame. Produces the
+/// same bytes as encoding the equivalent Publish.
+void encode_publish(std::string_view topic,
+                    std::span<const std::uint8_t> payload, std::uint8_t qos,
+                    std::uint16_t packet_id, std::vector<std::uint8_t>& out,
+                    bool dup = false, bool retain = false);
+
+/// As above, into a fresh buffer.
 std::vector<std::uint8_t> encode(const Packet& p);
 
 /// Decode one packet from `first_byte` (the fixed-header byte already read
-/// off the wire) and `body` (exactly remaining-length bytes). Throws
-/// ProtocolError on violations.
+/// off the wire) and `body` (exactly remaining-length bytes) into `out`.
+/// A PUBLISH decoded into an `out` that already holds a Publish reuses
+/// its topic and payload storage. Throws ProtocolError on violations.
+void decode(std::uint8_t first_byte, std::span<const std::uint8_t> body,
+            Packet& out);
+
+/// As above, into a fresh packet.
 Packet decode(std::uint8_t first_byte, std::span<const std::uint8_t> body);
 
 }  // namespace dcdb::mqtt

@@ -1,6 +1,8 @@
 #include "mqtt/transport.hpp"
 
+#include <algorithm>
 #include <chrono>
+#include <cstring>
 #include <thread>
 #include <vector>
 
@@ -76,17 +78,26 @@ void TcpTransport::close() {
 
 namespace {
 
-/// One direction of an in-proc connection.
+/// One direction of an in-proc connection: a contiguous buffer whose
+/// unread bytes are data[head, data.size()). Bytes move by memcpy, and a
+/// warm pipe allocates nothing.
 struct Pipe {
     Mutex mutex;
     CondVar cv;
-    std::deque<std::uint8_t> data DCDB_GUARDED_BY(mutex);
+    std::vector<std::uint8_t> data DCDB_GUARDED_BY(mutex);
+    std::size_t head DCDB_GUARDED_BY(mutex){0};
     bool closed DCDB_GUARDED_BY(mutex){false};
 
     void push(std::span<const std::uint8_t> bytes) DCDB_EXCLUDES(mutex) {
         {
             MutexLock lock(mutex);
             if (closed) throw NetError("in-proc pipe closed");
+            // Reclaim the consumed prefix before the buffer would grow.
+            if (head != 0 && data.size() + bytes.size() > data.capacity()) {
+                data.erase(data.begin(),
+                           data.begin() + static_cast<std::ptrdiff_t>(head));
+                head = 0;
+            }
             data.insert(data.end(), bytes.begin(), bytes.end());
         }
         cv.notify_one();
@@ -94,12 +105,15 @@ struct Pipe {
 
     std::size_t pop(std::span<std::uint8_t> out) DCDB_EXCLUDES(mutex) {
         MutexLock lock(mutex);
-        while (data.empty() && !closed) cv.wait(mutex);
-        if (data.empty()) return 0;  // closed and drained
-        const std::size_t n = std::min(out.size(), data.size());
-        for (std::size_t i = 0; i < n; ++i) {
-            out[i] = data.front();
-            data.pop_front();
+        while (head == data.size() && !closed) cv.wait(mutex);
+        // Zero once closed and drained.
+        const std::size_t n = std::min(out.size(), data.size() - head);
+        if (n != 0) std::memcpy(out.data(), data.data() + head, n);
+        head += n;
+        if (head == data.size()) {  // drained: the next push starts at 0
+            data.clear();
+            head = 0;
+            trim_scratch(data);
         }
         return n;
     }
@@ -148,52 +162,93 @@ make_inproc_pair() {
             std::make_unique<InProcTransport>(b_to_a, a_to_b)};
 }
 
-bool PacketStream::fill() {
-    std::uint8_t tmp[8192];
-    const std::size_t n = transport_->recv(tmp);
-    if (n == 0) return false;
-    buf_.insert(buf_.end(), tmp, tmp + n);
-    return true;
-}
+namespace {
 
-bool PacketStream::take_byte(std::uint8_t& out) {
-    while (buf_.empty()) {
-        if (!fill()) return false;
+/// The read buffer starts at this size and doubles only when it is full
+/// of received bytes.
+constexpr std::size_t kReadChunk = 16u << 10;
+
+}  // namespace
+
+bool PacketStream::fill_to(std::size_t n) {
+    while (rend_ - rpos_ < n) {
+        if (rend_ == rbuf_.size()) {
+            // Full: slide the unread bytes to the front, or else double.
+            // Growth follows the bytes that arrived, never a length a
+            // header declared, so a stalled peer pins no memory.
+            if (rpos_ != 0) {
+                std::memmove(rbuf_.data(), rbuf_.data() + rpos_,
+                             rend_ - rpos_);
+                rend_ -= rpos_;
+                rpos_ = 0;
+            } else {
+                // Past the scratch bound, stop at the frame's end rather
+                // than doubling beyond it.
+                rbuf_.resize(std::max(
+                    kReadChunk, std::min(2 * rbuf_.size(),
+                                         std::max(n, kScratchKeepBytes))));
+            }
+            continue;
+        }
+        const std::size_t got =
+            transport_->recv(std::span(rbuf_).subspan(rend_));
+        if (got == 0) return false;
+        rend_ += got;
     }
-    out = buf_.front();
-    buf_.pop_front();
     return true;
 }
 
-std::optional<Packet> PacketStream::read_packet() {
-    std::uint8_t first = 0;
-    if (!take_byte(first)) return std::nullopt;
+bool PacketStream::read_packet(Packet& out) {
+    if (!fill_to(1)) return false;
 
     // Remaining length: up to 4 bytes, 7 bits each (MQTT 3.1.1 §2.2.3).
+    std::size_t header = 1;
     std::uint32_t remaining = 0;
-    int shift = 0;
-    while (true) {
-        std::uint8_t b = 0;
-        if (!take_byte(b)) throw ProtocolError("EOF in remaining length");
+    for (int shift = 0;; shift += 7) {
+        if (shift > 21) throw ProtocolError("remaining length too long");
+        if (!fill_to(header + 1))
+            throw ProtocolError("EOF in remaining length");
+        const std::uint8_t b = rbuf_[rpos_ + header++];
         remaining |= static_cast<std::uint32_t>(b & 0x7F) << shift;
         if (!(b & 0x80)) break;
-        shift += 7;
-        if (shift > 21) throw ProtocolError("remaining length too long");
     }
     if (remaining > kMaxRemainingLength)
         throw ProtocolError("packet too large");
+    if (!fill_to(header + remaining)) throw ProtocolError("EOF in packet body");
 
-    std::vector<std::uint8_t> body(remaining);
-    for (std::size_t i = 0; i < body.size(); ++i) {
-        if (!take_byte(body[i])) throw ProtocolError("EOF in packet body");
+    // A small publish after a one-off large one gives that storage back.
+    if (remaining <= kScratchKeepBytes) {
+        if (auto* pub = std::get_if<Publish>(&out)) trim_scratch(pub->payload);
     }
-    return decode(first, body);
+    decode(rbuf_[rpos_],
+           std::span<const std::uint8_t>(rbuf_).subspan(rpos_ + header,
+                                                        remaining),
+           out);
+    rpos_ += header + remaining;
+    if (rpos_ == rend_) {  // drained: the next frame starts at the front
+        rpos_ = rend_ = 0;
+        trim_scratch(rbuf_);
+    }
+    return true;
+}
+
+void PacketStream::send_frame() {
+    transport_->send(wbuf_);
+    trim_scratch(wbuf_);
 }
 
 void PacketStream::write_packet(const Packet& p) {
-    const auto bytes = encode(p);
     MutexLock lock(write_mutex_);
-    transport_->send(bytes);
+    encode(p, wbuf_);
+    send_frame();
+}
+
+void PacketStream::write_publish(std::string_view topic,
+                                 std::span<const std::uint8_t> payload,
+                                 std::uint8_t qos, std::uint16_t packet_id) {
+    MutexLock lock(write_mutex_);
+    encode_publish(topic, payload, qos, packet_id, wbuf_);
+    send_frame();
 }
 
 }  // namespace dcdb::mqtt

@@ -14,10 +14,11 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <span>
+#include <string_view>
 #include <utility>
+#include <vector>
 
 #include "common/mutex.hpp"
 #include "mqtt/packet.hpp"
@@ -68,28 +69,55 @@ inline constexpr std::uint32_t kMaxRemainingLength = 64u << 20;
 
 /// Framed MQTT packet stream over a Transport. Reading is single-consumer;
 /// writes are internally serialized so multiple threads may send.
+///
+/// Both directions reuse one contiguous buffer each. The reader pulls
+/// bytes in bulk and parses frames in place; its buffer grows only as
+/// bytes arrive, never to a length a header merely declares. The writer
+/// builds each frame in its scratch and hands it to the transport with
+/// exactly one Transport::send, so a frame is never interleaved with
+/// another thread's and arrives whole at a wrapping transport.
 class PacketStream {
   public:
     explicit PacketStream(std::unique_ptr<Transport> transport)
         : transport_(std::move(transport)) {}
 
-    /// Read the next packet; nullopt on orderly EOF. Throws ProtocolError
-    /// on malformed frames and NetError on transport failure.
-    std::optional<Packet> read_packet();
+    /// Read the next packet into `out`; false on orderly EOF (before a
+    /// packet's first byte). A PUBLISH read into an `out` that already
+    /// holds one reuses its topic and payload storage, so a session
+    /// loop that keeps one Packet allocates nothing per message. Throws
+    /// ProtocolError on malformed frames and NetError on transport
+    /// failure.
+    bool read_packet(Packet& out);
 
-    void write_packet(const Packet& p);
+    void write_packet(const Packet& p) DCDB_EXCLUDES(write_mutex_);
+
+    /// Frame a PUBLISH from its parts and send it; the payload is copied
+    /// once, into the frame.
+    void write_publish(std::string_view topic,
+                       std::span<const std::uint8_t> payload,
+                       std::uint8_t qos, std::uint16_t packet_id)
+        DCDB_EXCLUDES(write_mutex_);
 
     void close() { transport_->close(); }
 
   private:
-    bool fill();
-    bool take_byte(std::uint8_t& out);
+    /// Make at least `n` unread bytes available in rbuf_; false when the
+    /// transport reaches EOF first.
+    bool fill_to(std::size_t n);
+    /// Send the frame built in wbuf_, then give back a scratch that a
+    /// one-off large frame grew.
+    void send_frame() DCDB_REQUIRES(write_mutex_);
 
     std::unique_ptr<Transport> transport_;
-    std::deque<std::uint8_t> buf_;  // reader-side only (single consumer)
-    // Serializes whole frames onto the (external) transport; the guarded
-    // resource is the transport's send half, not an annotatable member.
-    Mutex write_mutex_;  // dcdblint: no-guard
+    // Reader side only (single consumer): the unread bytes are
+    // rbuf_[rpos_, rend_).
+    std::vector<std::uint8_t> rbuf_;
+    std::size_t rpos_{0};
+    std::size_t rend_{0};
+    // Serializes whole frames onto the transport's send half and guards
+    // the frame scratch they are built in.
+    Mutex write_mutex_;
+    std::vector<std::uint8_t> wbuf_ DCDB_GUARDED_BY(write_mutex_);
 };
 
 }  // namespace dcdb::mqtt

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/bytebuf.hpp"
 #include "common/clock.hpp"
 #include "common/logging.hpp"
 #include "core/payload.hpp"
@@ -193,9 +194,10 @@ void MqttPusher::publish_sections(
     const std::string& topic = drained_[first].sensor->topic();
     const TimestampNs publish_wall = trace.valid() ? now_ns() : 0;
     const TimestampNs publish_start = trace.valid() ? steady_ns() : 0;
-    auto payload = encode_batch(sections_, trace);
-    if (!publish(client, topic, payload, readings)) {
-        requeue({topic, std::move(payload), readings});
+    encode_batch(sections_, trace, payload_);
+    if (!publish(client, topic, payload_, readings)) {
+        // Only a failed payload is copied: the queue outlives the buffer.
+        requeue({topic, payload_, readings});
         return;
     }
     if (trace.valid() && config_.tracer) {
@@ -254,6 +256,7 @@ std::size_t MqttPusher::push_round(bool final_flush) {
     // backlog once the rounds are small again.
     if (drain_.capacity() > 4 * std::max(largest_drain, kMinDrainBuffer))
         std::vector<Reading>().swap(drain_);
+    trim_scratch(payload_);
     return sent;
 }
 

@@ -164,13 +164,14 @@ class MqttPusher {
     // flush) and guards the retry queue and backoff state they share.
     // Lock order: push_mutex_ -> SensorBase::mutex_ and push_mutex_ ->
     // the client provider's lock; it stays held across a publish. The
-    // scratch below is reused every round and holds one group's drain
-    // at a time; a backlog-sized buffer is freed once rounds are small
-    // again.
+    // scratch below is reused every round: drain_ holds one group's
+    // drain at a time and payload_ one encoded payload. A buffer grown
+    // by a backlog is freed once rounds are small again.
     Mutex push_mutex_;
     std::vector<Reading> drain_ DCDB_GUARDED_BY(push_mutex_);
     std::vector<Drained> drained_ DCDB_GUARDED_BY(push_mutex_);
     std::vector<SensorBatch> sections_ DCDB_GUARDED_BY(push_mutex_);
+    std::vector<std::uint8_t> payload_ DCDB_GUARDED_BY(push_mutex_);
 
     std::deque<FailedPublish> retry_queue_ DCDB_GUARDED_BY(push_mutex_);
     std::size_t retry_queue_readings_ DCDB_GUARDED_BY(push_mutex_){0};

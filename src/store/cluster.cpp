@@ -55,6 +55,15 @@ void StoreCluster::insert_batch(std::span<const BatchEntry> entries,
                                 const telemetry::trace::TraceContext* trace) {
     if (entries.empty()) return;
 
+    if (nodes_.size() == 1) {
+        // One node owns every key (replication is then 1 too): the batch
+        // goes through as it is, with no per-node copy.
+        nodes_[0]->insert_batch(entries, trace);
+        total_writes_.add(entries.size());
+        if (local_hint == 0) local_writes_.add(entries.size());
+        return;
+    }
+
     // Group per destination node so each node sees one insert_batch
     // call (one lock acquisition, one commit-log record) per replica
     // sweep. thread_local keeps the steady-state path allocation-free;

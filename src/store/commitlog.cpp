@@ -31,25 +31,6 @@ std::uint32_t record_crc(std::span<const std::uint8_t> body) {
     return static_cast<std::uint32_t>(murmur3_token(body));
 }
 
-void write_entry(ByteWriter& w, const KeyedRow& entry) {
-    std::uint8_t kb[Key::kBytes];
-    entry.key.serialize(kb);
-    w.bytes(kb, sizeof kb);
-    w.u64be(entry.row.ts);
-    w.i64be(entry.row.value);
-    w.u32be(entry.row.expiry_s);
-}
-
-KeyedRow read_entry(ByteReader& r) {
-    KeyedRow entry;
-    const auto kb = r.bytes(Key::kBytes);
-    entry.key = Key::deserialize(kb.data());
-    entry.row.ts = r.u64be();
-    entry.row.value = r.i64be();
-    entry.row.expiry_s = r.u32be();
-    return entry;
-}
-
 void write_header(std::FILE* f, const std::string& path) {
     ByteWriter w(kHeaderBytes);
     w.u32be(kLogMagic);
@@ -92,27 +73,43 @@ CommitLog::~CommitLog() {
     std::fclose(file_);
 }
 
-void CommitLog::append(const Key& key, const Row& row) {
-    const KeyedRow entry{key, row};
-    append_batch(std::span<const KeyedRow>(&entry, 1));
+void CommitLog::encode_record(std::span<const BatchEntry> entries,
+                              std::vector<std::uint8_t>& out) {
+    const std::size_t checked = 4 + entries.size() * kEntryBytes;
+    // No clear(): resize only zero-fills growth, and every byte below is
+    // overwritten.
+    out.resize(checked + 4);
+    std::uint8_t* p = out.data();
+    store_be32(p, static_cast<std::uint32_t>(entries.size()));
+    p += 4;
+    for (const auto& entry : entries) {
+        entry.key.serialize(p);
+        store_be64(p + Key::kBytes, entry.ts);
+        store_be64(p + Key::kBytes + 8,
+                   static_cast<std::uint64_t>(entry.value));
+        store_be32(p + Key::kBytes + 16, entry.row().expiry_s);
+        p += kEntryBytes;
+    }
+    store_be32(p, record_crc({out.data(), checked}));
 }
 
-void CommitLog::append_batch(std::span<const KeyedRow> entries) {
-    if (entries.empty()) return;
+void CommitLog::append(std::span<const std::uint8_t> record,
+                       std::size_t rows) {
+    if (rows == 0) return;  // replay reads a zero count as a torn tail
     if (FaultInjector::instance().roll(FaultPoint::kCommitLogAppend) ==
         FaultAction::kError)
         throw StoreError("injected commit log fault: " + path_);
 
-    // One record, one write, one crc for the whole batch.
-    ByteWriter w(4 + entries.size() * kEntryBytes + 4);
-    w.u32be(static_cast<std::uint32_t>(entries.size()));
-    for (const auto& entry : entries) write_entry(w, entry);
-    w.u32be(record_crc(w.data()));
-
     MutexLock lock(mutex_);
-    if (std::fwrite(w.data().data(), 1, w.size(), file_) != w.size())
+    if (std::fwrite(record.data(), 1, record.size(), file_) != record.size())
         throw StoreError("commit log append failed: " + path_);
-    records_.add(static_cast<std::int64_t>(entries.size()));
+    records_.add(static_cast<std::int64_t>(rows));
+}
+
+void CommitLog::append_batch(std::span<const BatchEntry> entries) {
+    std::vector<std::uint8_t> record;
+    encode_record(entries, record);
+    append(record, entries.size());
 }
 
 void CommitLog::sync() {
@@ -176,8 +173,12 @@ CommitLog::ReplayResult CommitLog::replay(
             static_cast<std::uint32_t>(rec[4 + body + 3]);
         if (crc != record_crc(checked)) break;  // corrupt tail
         for (std::uint32_t i = 0; i < count; ++i) {
-            const KeyedRow entry = read_entry(r);
-            apply(entry.key, entry.row);
+            const Key key = Key::deserialize(r.bytes(Key::kBytes).data());
+            Row row;
+            row.ts = r.u64be();
+            row.value = r.i64be();
+            row.expiry_s = r.u32be();
+            apply(key, row);
         }
         result.records += count;
         result.valid_bytes += 4 + body + 4;

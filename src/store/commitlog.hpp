@@ -11,16 +11,17 @@
 //
 //   u32 count + count x (key(20) + ts(8) + value(8) + expiry(4)) + crc(4)
 //
-// with the crc covering the count and every entry. A batch is atomic
-// under crash: replay either delivers all of its rows or (torn/corrupt)
-// none, and a torn batch ends replay. A file without the header replays
-// nothing (its valid prefix is empty).
+// with every field big-endian and the crc covering the count and every
+// entry. A batch is atomic under crash: replay either delivers all of
+// its rows or (torn/corrupt) none, and a torn batch ends replay. A file
+// without the header replays nothing (its valid prefix is empty).
 #pragma once
 
 #include <cstdio>
 #include <functional>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "common/mutex.hpp"
 #include "store/key.hpp"
@@ -29,12 +30,23 @@
 
 namespace dcdb::store {
 
-/// One commit-log entry: the key carries the time bucket, so entries of
-/// a single batch may address different partitions (and, upstream,
-/// different sensors).
-struct KeyedRow {
+/// One reading of a batched insert; `ttl_s` 0 means no expiry. Entries
+/// of one batch may address different keys (the key's time bucket is
+/// derived per reading, and an agent batch spans sensors).
+struct BatchEntry {
     Key key;
-    Row row;
+    TimestampNs ts{0};
+    Value value{0};
+    std::uint32_t ttl_s{0};
+
+    /// The stored row: the TTL becomes an absolute expiry in UNIX
+    /// seconds.
+    Row row() const {
+        return Row{ts, value,
+                   ttl_s == 0 ? 0u
+                              : static_cast<std::uint32_t>(ts / kNsPerSec +
+                                                           ttl_s)};
+    }
 };
 
 class CommitLog {
@@ -48,11 +60,19 @@ class CommitLog {
     CommitLog(const CommitLog&) = delete;
     CommitLog& operator=(const CommitLog&) = delete;
 
-    void append(const Key& key, const Row& row) DCDB_EXCLUDES(mutex_);
+    /// Encode a whole batch as ONE checksummed record into `out`,
+    /// replacing its contents. Needs no lock: StorageNode encodes into
+    /// thread-local scratch before it takes its writer lock.
+    static void encode_record(std::span<const BatchEntry> entries,
+                              std::vector<std::uint8_t>& out);
 
-    /// Append a whole batch as ONE checksummed record: one lock
-    /// acquisition, one buffered write, crash-atomic.
-    void append_batch(std::span<const KeyedRow> entries)
+    /// Append one record from encode_record() that holds `rows` rows:
+    /// one buffered write, crash-atomic.
+    void append(std::span<const std::uint8_t> record, std::size_t rows)
+        DCDB_EXCLUDES(mutex_);
+
+    /// Encode and append in one call.
+    void append_batch(std::span<const BatchEntry> entries)
         DCDB_EXCLUDES(mutex_);
 
     /// Durable flush: fflush to the OS, then fdatasync to the device.

@@ -10,7 +10,8 @@
 #include <array>
 #include <cstdint>
 #include <cstring>
-#include <functional>
+
+#include "store/murmur.hpp"
 
 namespace dcdb::store {
 
@@ -46,12 +47,16 @@ struct Key {
     }
 };
 
+/// Hash for the memtable's index: the SID's two 64-bit words and the
+/// bucket, folded word-wise through murmur3's fmix64 finalizer.
 struct KeyHash {
-    std::size_t operator()(const Key& k) const {
-        std::uint64_t h = 1469598103934665603ull;  // FNV-1a
-        for (const auto b : k.sid) h = (h ^ b) * 1099511628211ull;
-        h = (h ^ k.bucket) * 1099511628211ull;
-        return static_cast<std::size_t>(h);
+    std::size_t operator()(const Key& k) const noexcept {
+        std::uint64_t hi = 0;
+        std::uint64_t lo = 0;
+        std::memcpy(&hi, k.sid.data(), 8);
+        std::memcpy(&lo, k.sid.data() + 8, 8);
+        return static_cast<std::size_t>(
+            fmix64(hi ^ fmix64(lo + k.bucket * 0x9E3779B97F4A7C15ull)));
     }
 };
 

@@ -7,7 +7,7 @@ namespace dcdb::store {
 void Memtable::insert(const Key& key, const Row& row) {
     auto [it, inserted] = partitions_.try_emplace(key);
     auto& rows = it->second;
-    if (inserted) approx_bytes_ += Key::kBytes + 48;  // map node overhead
+    if (inserted) approx_bytes_ += Key::kBytes + 48;  // index node overhead
 
     // Fast path: monitoring data arrives in timestamp order.
     if (rows.empty() || rows.back().ts < row.ts) {
@@ -39,6 +39,17 @@ void Memtable::query(const Key& key, TimestampNs t0, TimestampNs t1,
         rows.begin(), rows.end(), t0,
         [](const Row& r, TimestampNs t) { return r.ts < t; });
     for (auto i = lo; i != rows.end() && i->ts <= t1; ++i) out.push_back(*i);
+}
+
+std::vector<Memtable::Partition> Memtable::sorted_partitions() const {
+    std::vector<Partition> out;
+    out.reserve(partitions_.size());
+    for (const auto& [key, rows] : partitions_) out.emplace_back(key, rows);
+    std::sort(out.begin(), out.end(),
+              [](const Partition& a, const Partition& b) {
+                  return a.first < b.first;
+              });
+    return out;
 }
 
 void Memtable::clear() {

@@ -10,15 +10,6 @@ inline std::uint64_t rotl64(std::uint64_t x, std::int8_t r) {
     return (x << r) | (x >> (64 - r));
 }
 
-inline std::uint64_t fmix64(std::uint64_t k) {
-    k ^= k >> 33;
-    k *= 0xff51afd7ed558ccdull;
-    k ^= k >> 33;
-    k *= 0xc4ceb9fe1a85ec53ull;
-    k ^= k >> 33;
-    return k;
-}
-
 inline std::uint64_t load64(const std::uint8_t* p) {
     std::uint64_t v;
     std::memcpy(&v, p, sizeof v);

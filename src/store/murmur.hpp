@@ -9,6 +9,17 @@
 
 namespace dcdb::store {
 
+/// MurmurHash3's 64-bit finalizer: mixes every input bit into every
+/// output bit.
+inline std::uint64_t fmix64(std::uint64_t k) {
+    k ^= k >> 33;
+    k *= 0xff51afd7ed558ccdull;
+    k ^= k >> 33;
+    k *= 0xc4ceb9fe1a85ec53ull;
+    k ^= k >> 33;
+    return k;
+}
+
 /// 128-bit MurmurHash3 (x64 variant); returns (h1, h2).
 std::pair<std::uint64_t, std::uint64_t> murmur3_x64_128(
     std::span<const std::uint8_t> data, std::uint32_t seed = 0);

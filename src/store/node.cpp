@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <thread>
 
+#include "common/bytebuf.hpp"
 #include "common/clock.hpp"
 #include "common/error.hpp"
 #include "common/fault.hpp"
@@ -147,21 +148,11 @@ void StorageNode::insert_batch(std::span<const BatchEntry> entries,
             break;
     }
 
-    // Expiry math happens outside the writer lock; the scratch is
-    // thread_local so the steady-state batch path does not allocate.
-    thread_local std::vector<KeyedRow> scratch;
-    scratch.clear();
-    scratch.reserve(entries.size());
-    for (const auto& e : entries) {
-        Row row;
-        row.ts = e.ts;
-        row.value = e.value;
-        row.expiry_s =
-            e.ttl_s == 0
-                ? 0
-                : static_cast<std::uint32_t>(e.ts / kNsPerSec + e.ttl_s);
-        scratch.push_back(KeyedRow{e.key, row});
-    }
+    // The commit-log record and its CRC are encoded straight from the
+    // entries before the writer lock is taken. The scratch is
+    // thread_local, so the steady-state batch path does not allocate.
+    thread_local std::vector<std::uint8_t> record;
+    if (config_.commitlog_enabled) CommitLog::encode_record(entries, record);
 
     // Span timings are captured inside the writer lock but recorded
     // after it drops — the flight-recorder write is lock-free, yet there
@@ -181,7 +172,7 @@ void StorageNode::insert_batch(std::span<const BatchEntry> entries,
                 append_wall = now_ns();
                 append_start = steady_ns();
             }
-            commitlog_->append_batch(scratch);
+            commitlog_->append(record, entries.size());
             if (traced) append_dur = steady_ns() - append_start;
             // The sync cadence counts rows, not batches: the durability
             // contract ("lose at most commitlog_sync_every readings")
@@ -201,11 +192,12 @@ void StorageNode::insert_batch(std::span<const BatchEntry> entries,
                 appends_since_sync_ = 0;
             }
         }
-        for (const auto& kr : scratch) memtable_.insert(kr.key, kr.row);
+        for (const auto& e : entries) memtable_.insert(e.key, e.row());
         writes_.add(entries.size());
         if (memtable_.approx_bytes() >= config_.memtable_flush_bytes)
             flush_locked();
     }
+    trim_scratch(record);
     if (traced && append_wall != 0) {
         tracer_->record_span(*trace, telemetry::trace::Stage::kLogAppend,
                              append_wall, append_dur,
@@ -299,8 +291,8 @@ void StorageNode::flush_locked() {
     // SsTable::write publishes durably (fsync -> rename -> dir fsync)
     // before returning: once it does, the rows survive a crash with or
     // without the commit log, so resetting the log below is safe.
-    sstables_.push_back(
-        SsTable::write(sstable_path(gen), gen, memtable_.partitions()));
+    sstables_.push_back(SsTable::write(sstable_path(gen), gen,
+                                       memtable_.sorted_partitions()));
 
     // Fault hook sitting exactly in the crash-durability window: the new
     // SSTable is on disk, the commit log still holds the same rows.

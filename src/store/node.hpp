@@ -46,16 +46,6 @@ struct NodeConfig {
     std::string metric_prefix{"store"};
 };
 
-/// One reading of a batched insert; `ttl_s` 0 means no expiry. Entries
-/// of one batch may address different keys (the key's time bucket is
-/// derived per reading, and an agent batch spans sensors).
-struct BatchEntry {
-    Key key;
-    TimestampNs ts{0};
-    Value value{0};
-    std::uint32_t ttl_s{0};
-};
-
 struct NodeStats {
     std::uint64_t writes{0};
     std::uint64_t reads{0};
@@ -90,8 +80,10 @@ class StorageNode {
 
     /// Insert a whole batch under ONE writer-lock acquisition and ONE
     /// commit-log record (crash-atomic: replay delivers all of the
-    /// batch's rows or none). The fault hook rolls once per batch —
-    /// a batch is the unit of work, so it fails or lands as a unit.
+    /// batch's rows or none). The record is encoded before the lock is
+    /// taken; the lock covers its write, the sync cadence and the
+    /// memtable insert. The fault hook rolls once per batch — a batch
+    /// is the unit of work, so it fails or lands as a unit.
     /// A non-null `trace` (plus a tracer via set_tracer) adds
     /// log_append / sync spans for this batch to the flight recorder.
     void insert_batch(std::span<const BatchEntry> entries,

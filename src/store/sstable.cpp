@@ -190,19 +190,6 @@ std::unique_ptr<SsTable> SsTableWriter::finish() {
 
 // -------------------------------------------------------------- sstable
 
-std::unique_ptr<SsTable> SsTable::write(
-    const std::string& path, std::uint64_t generation,
-    const std::map<Key, std::vector<Row>>& partitions) {
-    SsTableWriter writer(path, generation, partitions.size());
-    for (const auto& [key, rows] : partitions) {
-        if (rows.empty()) continue;
-        writer.begin_partition(key);
-        for (const auto& row : rows) writer.add_row(row);
-        writer.end_partition();
-    }
-    return writer.finish();
-}
-
 std::unique_ptr<SsTable> SsTable::open(const std::string& path) {
     auto table = std::unique_ptr<SsTable>(new SsTable());
     table->path_ = path;

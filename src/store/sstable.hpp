@@ -29,7 +29,6 @@
 // the complete new table, never a half-written `.db` file.
 #pragma once
 
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -49,10 +48,13 @@ inline constexpr std::size_t kBlockRows = 512;
 
 class SsTable {
   public:
-    /// Write a new table from sorted partitions; returns the opened table.
-    static std::unique_ptr<SsTable> write(
-        const std::string& path, std::uint64_t generation,
-        const std::map<Key, std::vector<Row>>& partitions);
+    /// Write a new table from partitions in ascending key order: any
+    /// sized range of (key, rows) pairs, such as a std::map or the
+    /// memtable's sorted_partitions(). Returns the opened table.
+    template <typename Partitions>
+    static std::unique_ptr<SsTable> write(const std::string& path,
+                                          std::uint64_t generation,
+                                          const Partitions& partitions);
 
     /// Open an existing table (loads index + bloom).
     static std::unique_ptr<SsTable> open(const std::string& path);
@@ -209,5 +211,19 @@ class SsTableWriter {
     bool finished_{false};
     std::uint64_t rows_written_{0};
 };
+
+template <typename Partitions>
+std::unique_ptr<SsTable> SsTable::write(const std::string& path,
+                                        std::uint64_t generation,
+                                        const Partitions& partitions) {
+    SsTableWriter writer(path, generation, std::size(partitions));
+    for (const auto& [key, rows] : partitions) {
+        if (rows.empty()) continue;
+        writer.begin_partition(key);
+        for (const Row& row : rows) writer.add_row(row);
+        writer.end_partition();
+    }
+    return writer.finish();
+}
 
 }  // namespace dcdb::store

@@ -43,17 +43,12 @@ std::optional<Stage> stage_from_name(std::string_view name) noexcept {
 
 // ----------------------------------------------------------- trailer
 
-void append_trailer(std::vector<std::uint8_t>& payload,
-                    const TraceContext& ctx) {
-    if (!ctx.valid()) return;
-    ByteWriter w(kTrailerBytes);
-    w.u8(kTrailerMagic);
-    w.u8(kTrailerVersion);
-    w.u64be(ctx.trace_id);
-    w.u64be(ctx.origin_ns);
-    w.u8(ctx.flags);
-    const auto& bytes = w.data();
-    payload.insert(payload.end(), bytes.begin(), bytes.end());
+void store_trailer(std::uint8_t* out, const TraceContext& ctx) noexcept {
+    out[0] = kTrailerMagic;
+    out[1] = kTrailerVersion;
+    store_be64(out + 2, ctx.trace_id);
+    store_be64(out + 10, ctx.origin_ns);
+    out[18] = ctx.flags;
 }
 
 TraceContext decode_trailer(std::span<const std::uint8_t> tail) noexcept {

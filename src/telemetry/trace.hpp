@@ -85,10 +85,9 @@ inline constexpr std::uint8_t kTrailerMagic = 0xDC;
 inline constexpr std::uint8_t kTrailerVersion = 1;
 inline constexpr std::size_t kTrailerBytes = 1 + 1 + 8 + 8 + 1;
 
-/// Append the 19-byte trailer for `ctx` to a serialized payload. No-op
-/// for an invalid context.
-void append_trailer(std::vector<std::uint8_t>& payload,
-                    const TraceContext& ctx);
+/// Store the 19-byte trailer for a valid `ctx` at `out`, which must have
+/// room for kTrailerBytes.
+void store_trailer(std::uint8_t* out, const TraceContext& ctx) noexcept;
 
 /// Decode a span that is EXACTLY the 19 trailer bytes. Returns the
 /// invalid context on any mismatch (wrong size, magic, version, zero id).

@@ -308,13 +308,21 @@ TEST(Random, OuProcessRevertsToMean) {
 }
 
 TEST(ProcMetrics, CpuLoadReflectsBusyWork) {
+    // Spin until this thread has burned 50 ms of CPU, however long a
+    // loaded machine takes to grant it. The meter's window lies inside
+    // the wall time measured around it and encloses the spin, and the
+    // process's CPU is never below this thread's, so the load it reports
+    // is at least the thread's CPU over that wall time.
+    const std::uint64_t wall_start = steady_ns();
     CpuLoadMeter meter;
-    // Busy-spin ~50ms of CPU.
+    const std::uint64_t cpu_start = thread_cpu_ns();
     volatile double x = 1.0;
-    const auto start = steady_ns();
-    while (steady_ns() - start < 50 * kNsPerMs) x = x * 1.0000001;
+    while (thread_cpu_ns() - cpu_start < 50 * kNsPerMs) x = x * 1.0000001;
+    const std::uint64_t cpu = thread_cpu_ns() - cpu_start;
     const double load = meter.load_percent();
-    EXPECT_GT(load, 20.0);
+    const std::uint64_t wall = steady_ns() - wall_start;
+    EXPECT_GE(load, 100.0 * static_cast<double>(cpu) /
+                        static_cast<double>(wall));
 }
 
 TEST(ProcMetrics, RssIsNonZero) {

@@ -3,6 +3,7 @@
 // (Collect Agent) broker mode.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <mutex>
@@ -210,12 +211,212 @@ TEST(Transport, PacketStreamFramesAcrossChunkBoundaries) {
     writer.write_packet(p);
     writer.write_packet(Pingreq{});
 
-    const auto first = reader.read_packet();
-    ASSERT_TRUE(first.has_value());
-    EXPECT_EQ(std::get<Publish>(*first).payload.size(), 5000u);
-    const auto second = reader.read_packet();
-    ASSERT_TRUE(second.has_value());
-    EXPECT_TRUE(std::holds_alternative<Pingreq>(*second));
+    Packet packet;
+    ASSERT_TRUE(reader.read_packet(packet));
+    EXPECT_EQ(std::get<Publish>(packet).payload.size(), 5000u);
+    ASSERT_TRUE(reader.read_packet(packet));
+    EXPECT_TRUE(std::holds_alternative<Pingreq>(packet));
+}
+
+namespace {
+
+/// Transport double: recv serves a fixed byte script `chunk` bytes at a
+/// time (then EOF); every send is recorded as one frame.
+class ScriptedTransport final : public Transport {
+  public:
+    ScriptedTransport(std::vector<std::uint8_t> script, std::size_t chunk)
+        : script_(std::move(script)), chunk_(chunk) {}
+
+    void send(std::span<const std::uint8_t> data) override {
+        sent_.emplace_back(data.begin(), data.end());
+    }
+    std::size_t recv(std::span<std::uint8_t> buf) override {
+        const std::size_t n =
+            std::min({buf.size(), chunk_, script_.size() - pos_});
+        std::copy_n(script_.begin() + static_cast<std::ptrdiff_t>(pos_),
+                    n, buf.begin());
+        pos_ += n;
+        return n;
+    }
+    void close() override {}
+
+    const std::vector<std::vector<std::uint8_t>>& sent() const {
+        return sent_;
+    }
+
+  private:
+    std::vector<std::uint8_t> script_;
+    std::size_t chunk_;
+    std::size_t pos_{0};
+    std::vector<std::vector<std::uint8_t>> sent_;
+};
+
+/// Read every packet a script holds, `chunk` bytes per recv, each one
+/// re-encoded for comparison.
+std::vector<std::vector<std::uint8_t>> read_all(
+    const std::vector<std::uint8_t>& script, std::size_t chunk) {
+    PacketStream stream(std::make_unique<ScriptedTransport>(script, chunk));
+    std::vector<std::vector<std::uint8_t>> out;
+    Packet packet;
+    while (stream.read_packet(packet)) out.push_back(encode(packet));
+    return out;
+}
+
+Publish make_publish(std::string topic, std::size_t payload_bytes,
+                     std::uint8_t qos, std::uint16_t packet_id) {
+    Publish p;
+    p.topic = std::move(topic);
+    for (std::size_t i = 0; i < payload_bytes; ++i)
+        p.payload.push_back(static_cast<std::uint8_t>(i * 7 + 3));
+    p.qos = qos;
+    p.packet_id = packet_id;
+    return p;
+}
+
+}  // namespace
+
+TEST(Transport, OneBytePerRecvAndManyFramesPerRecvYieldSamePackets) {
+    Subscribe sub;
+    sub.packet_id = 9;
+    sub.filters = {{"/a/+", 1}, {"/b/#", 0}};
+    const std::vector<Packet> packets = {
+        Connect{"client-1", 30, true},
+        make_publish("/s/0", 10, 0, 0),
+        make_publish("/s/1", 300, 1, 7),  // 2-byte remaining length
+        make_publish("/s/2", 0, 1, 8),
+        Puback{7},
+        sub,
+        Pingreq{},
+        make_publish("/s/3", 20000, 0, 0),  // 3-byte remaining length
+        Disconnect{},
+    };
+    std::vector<std::vector<std::uint8_t>> frames;
+    std::vector<std::uint8_t> script;
+    for (const auto& p : packets) {
+        frames.push_back(encode(p));
+        script.insert(script.end(), frames.back().begin(),
+                      frames.back().end());
+    }
+    EXPECT_EQ(read_all(script, 1), frames);
+    EXPECT_EQ(read_all(script, script.size()), frames);
+    EXPECT_EQ(read_all(script, 4099), frames);
+}
+
+TEST(Transport, EofInsideAFrameThrowsProtocolError) {
+    const auto fails_with = [](std::vector<std::uint8_t> script,
+                               const std::string& what) {
+        PacketStream stream(
+            std::make_unique<ScriptedTransport>(std::move(script), 1));
+        Packet packet;
+        try {
+            stream.read_packet(packet);
+        } catch (const ProtocolError& e) {
+            return std::string(e.what()).find(what) != std::string::npos;
+        }
+        return false;
+    };
+    // Inside the remaining length, inside the body, and a declared
+    // length over the cap.
+    EXPECT_TRUE(fails_with({0x30, 0x80}, "EOF in remaining length"));
+    EXPECT_TRUE(fails_with({0x30, 0x05, 0x00, 0x01, '/'},
+                           "EOF in packet body"));
+    EXPECT_TRUE(fails_with({0x30, 0x81, 0x80, 0x80, 0x20},
+                           "packet too large"));
+    EXPECT_TRUE(fails_with({0x30, 0xFF, 0xFF, 0xFF, 0xFF},
+                           "remaining length too long"));
+    // EOF between frames is orderly.
+    PacketStream stream(std::make_unique<ScriptedTransport>(
+        encode(Pingreq{}), 1));
+    Packet packet;
+    EXPECT_TRUE(stream.read_packet(packet));
+    EXPECT_FALSE(stream.read_packet(packet));
+}
+
+TEST(Transport, PublishReadIntoReusedPacketKeepsCapacity) {
+    std::vector<std::uint8_t> script = encode(make_publish("/big", 4096, 1, 1));
+    const auto small = encode(make_publish("/small/topic/name", 100, 0, 0));
+    script.insert(script.end(), small.begin(), small.end());
+    PacketStream stream(std::make_unique<ScriptedTransport>(script, 1000));
+
+    Packet packet;
+    ASSERT_TRUE(stream.read_packet(packet));
+    const auto& first = std::get<Publish>(packet);
+    EXPECT_EQ(first.packet_id, 1);
+    const std::uint8_t* storage = first.payload.data();
+    const std::size_t capacity = first.payload.capacity();
+
+    ASSERT_TRUE(stream.read_packet(packet));
+    const auto& second = std::get<Publish>(packet);
+    EXPECT_EQ(second.topic, "/small/topic/name");
+    EXPECT_EQ(second.qos, 0);
+    EXPECT_EQ(second.packet_id, 0);  // reset, not left from the QoS-1 one
+    EXPECT_EQ(second.payload, make_publish("", 100, 0, 0).payload);
+    EXPECT_EQ(second.payload.data(), storage);
+    EXPECT_EQ(second.payload.capacity(), capacity);
+}
+
+TEST(Transport, WritePublishFramesEqualEncodedPublish) {
+    auto owned = std::make_unique<ScriptedTransport>(
+        std::vector<std::uint8_t>{}, 1);
+    ScriptedTransport* transport = owned.get();
+    PacketStream stream(std::move(owned));
+    // Remaining lengths of 1 to 4 bytes, QoS 0 and 1, an empty payload.
+    const std::size_t sizes[] = {0, 100, 200, 20000, 2100000, 10};
+    std::vector<std::vector<std::uint8_t>> expected;
+    std::uint16_t id = 0;
+    for (const std::size_t size : sizes) {
+        for (std::uint8_t qos = 0; qos <= 1; ++qos) {
+            const Publish p = make_publish("/w/p", size, qos, ++id);
+            stream.write_publish(p.topic, p.payload, p.qos, p.packet_id);
+            // The QoS-0 frame carries no packet id.
+            Publish reference = p;
+            if (qos == 0) reference.packet_id = 0;
+            expected.push_back(encode(reference));
+            // The reference codec: the body built whole, then the fixed
+            // header and remaining length put in front of it.
+            ByteWriter body;
+            body.mqtt_str(p.topic);
+            if (qos > 0) body.u16be(p.packet_id);
+            body.bytes(p.payload);
+            ByteWriter frame;
+            frame.u8(static_cast<std::uint8_t>(0x30 | (qos << 1)));
+            frame.varint(static_cast<std::uint32_t>(body.size()));
+            frame.bytes(body.data());
+            EXPECT_EQ(expected.back(), frame.data()) << size;
+        }
+    }
+    // One send per frame, each equal to encode(Publish).
+    EXPECT_EQ(transport->sent(), expected);
+    EXPECT_EQ(expected[8].size(), 1u + 4u + 6u + 2100000u);
+}
+
+TEST(Transport, InProcPairMovesOneMiBInOddSizedChunks) {
+    auto [a, b] = make_inproc_pair();
+    std::vector<std::uint8_t> data(1u << 20);
+    for (std::size_t i = 0; i < data.size(); ++i)
+        data[i] = static_cast<std::uint8_t>((i * 131) ^ (i >> 9));
+    std::thread sender([&a, &data] {
+        const std::size_t sends[] = {1, 3, 7, 13, 509, 4099, 65537};
+        std::size_t pos = 0;
+        for (std::size_t k = 0; pos < data.size(); ++k) {
+            const std::size_t n =
+                std::min(sends[k % std::size(sends)], data.size() - pos);
+            a->send(std::span(data).subspan(pos, n));
+            pos += n;
+        }
+    });
+    std::vector<std::uint8_t> got;
+    const std::size_t recvs[] = {5, 11, 997, 3, 8191, 1};
+    std::vector<std::uint8_t> buf(8191);
+    for (std::size_t k = 0; got.size() < data.size(); ++k) {
+        const std::size_t n = b->recv(
+            std::span(buf).first(recvs[k % std::size(recvs)]));
+        ASSERT_GT(n, 0u);
+        got.insert(got.end(), buf.begin(),
+                   buf.begin() + static_cast<std::ptrdiff_t>(n));
+    }
+    sender.join();
+    EXPECT_EQ(got, data);
 }
 
 // --------------------------------------------------------- client/broker

@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <map>
 
+#include "common/bytebuf.hpp"
 #include "common/clock.hpp"
 #include "common/error.hpp"
 #include "common/random.hpp"
@@ -533,6 +534,61 @@ TEST_P(PayloadProperty, BatchRoundTripsArbitrarySections) {
         total += readings[s].size();
     }
     EXPECT_EQ(view.total_readings, total);
+}
+
+// The in-place encoder sizes first and stores in place; its bytes must
+// equal the format as a ByteWriter spells it out, trailer included, even
+// in a reused buffer full of an older payload's bytes.
+TEST_P(PayloadProperty, InPlaceEncoderMatchesByteWriterReference) {
+    Rng rng(seed());
+    std::vector<std::uint8_t> reused;
+    for (int round = 0; round < 20; ++round) {
+        std::vector<std::string> topics;
+        std::vector<std::vector<Reading>> readings;
+        const std::size_t n_sections = rng.below(12);
+        for (std::size_t s = 0; s < n_sections; ++s) {
+            topics.push_back("/prop/n" + std::to_string(rng.below(100)) +
+                             std::string(rng.below(40), 'x'));
+            readings.push_back(random_readings(rng, rng.below(40)));
+        }
+        std::vector<SensorBatch> batches;
+        for (std::size_t s = 0; s < n_sections; ++s)
+            batches.push_back({topics[s], readings[s]});
+        telemetry::trace::TraceContext trace;
+        if (rng.below(2) == 0) {
+            trace.trace_id = 1 + rng.below(1ull << 62);
+            trace.origin_ns = rng.next_u64();
+            trace.flags = static_cast<std::uint8_t>(rng.below(4));
+        }
+
+        ByteWriter ref;
+        ref.u8(kBatchPayloadMagic);
+        ref.u8(kBatchPayloadVersion);
+        ref.u16be(static_cast<std::uint16_t>(n_sections));
+        for (std::size_t s = 0; s < n_sections; ++s) {
+            ref.mqtt_str(topics[s]);
+            ref.u32be(static_cast<std::uint32_t>(readings[s].size()));
+            for (const auto& r : readings[s]) {
+                ref.u64be(r.ts);
+                ref.i64be(r.value);
+            }
+        }
+        if (trace.valid()) {
+            ref.u8(telemetry::trace::kTrailerMagic);
+            ref.u8(telemetry::trace::kTrailerVersion);
+            ref.u64be(trace.trace_id);
+            ref.u64be(trace.origin_ns);
+            ref.u8(trace.flags);
+        }
+
+        // Dirty the reused buffer: garbage, sometimes longer than the
+        // payload about to be written.
+        reused.resize(rng.below(2 * ref.size() + 8));
+        for (auto& b : reused) b = static_cast<std::uint8_t>(rng.below(256));
+        encode_batch(batches, trace, reused);
+        EXPECT_EQ(reused, ref.data()) << "round " << round;
+        EXPECT_EQ(encode_batch(batches, trace), ref.data());
+    }
 }
 
 TEST_P(PayloadProperty, TruncatedBatchSalvagesExactPrefix) {

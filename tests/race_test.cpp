@@ -273,6 +273,78 @@ TEST(BrokerRace, SessionChurnWhileRouting) {
     EXPECT_GT(stats.forwarded, 0u);
 }
 
+// Four threads publish QoS-1 payloads of distinct contents and sizes on
+// ONE client: every frame is built in the stream's shared frame scratch
+// under its write mutex, so a race there shows as a torn or mixed-up
+// payload at the sink, which checks every byte.
+TEST(MqttClientRace, ConcurrentPublishersShareOneFrameBuffer) {
+    constexpr int kThreads = 4;
+    constexpr int kPublishes = 150;
+    // Thread t's i-th payload: 8 header bytes (t, i) then a pattern.
+    const auto payload_size = [](int t, int i) {
+        return static_cast<std::size_t>(8 + (t * 977 + i * 131) % 5000);
+    };
+    const auto pattern = [](int t, int i, std::size_t k) {
+        return static_cast<std::uint8_t>(t * 61 + i * 7 + k * 13);
+    };
+
+    std::atomic<std::uint64_t> good{0};
+    std::atomic<std::uint64_t> bad{0};
+    mqtt::MqttBroker broker(
+        mqtt::BrokerMode::kReduced,
+        [&](const mqtt::Publish& p) {
+            const auto& b = p.payload;
+            if (b.size() < 8) {
+                bad.fetch_add(1);
+                return;
+            }
+            const int t = (b[0] << 24) | (b[1] << 16) | (b[2] << 8) | b[3];
+            const int i = (b[4] << 24) | (b[5] << 16) | (b[6] << 8) | b[7];
+            bool ok = t >= 0 && t < kThreads && i >= 0 && i < kPublishes &&
+                      b.size() == payload_size(t, i) &&
+                      p.topic == "/race/t" + std::to_string(t);
+            for (std::size_t k = 8; ok && k < b.size(); ++k)
+                ok = b[k] == pattern(t, i, k);
+            (ok ? good : bad).fetch_add(1);
+        },
+        /*port=*/0, /*listen_tcp=*/false);
+    mqtt::MqttClient client(broker.connect_inproc(), "shared");
+    client.connect();
+
+    std::atomic<int> failures{0};
+    std::vector<std::thread> publishers;
+    for (int t = 0; t < kThreads; ++t) {
+        publishers.emplace_back([&, t] {
+            const std::string topic = "/race/t" + std::to_string(t);
+            std::vector<std::uint8_t> payload;
+            for (int i = 0; i < kPublishes; ++i) {
+                payload.assign(payload_size(t, i), 0);
+                for (int k = 0; k < 4; ++k) {
+                    payload[static_cast<std::size_t>(k)] =
+                        static_cast<std::uint8_t>(t >> (24 - 8 * k));
+                    payload[static_cast<std::size_t>(4 + k)] =
+                        static_cast<std::uint8_t>(i >> (24 - 8 * k));
+                }
+                for (std::size_t k = 8; k < payload.size(); ++k)
+                    payload[k] = pattern(t, i, k);
+                try {
+                    client.publish(topic, payload, /*qos=*/1);
+                } catch (const std::exception&) {
+                    failures.fetch_add(1);
+                }
+            }
+        });
+    }
+    for (auto& t : publishers) t.join();
+    client.disconnect();
+    broker.stop();
+    EXPECT_EQ(failures.load(), 0);
+    EXPECT_EQ(bad.load(), 0u);
+    EXPECT_EQ(good.load(), static_cast<std::uint64_t>(kThreads) * kPublishes);
+    EXPECT_EQ(client.acks_received(),
+              static_cast<std::uint64_t>(kThreads) * kPublishes);
+}
+
 // -------------------------------------------------------------- CommitLog
 
 // Concurrent appends + sync against rotation (reset) and stats probes;
@@ -290,8 +362,11 @@ TEST(CommitLogRace, AppendSyncRotateReplay) {
         for (int a = 0; a < kAppenders; ++a) {
             appenders.emplace_back([&, a] {
                 for (int i = 0; i < kAppends; ++i) {
-                    log.append(make_key(static_cast<std::uint8_t>(a + 1)),
-                               store::Row{static_cast<TimestampNs>(i), i, 0});
+                    const store::BatchEntry entry{
+                        make_key(static_cast<std::uint8_t>(a + 1)),
+                        static_cast<TimestampNs>(i), i, 0};
+                    log.append_batch(
+                        std::span<const store::BatchEntry>(&entry, 1));
                     if (i % 64 == 0) log.sync();
                 }
             });

@@ -4,7 +4,10 @@
 // crash recovery).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <filesystem>
+#include <map>
 #include <random>
 #include <thread>
 
@@ -369,13 +372,19 @@ TEST(SsTable, QueriesAndRowReadsCrossCompressedBlockBoundaries) {
 
 // ------------------------------------------------------------- commitlog
 
+/// Append one row as its own record; timestamps under a second make the
+/// TTL the absolute expiry.
+void append_row(CommitLog& log, const BatchEntry& entry) {
+    log.append_batch(std::span<const BatchEntry>(&entry, 1));
+}
+
 TEST(CommitLog, AppendAndReplay) {
     TempDir dir;
     const std::string path = dir.str() + "/commit.log";
     {
         CommitLog log(path);
-        log.append(make_key(1), Row{10, 100, 0});
-        log.append(make_key(2), Row{20, 200, 7});
+        append_row(log, {make_key(1), 10, 100, 0});
+        append_row(log, {make_key(2), 20, 200, 7});
         log.sync();
     }
     std::vector<std::pair<Key, Row>> seen;
@@ -394,7 +403,7 @@ TEST(CommitLog, ReplayStopsAtCorruptTail) {
     const std::string path = dir.str() + "/commit.log";
     {
         CommitLog log(path);
-        log.append(make_key(1), Row{10, 100, 0});
+        append_row(log, {make_key(1), 10, 100, 0});
         log.sync();
     }
     // Simulate a torn write: append garbage.
@@ -411,7 +420,7 @@ TEST(CommitLog, ResetTruncates) {
     TempDir dir;
     const std::string path = dir.str() + "/commit.log";
     CommitLog log(path);
-    log.append(make_key(1), Row{10, 100, 0});
+    append_row(log, {make_key(1), 10, 100, 0});
     log.reset();
     log.sync();
     std::uint64_t count = 0;
@@ -424,12 +433,13 @@ TEST(CommitLog, AppendBatchReplaysAllRowsFromOneRecord) {
     const std::string path = dir.str() + "/commit.log";
     {
         CommitLog log(path);
-        const std::vector<KeyedRow> batch{
-            {make_key(1), Row{10, 100, 0}},
-            {make_key(1), Row{11, 110, 0}},
-            {make_key(2), Row{20, 200, 7}},
-            {make_key(3), Row{30, 300, 0}},
-            {make_key(3), Row{31, 310, 9}},
+        // Timestamps under a second: a TTL is then the absolute expiry.
+        const std::vector<BatchEntry> batch{
+            {make_key(1), 10, 100, 0},
+            {make_key(1), 11, 110, 0},
+            {make_key(2), 20, 200, 7},
+            {make_key(3), 30, 300, 0},
+            {make_key(3), 31, 310, 9},
         };
         log.append_batch(batch);
         log.sync();
@@ -454,14 +464,14 @@ TEST(CommitLog, TornBatchedTailReplaysNoneOfItsRows) {
     const std::string path = dir.str() + "/commit.log";
     {
         CommitLog log(path);
-        const std::vector<KeyedRow> first{
-            {make_key(1), Row{1, 10, 0}},
-            {make_key(1), Row{2, 20, 0}},
-            {make_key(1), Row{3, 30, 0}},
+        const std::vector<BatchEntry> first{
+            {make_key(1), 1, 10, 0},
+            {make_key(1), 2, 20, 0},
+            {make_key(1), 3, 30, 0},
         };
-        const std::vector<KeyedRow> second{
-            {make_key(2), Row{4, 40, 0}},
-            {make_key(2), Row{5, 50, 0}},
+        const std::vector<BatchEntry> second{
+            {make_key(2), 4, 40, 0},
+            {make_key(2), 5, 50, 0},
         };
         log.append_batch(first);
         log.append_batch(second);
@@ -476,6 +486,54 @@ TEST(CommitLog, TornBatchedTailReplaysNoneOfItsRows) {
     EXPECT_EQ(n.valid_bytes, 8u + 4u + 3u * 40u + 4u);
     ASSERT_EQ(seen.size(), 3u);
     EXPECT_EQ(seen.back().ts, 3u);
+}
+
+TEST(CommitLog, RecordEncodedFromBatchEntriesReplaysSameRows) {
+    TempDir dir;
+    const std::string path = dir.str() + "/commit.log";
+    // Realistic timestamps, so a TTL becomes ts/1e9 + ttl seconds.
+    const TimestampNs t0 = 1'767'225'600ull * kNsPerSec;
+    std::vector<BatchEntry> batch;
+    for (std::uint8_t i = 0; i < 50; ++i) {
+        batch.push_back({make_key(static_cast<std::uint8_t>(i % 7 + 1), i),
+                         t0 + i * 1'500'000'000ull, -1000 + i * 37,
+                         i % 3 == 0 ? 0u : 3600u * i});
+    }
+    std::vector<std::uint8_t> record(999, 0xEE);  // dirty reused scratch
+    CommitLog::encode_record(batch, record);
+
+    // The v2 record byte for byte: count, (key, ts, value, expiry)*, crc.
+    ByteWriter ref;
+    ref.u32be(static_cast<std::uint32_t>(batch.size()));
+    for (const auto& e : batch) {
+        std::uint8_t kb[Key::kBytes];
+        e.key.serialize(kb);
+        ref.bytes(kb, sizeof kb);
+        ref.u64be(e.ts);
+        ref.i64be(e.value);
+        ref.u32be(e.ttl_s == 0 ? 0u
+                               : static_cast<std::uint32_t>(
+                                     e.ts / kNsPerSec + e.ttl_s));
+    }
+    ref.u32be(static_cast<std::uint32_t>(murmur3_token(ref.data())));
+    EXPECT_EQ(record, ref.data());
+
+    {
+        CommitLog log(path);
+        log.append(record, batch.size());
+        log.sync();
+        EXPECT_EQ(log.records_appended(), batch.size());
+    }
+    std::vector<std::pair<Key, Row>> seen;
+    const auto n = CommitLog::replay(
+        path, [&](const Key& k, const Row& r) { seen.emplace_back(k, r); });
+    EXPECT_EQ(n.records, batch.size());
+    ASSERT_EQ(seen.size(), batch.size());
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+        EXPECT_EQ(seen[i].first, batch[i].key);
+        EXPECT_EQ(seen[i].second, batch[i].row());
+    }
+    EXPECT_EQ(seen[1].second.expiry_s, 1'767'225'601u + 3600u);
 }
 
 /// A headerless log: one 44-byte per-row record, the format commit logs
@@ -535,6 +593,51 @@ TEST(StorageNode, HeaderlessCommitLogRestartsAsDcl2AndKeepsNewWrites) {
 }
 
 // ---------------------------------------------------------- storage node
+
+// The hash-indexed memtable sorts its partitions once, at flush: the
+// table it writes must equal, byte for byte, one written from the same
+// rows in key order.
+TEST(StorageNode, FlushedTableEqualsKeyOrderedWrite) {
+    TempDir dir;
+    NodeConfig config;
+    config.data_dir = dir.str() + "/node";
+    config.commitlog_enabled = false;
+    config.memtable_flush_bytes = 1u << 30;
+    StorageNode node(config);
+
+    std::map<Key, std::vector<Row>> ordered;
+    std::mt19937_64 rng(7);
+    for (int i = 0; i < 5000; ++i) {
+        const Key key = make_key(static_cast<std::uint8_t>(rng() % 40),
+                                 static_cast<std::uint32_t>(rng() % 3));
+        const TimestampNs ts = 1 + rng() % 2000;  // stragglers and upserts
+        const Value value = static_cast<Value>(rng() % 100000);
+        node.insert(key, ts, value);
+        auto& rows = ordered[key];
+        const auto pos = std::lower_bound(
+            rows.begin(), rows.end(), ts,
+            [](const Row& r, TimestampNs t) { return r.ts < t; });
+        if (pos != rows.end() && pos->ts == ts)
+            pos->value = value;  // newest write wins
+        else
+            rows.insert(pos, Row{ts, value, 0});
+    }
+    node.flush();
+    const auto reference =
+        SsTable::write(dir.str() + "/reference.db", 1, ordered);
+
+    const auto read_file = [](const std::string& path) {
+        std::vector<char> bytes(fs::file_size(path));
+        std::FILE* f = std::fopen(path.c_str(), "rb");
+        EXPECT_EQ(std::fread(bytes.data(), 1, bytes.size(), f),
+                  bytes.size());
+        std::fclose(f);
+        return bytes;
+    };
+    const auto flushed = read_file(config.data_dir + "/sstable-1.db");
+    EXPECT_GT(flushed.size(), 0u);
+    EXPECT_EQ(flushed, read_file(reference->path()));
+}
 
 TEST(StorageNode, InsertQueryAcrossFlush) {
     TempDir dir;
