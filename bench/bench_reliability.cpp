@@ -46,17 +46,21 @@ BENCHMARK(BM_FaultRollArmed);
 // Arg 0: appends per fdatasync (0 = rely on the OS page cache only).
 void BM_CommitLogAppendSyncEvery(benchmark::State& state) {
     bench::ScratchDir dir("commitlog_sync");
-    store::CommitLog log(dir.str() + "/commit.log");
+    store::CommitLog log(dir.str() + "/commit.log",
+                         [](const store::Key&, const store::Row&) {});
     const auto cadence = static_cast<std::uint64_t>(state.range(0));
 
     store::BatchEntry entry;
     entry.key.sid[0] = 7;
     entry.ts = 1;
     entry.value = 42;
+    std::vector<std::uint8_t> record;
     std::uint64_t since_sync = 0;
     for (auto _ : state) {
         ++entry.ts;
-        log.append_batch(std::span<const store::BatchEntry>(&entry, 1));
+        store::CommitLog::encode_record(
+            std::span<const store::BatchEntry>(&entry, 1), record);
+        log.append(record);
         if (cadence != 0 && ++since_sync >= cadence) {
             log.sync();
             since_sync = 0;

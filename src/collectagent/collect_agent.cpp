@@ -13,12 +13,11 @@ namespace dcdb::collectagent {
 namespace {
 
 telemetry::trace::Tracer::Config agent_tracer_config(
-    const ConfigNode& config, telemetry::MetricRegistry* registry) {
+    telemetry::MetricRegistry* registry) {
     telemetry::trace::Tracer::Config tc;
-    // The agent never mints trace IDs (minting happens at sample time on
-    // the Pusher); the key only sizes the seeded RNG state consistently.
-    tc.sample_every = config.get_u64_or("global.traceSampleRate", 1024);
-    tc.seed = now_ns();  // distinct per process start
+    // Minting off: traces are minted at sample time on the Pusher (its
+    // traceSampleRate key); the agent records and completes them.
+    tc.sample_every = 0;
     tc.registry = registry;
     return tc;
 }
@@ -50,7 +49,7 @@ CollectAgent::CollectAgent(const ConfigNode& config,
       store_retries_(registry_.counter("collectagent.store.retries")),
       dead_letters_(registry_.counter("collectagent.dead.letters")),
       store_latency_(registry_.histogram("collectagent.store.latency")),
-      tracer_(agent_tracer_config(config, &registry_)) {
+      tracer_(agent_tracer_config(&registry_)) {
     const bool listen_tcp = config.get_bool_or("global.listenTcp", true);
     const auto port = static_cast<std::uint16_t>(
         config.get_i64_or("global.mqttPort", 0));

@@ -25,10 +25,6 @@ std::string dict_key(std::size_t level, const std::string& component) {
     return "sidmap/" + std::to_string(level) + "/" + component;
 }
 
-std::string rev_key(std::size_t level, std::uint16_t id) {
-    return "sidrev/" + std::to_string(level) + "/" + std::to_string(id);
-}
-
 }  // namespace
 
 TopicMapper::TopicMapper(store::MetaStore& meta) : meta_(meta) {
@@ -112,12 +108,12 @@ SensorId TopicMapper::register_topic(Levels levels) {
             if (next_id_[i] == 0)
                 throw Error("hierarchy level " + std::to_string(i) +
                             " dictionary exhausted");
-            id = next_id_[i]++;
+            id = next_id_[i];
             const std::string component(levels[i]);
+            meta_.put(dict_key(i, component), std::to_string(id));
+            ++next_id_[i];
             dict.emplace(component, id);
             reverse_[i].emplace(id, component);
-            meta_.put(dict_key(i, component), std::to_string(id));
-            meta_.put(rev_key(i, id), component);
         }
         sid.set_level(i, id);
     }

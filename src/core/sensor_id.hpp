@@ -92,7 +92,8 @@ class TopicMapper {
     explicit TopicMapper(store::MetaStore& meta);
 
     /// Map a topic to its SID, allocating component numbers on first
-    /// sight. Throws Error for invalid topics or >8 levels.
+    /// sight. Throws Error for invalid topics or >8 levels, and
+    /// StoreError when the dictionary cannot be written.
     SensorId to_sid(std::string_view topic) DCDB_EXCLUDES(mutex_);
 
     /// Reverse lookup. Throws Error if the SID was never allocated.
@@ -112,7 +113,8 @@ class TopicMapper {
     bool resolve_locked(Levels levels, SensorId& out) const
         DCDB_REQUIRES_SHARED(mutex_);
     /// First-sighting path: allocate missing components and persist the
-    /// topic's `topics/` record.
+    /// topic's `topics/` record. Each record is written before memory
+    /// changes, so a failed write throws and serves nothing.
     SensorId register_topic(Levels levels) DCDB_EXCLUDES(mutex_);
 
     store::MetaStore& meta_;

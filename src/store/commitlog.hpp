@@ -1,29 +1,17 @@
 // Append-only commit log for durability between memtable flushes
-// (Cassandra's commit-log role). Each record carries a checksum; replay
-// stops at the first corrupt or truncated record, recovering everything
-// durably appended before a crash, and reports the byte offset of the
-// valid prefix so the caller can truncate the torn tail before reopening
-// the log in append mode — otherwise post-crash appends would land after
-// garbage and be unreachable on the next replay.
-//
-// On-disk format: an 8-byte file header (u32 magic 'DCL2', u32 version
-// 2), then one record per *batch*:
-//
-//   u32 count + count x (key(20) + ts(8) + value(8) + expiry(4)) + crc(4)
-//
-// with every field big-endian and the crc covering the count and every
-// entry. A batch is atomic under crash: replay either delivers all of
-// its rows or (torn/corrupt) none, and a torn batch ends replay. A file
-// without the header replays nothing (its valid prefix is empty).
+// (Cassandra's commit-log role): a RecordLog (store/file.hpp) with magic
+// 'DCL2', version 3, and one record per *batch*, whose body is its rows,
+//   len / 40 x (key(20) + ts(8) + value(8) + expiry(4))   big-endian.
+// A batch is atomic under crash: replay delivers all of its rows or
+// (torn or corrupt) none, and a torn batch ends replay.
 #pragma once
 
-#include <cstdio>
 #include <functional>
 #include <span>
 #include <string>
 #include <vector>
 
-#include "common/mutex.hpp"
+#include "store/file.hpp"
 #include "store/key.hpp"
 #include "store/row.hpp"
 #include "telemetry/metrics.hpp"
@@ -51,65 +39,46 @@ struct BatchEntry {
 
 class CommitLog {
   public:
-    /// Open (creating if needed) the log at `path` for appending. An
-    /// empty file gets the header; a non-empty file without it is
-    /// refused with StoreError.
-    explicit CommitLog(std::string path);
+    using Apply = std::function<void(const Key&, const Row&)>;
+
+    /// Open (creating if needed) the log at `path`, replaying each row
+    /// of every intact record into `apply` in append order (RecordLog's
+    /// open policy: the torn tail is truncated, a foreign header refused).
+    CommitLog(std::string path, const Apply& apply);
     ~CommitLog();
 
     CommitLog(const CommitLog&) = delete;
     CommitLog& operator=(const CommitLog&) = delete;
 
-    /// Encode a whole batch as ONE checksummed record into `out`,
-    /// replacing its contents. Needs no lock: StorageNode encodes into
-    /// thread-local scratch before it takes its writer lock.
+    /// Encode a whole batch as ONE sealed record into `out`, replacing
+    /// its contents. Needs no lock: StorageNode encodes into thread-local
+    /// scratch before it takes its writer lock.
     static void encode_record(std::span<const BatchEntry> entries,
                               std::vector<std::uint8_t>& out);
 
-    /// Append one record from encode_record() that holds `rows` rows:
-    /// one buffered write, crash-atomic.
-    void append(std::span<const std::uint8_t> record, std::size_t rows)
-        DCDB_EXCLUDES(mutex_);
-
-    /// Encode and append in one call.
-    void append_batch(std::span<const BatchEntry> entries)
-        DCDB_EXCLUDES(mutex_);
+    /// Append one record from encode_record(): one write, crash-atomic.
+    void append(std::span<const std::uint8_t> record);
 
     /// Durable flush: fflush to the OS, then fdatasync to the device.
     /// This is the crash-durability point — Cassandra's "batch" sync
-    /// level; StorageNode calls it every commitlog_sync_every appends.
-    void sync() DCDB_EXCLUDES(mutex_);
+    /// level; StorageNode calls it every commitlog_sync_every rows.
+    void sync();
 
-    /// Truncate after a successful memtable flush, leaving only the
-    /// header.
-    void reset() DCDB_EXCLUDES(mutex_);
+    /// Truncate to the header in place, after a memtable flush.
+    void reset();
 
-    const std::string& path() const { return path_; }
-    /// Rows in the current log (resets with the log on truncation).
+    /// Rows in the current log, replayed ones included (zero on reset).
     std::uint64_t records_appended() const {
         return static_cast<std::uint64_t>(records_.value());
     }
     std::uint64_t syncs() const { return syncs_.value(); }
 
-    struct ReplayResult {
-        std::uint64_t records{0};      // intact rows recovered
-        std::uint64_t valid_bytes{0};  // offset of the first torn byte
-    };
-
-    /// Replay a log file in append order; `apply` is invoked for each
-    /// intact row. Replay stops at the first corrupt or short record.
-    static ReplayResult replay(
-        const std::string& path,
-        const std::function<void(const Key&, const Row&)>& apply);
-
   private:
-    std::string path_;
-    std::FILE* file_ DCDB_PT_GUARDED_BY(mutex_){nullptr};
-    dcdb::Mutex mutex_;
-    // Read by stats paths without the mutex. records_ is a gauge: it
-    // drops back to zero when reset() truncates the log.
+    // Read by stats paths without a lock; declared before log_, whose
+    // replay counts into records_.
     telemetry::Gauge records_;
     telemetry::Counter syncs_;
+    RecordLog log_;
 };
 
 }  // namespace dcdb::store

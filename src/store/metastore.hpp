@@ -2,18 +2,20 @@
 //
 // Plays the role of DCDB's auxiliary Cassandra column families: the
 // topic-to-SID dictionary, published sensor metadata (units, scales,
-// intervals) and virtual sensor definitions all live here. Implemented
-// as an append-only log of (key, value) records compacted on load; a
-// deletion is an empty-value tombstone.
+// intervals) and virtual sensor definitions all live here. Backed by a
+// RecordLog ('DMS1', store/file.hpp) of one record per put or erase,
+// replayed at open, whose body is u8 op ('P' or 'E') | u32 key length |
+// key | value (the rest of the body; none for an erase).
 #pragma once
 
-#include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "common/mutex.hpp"
+#include "store/file.hpp"
 
 namespace dcdb::store {
 
@@ -22,11 +24,13 @@ class MetaStore {
     /// Open (creating if needed) the backing log at `path`; pass an empty
     /// path for a purely in-memory store.
     explicit MetaStore(std::string path = "");
-    ~MetaStore();
 
     MetaStore(const MetaStore&) = delete;
     MetaStore& operator=(const MetaStore&) = delete;
 
+    /// put and erase change the map only once their record is written
+    /// (flushed to the OS). A failed write throws StoreError, and every
+    /// later write then throws until the store is reopened.
     void put(const std::string& key, const std::string& value)
         DCDB_EXCLUDES(mutex_);
     std::optional<std::string> get(const std::string& key) const
@@ -40,18 +44,16 @@ class MetaStore {
 
     std::size_t size() const DCDB_EXCLUDES(mutex_);
 
-    /// Rewrite the log with only live entries.
-    void compact() DCDB_EXCLUDES(mutex_);
-
   private:
-    void append_record(const std::string& key, const std::string& value,
-                       bool tombstone) DCDB_REQUIRES(mutex_);
+    void write_record(char op, const std::string& key,
+                      const std::string& value) DCDB_REQUIRES(mutex_);
 
-    std::string path_;
-    std::FILE* file_ DCDB_PT_GUARDED_BY(mutex_){nullptr};
     mutable dcdb::Mutex mutex_;
     std::unordered_map<std::string, std::string> map_
         DCDB_GUARDED_BY(mutex_);
+    // Null for an in-memory store. It has its own lock; lock order:
+    // mutex_ -> RecordLog.
+    std::unique_ptr<RecordLog> log_;
 };
 
 }  // namespace dcdb::store

@@ -83,35 +83,22 @@ StorageNode::StorageNode(NodeConfig config)
             DCDB_WARN("store") << "quarantining corrupt sstable " << path
                                << ": " << e.what();
             std::error_code ec;
+            // dcdblint: allow-durable-io(a quarantine, not a publish)
             fs::rename(path, path + ".corrupt", ec);
         }
         next_generation_ = std::max(next_generation_, gen + 1);
     }
 
-    // Recover writes that never made it into an SSTable.
+    // Recover writes that never reached an SSTable: the commit log replays
+    // into the memtable as it opens (even on a node without one now).
     const std::string log_path = config_.data_dir + "/commit.log";
-    const auto recovered =
-        CommitLog::replay(log_path, [this](const Key& key, const Row& row) {
-            memtable_.insert(key, row);
-        });
-
-    // Truncate a torn tail (crash mid-append) before reopening in append
-    // mode: new records written after leftover garbage would be
-    // unreachable on every later replay.
-    std::error_code ec;
-    const auto log_size = fs::file_size(log_path, ec);
-    if (!ec && log_size > recovered.valid_bytes) {
-        DCDB_WARN("store") << "commit log " << log_path << ": truncating "
-                           << (log_size - recovered.valid_bytes)
-                           << " torn tail bytes after "
-                           << recovered.records << " intact records";
-        fs::resize_file(log_path, recovered.valid_bytes, ec);
-        if (ec)
-            throw StoreError("cannot truncate torn commit log tail: " +
-                             log_path);
+    if (config_.commitlog_enabled || fs::exists(log_path)) {
+        auto log = std::make_unique<CommitLog>(
+            log_path, [this](const Key& key, const Row& row) {
+                memtable_.insert(key, row);
+            });
+        if (config_.commitlog_enabled) commitlog_ = std::move(log);
     }
-    if (config_.commitlog_enabled)
-        commitlog_ = std::make_unique<CommitLog>(log_path);
 }
 
 std::string StorageNode::sstable_path(std::uint64_t generation) const {
@@ -172,7 +159,7 @@ void StorageNode::insert_batch(std::span<const BatchEntry> entries,
                 append_wall = now_ns();
                 append_start = steady_ns();
             }
-            commitlog_->append(record, entries.size());
+            commitlog_->append(record);
             if (traced) append_dur = steady_ns() - append_start;
             // The sync cadence counts rows, not batches: the durability
             // contract ("lose at most commitlog_sync_every readings")

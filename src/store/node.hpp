@@ -28,7 +28,7 @@ struct NodeConfig {
     std::string data_dir;
     std::size_t memtable_flush_bytes{8u << 20};
     bool commitlog_enabled{true};
-    /// fdatasync the commit log every N appends (0 = only on close).
+    /// fdatasync the commit log every N rows (0 = only on close).
     /// Bounds post-crash loss to at most N readings per node.
     std::size_t commitlog_sync_every{256};
     /// Size-tiered maintenance: minimum adjacent similar-size tables
@@ -159,8 +159,8 @@ class StorageNode {
     Mutex maintenance_mutex_;
     mutable SharedMutex mutex_;
     Memtable memtable_ DCDB_GUARDED_BY(mutex_);
-    // The commit log has its own internal mutex; the pointer itself is
-    // only swapped under the writer lock. Lock order: mutex_ -> CommitLog.
+    // The commit log's RecordLog has its own lock; the pointer itself is
+    // only set at construction. Lock order: mutex_ -> RecordLog.
     std::unique_ptr<CommitLog> commitlog_ DCDB_GUARDED_BY(mutex_);
     std::size_t appends_since_sync_ DCDB_GUARDED_BY(mutex_){0};
     // Oldest-to-newest shadowing order == ascending generation: flushes

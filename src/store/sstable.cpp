@@ -6,9 +6,11 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
+#include <utility>
 
 #include "common/bytebuf.hpp"
 #include "common/error.hpp"
+#include "store/file.hpp"
 
 namespace dcdb::store {
 
@@ -32,35 +34,6 @@ void pread_exact(int fd, void* buf, std::size_t n, std::uint64_t offset,
         if (got <= 0) throw StoreError("short read from " + path);
         done += static_cast<std::size_t>(got);
     }
-}
-
-/// fsync the directory containing `path`, so the rename that published a
-/// file in it is itself durable (a crash can otherwise forget the
-/// directory entry while the commit log was already reset).
-void fsync_parent_dir(const std::string& path) {
-    const auto slash = path.find_last_of('/');
-    const std::string dir =
-        slash == std::string::npos ? "." : path.substr(0, slash);
-    int fd;
-    do {
-        fd = ::open(dir.c_str(), O_RDONLY);
-    } while (fd < 0 && errno == EINTR);
-    if (fd < 0) throw StoreError("cannot open directory " + dir);
-    int rc;
-    do {
-        rc = ::fsync(fd);
-    } while (rc != 0 && errno == EINTR);
-    ::close(fd);
-    if (rc != 0) throw StoreError("cannot fsync directory " + dir);
-}
-
-void fsync_file(std::FILE* f, const std::string& path) {
-    if (std::fflush(f) != 0) throw StoreError("cannot flush " + path);
-    int rc;
-    do {
-        rc = ::fsync(::fileno(f));
-    } while (rc != 0 && errno == EINTR);
-    if (rc != 0) throw StoreError("cannot fsync " + path);
 }
 
 }  // namespace
@@ -175,16 +148,7 @@ std::unique_ptr<SsTable> SsTableWriter::finish() {
     tail.u32be(kMagic);
     put(tail.data().data(), tail.size());
 
-    // Durability ordering: the data must be on the device before the
-    // rename makes it reachable, and the rename must be on the device
-    // before the caller may reset the commit log.
-    fsync_file(file_, tmp_path_);
-    std::fclose(file_);
-    file_ = nullptr;
-    if (std::rename(tmp_path_.c_str(), path_.c_str()) != 0)
-        throw StoreError("cannot rename " + tmp_path_);
-    fsync_parent_dir(path_);
-    finished_ = true;
+    publish_file(std::exchange(file_, nullptr), tmp_path_, path_);
     return SsTable::open(path_);
 }
 
@@ -363,21 +327,6 @@ void SsTable::query(const Key& key, TimestampNs t0, TimestampNs t1,
             if (row.ts >= t0) out.push_back(row);
         }
     }
-}
-
-std::vector<Key> SsTable::keys() const {
-    std::vector<Key> out;
-    out.reserve(index_.size());
-    for (const auto& e : index_) out.push_back(e.key);
-    return out;
-}
-
-std::vector<Row> SsTable::read_partition(const Key& key) const {
-    std::vector<Row> out;
-    const IndexEntry* entry = find_entry(key);
-    if (entry)
-        read_rows(*entry, 0, static_cast<std::size_t>(entry->rows), out);
-    return out;
 }
 
 std::uint64_t SsTable::row_count() const {

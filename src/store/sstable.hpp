@@ -71,12 +71,6 @@ class SsTable {
     void query(const Key& key, TimestampNs t0, TimestampNs t1,
                std::vector<Row>& out) const;
 
-    /// All keys in this table (for compaction).
-    std::vector<Key> keys() const;
-
-    /// Full partition contents (for compaction).
-    std::vector<Row> read_partition(const Key& key) const;
-
     bool may_contain(const Key& key) const;
 
     // Positional partition access, the streaming-compaction read path:
@@ -208,7 +202,6 @@ class SsTableWriter {
     std::vector<Row> block_rows_;            // current block buffer
     std::vector<std::uint8_t> block_bytes_;  // encode scratch
     bool in_partition_{false};
-    bool finished_{false};
     std::uint64_t rows_written_{0};
 };
 

@@ -2,9 +2,14 @@
 // its neighbors misbehave — brokers die mid-run, clients send garbage,
 // files are torn by crashes, data sources disappear.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <algorithm>
+#include <csignal>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <map>
 #include <thread>
 
 #include "collectagent/collect_agent.hpp"
@@ -259,37 +264,159 @@ TEST(Failure, NodeQuarantinesCorruptSsTableAndServesTheRest) {
     }
 }
 
+void append_bytes(const std::string& path, const std::string& bytes) {
+    std::ofstream f(path, std::ios::binary | std::ios::app);
+    f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// Offset of the last record in a record log: walks the
+/// `u32 len | body | u32 crc` frames behind the 8-byte header.
+std::uintmax_t last_record_offset(const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    const std::string bytes((std::istreambuf_iterator<char>(in)), {});
+    std::uintmax_t last = 8;
+    for (std::uintmax_t off = 8; off + 4 <= bytes.size();) {
+        last = off;
+        std::uintmax_t len = 0;
+        for (int i = 0; i < 4; ++i)
+            len = (len << 8) | static_cast<unsigned char>(bytes[off + i]);
+        off += 8 + len;
+    }
+    return last;
+}
+
 TEST(Failure, TornMetaStoreTailIsTruncatedSoSidsStayUnique) {
+    // What a crash or a bad sector leaves in the file; each tear returns
+    // the length of the intact prefix in front of it.
+    struct Tear {
+        const char* name;
+        std::function<std::uintmax_t(const std::string&)> apply;
+    };
+    const Tear tears[] = {
+        {"torn 3-byte record",
+         [](const std::string& path) {
+             const auto intact = fs::file_size(path);
+             append_bytes(path, "\x5A\x5A\x5A");
+             return intact;
+         }},
+        {"64 zero bytes",
+         [](const std::string& path) {
+             const auto intact = fs::file_size(path);
+             append_bytes(path, std::string(64, '\0'));
+             return intact;
+         }},
+        {"one flipped byte in the last record",
+         [](const std::string& path) {
+             const auto intact = last_record_offset(path);
+             std::fstream f(path,
+                            std::ios::binary | std::ios::in | std::ios::out);
+             f.seekg(-5, std::ios::end);  // the body's last byte
+             const char byte = static_cast<char>(f.get());
+             f.seekp(-5, std::ios::end);
+             f.put(static_cast<char>(byte ^ 0x01));
+             return intact;
+         }},
+    };
+    for (const Tear& tear : tears) {
+        SCOPED_TRACE(tear.name);
+        TempDir dir;
+        const std::string path = dir.str() + "/meta.db";
+        SensorId temp, fan;
+        std::vector<std::pair<std::string, std::string>> before;
+        {
+            store::MetaStore meta(path);
+            TopicMapper mapper(meta);
+            temp = mapper.to_sid("/site/rack1/node7/temp");
+            before = meta.scan_prefix("");
+        }
+        const std::uintmax_t intact = tear.apply(path);
+        {
+            // Nothing of the tear loads, and the file is cut back to its
+            // intact prefix, so the records below land right behind it.
+            store::MetaStore meta(path);
+            EXPECT_EQ(fs::file_size(path), intact);
+            for (const auto& entry : meta.scan_prefix("")) {
+                EXPECT_NE(std::find(before.begin(), before.end(), entry),
+                          before.end())
+                    << "loaded from the tear: '" << entry.first << "' = '"
+                    << entry.second << "'";
+            }
+            TopicMapper mapper(meta);
+            fan = mapper.to_sid("/site/rack2/node9/fan");
+        }
+        // Next restart: the dictionary entries written after the tear
+        // must still be there, or their SIDs are handed to new topics.
+        store::MetaStore meta(path);
+        TopicMapper mapper(meta);
+        SensorId found;
+        ASSERT_TRUE(mapper.lookup("/site/rack2/node9/fan", found))
+            << "entries appended after a torn tail were lost";
+        EXPECT_EQ(found, fan);
+        const SensorId volt = mapper.to_sid("/site/rack3/node1/volt");
+        EXPECT_NE(volt, fan) << volt.hex();
+        EXPECT_NE(volt, temp) << volt.hex();
+        EXPECT_EQ(mapper.to_sid("/site/rack1/node7/temp"), temp);
+    }
+}
+
+/// While in scope, a write that would grow any file of this process past
+/// `bytes` fails with EFBIG (SIGXFSZ ignored), the way a full disk fails
+/// it with ENOSPC.
+class FileSizeLimit {
+  public:
+    explicit FileSizeLimit(std::uintmax_t bytes)
+        : old_handler_(std::signal(SIGXFSZ, SIG_IGN)) {
+        ::getrlimit(RLIMIT_FSIZE, &old_);
+        rlimit limit = old_;
+        limit.rlim_cur = static_cast<rlim_t>(bytes);
+        ::setrlimit(RLIMIT_FSIZE, &limit);
+    }
+    ~FileSizeLimit() {
+        ::setrlimit(RLIMIT_FSIZE, &old_);
+        std::signal(SIGXFSZ, old_handler_);
+    }
+
+    FileSizeLimit(const FileSizeLimit&) = delete;
+    FileSizeLimit& operator=(const FileSizeLimit&) = delete;
+
+  private:
+    void (*old_handler_)(int);
+    rlimit old_{};
+};
+
+// A dictionary write the disk refuses must fail the first sighting: a SID
+// served from memory but missing from the file would go to another topic
+// after a restart.
+TEST(Failure, DictionaryWriteFailureIsNeverServed) {
     TempDir dir;
-    const std::string path = dir.str() + "/meta.db";
-    SensorId temp, fan;
+    const std::string path = dir.str() + "/meta.log";
+    std::map<std::string, SensorId> served;  // every SID handed out
+    auto sight = [&](TopicMapper& mapper, const std::string& topic) {
+        const SensorId sid = mapper.to_sid(topic);
+        served.emplace(topic, sid);
+        return sid;
+    };
     {
         store::MetaStore meta(path);
         TopicMapper mapper(meta);
-        temp = mapper.to_sid("/site/rack1/node7/temp");
+        const SensorId x = sight(mapper, "/a/x");
+        const FileSizeLimit full(fs::file_size(path));
+        EXPECT_THROW(sight(mapper, "/a/y"), StoreError);
+        SensorId sid;
+        EXPECT_FALSE(mapper.lookup("/a/y", sid));
+        EXPECT_EQ(mapper.to_sid("/a/x"), x);  // known: no write
     }
-    {
-        // Crash mid-append: a torn 3-byte record behind the intact ones.
-        std::ofstream f(path, std::ios::binary | std::ios::app);
-        f.write("\x5A\x5A\x5A", 3);
-    }
-    {
-        store::MetaStore meta(path);
-        TopicMapper mapper(meta);
-        fan = mapper.to_sid("/site/rack2/node9/fan");
-    }
-    // Next restart: the dictionary entries written after the tear must
-    // still be there, or their SIDs are handed to new topics.
     store::MetaStore meta(path);
     TopicMapper mapper(meta);
-    SensorId found;
-    ASSERT_TRUE(mapper.lookup("/site/rack2/node9/fan", found))
-        << "entries appended after a torn tail were lost";
-    EXPECT_EQ(found, fan);
-    const SensorId volt = mapper.to_sid("/site/rack3/node1/volt");
-    EXPECT_NE(volt, fan) << volt.hex();
-    EXPECT_NE(volt, temp) << volt.hex();
-    EXPECT_EQ(mapper.to_sid("/site/rack1/node7/temp"), temp);
+    EXPECT_EQ(mapper.to_sid("/a/x"), served.at("/a/x"));
+    for (const std::string topic : {"/a/w", "/a/y"}) {
+        const SensorId sid = mapper.to_sid(topic);
+        for (const auto& [other, other_sid] : served) {
+            if (other == topic) continue;
+            EXPECT_NE(sid, other_sid)
+                << topic << " got the SID served for " << other;
+        }
+    }
 }
 
 TEST(Failure, TornCommitLogRecoversPrefix) {
@@ -345,6 +472,56 @@ TEST(Failure, TornCommitLogTailIsTruncatedAndAppendable) {
     const auto rows = recovered.query(key, 0, kTimestampMax);
     ASSERT_EQ(rows.size(), 3u) << "post-truncation append must replay";
     EXPECT_EQ(rows[2].value, 30);
+}
+
+// Once a write fails, a partial record may sit on disk, and a record
+// appended behind it would be lost at the next replay: both logs refuse
+// every later write, even after the disk recovers, until reopened.
+TEST(Failure, FailedLogWriteRefusesLaterWritesUntilReopened) {
+    TempDir dir;
+    const std::string meta_path = dir.str() + "/meta.log";
+    {
+        store::MetaStore meta(meta_path);
+        meta.put("a", "1");
+        {
+            const FileSizeLimit full(fs::file_size(meta_path));
+            EXPECT_THROW(meta.put("b", "2"), StoreError);
+        }
+        EXPECT_FALSE(meta.contains("b"));
+        EXPECT_THROW(meta.put("c", "3"), StoreError);
+        EXPECT_THROW(meta.erase("a"), StoreError);
+        EXPECT_EQ(meta.get("a"), "1");
+    }
+    {
+        store::MetaStore meta(meta_path);
+        EXPECT_EQ(meta.get("a"), "1");
+        meta.put("c", "3");
+    }
+    EXPECT_EQ(store::MetaStore(meta_path).get("c"), "3");
+
+    const std::string log_path = dir.str() + "/commit.log";
+    const auto ignore = [](const store::Key&, const store::Row&) {};
+    std::vector<std::uint8_t> record;
+    store::CommitLog::encode_record(
+        std::vector<store::BatchEntry>{{store::Key{}, 1, 10, 0}}, record);
+    {
+        store::CommitLog log(log_path, ignore);
+        log.append(record);
+        {
+            const FileSizeLimit full(fs::file_size(log_path));
+            EXPECT_THROW(log.sync(), StoreError);
+        }
+        EXPECT_THROW(log.append(record), StoreError);
+        EXPECT_THROW(log.sync(), StoreError);
+        EXPECT_THROW(log.reset(), StoreError);
+    }
+    std::uint64_t replayed = 0;
+    store::CommitLog log(log_path, [&](const store::Key&, const store::Row&) {
+        ++replayed;
+    });
+    log.append(record);
+    log.sync();
+    EXPECT_EQ(log.records_appended(), replayed + 1);
 }
 
 // ------------------------------------------------- collect agent inputs

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <map>
 #include <random>
 #include <thread>
@@ -372,26 +373,36 @@ TEST(SsTable, QueriesAndRowReadsCrossCompressedBlockBoundaries) {
 
 // ------------------------------------------------------------- commitlog
 
+void ignore_row(const Key&, const Row&) {}
+
+/// Append a batch as one record, the way StorageNode does.
+void append_batch(CommitLog& log, std::span<const BatchEntry> entries) {
+    std::vector<std::uint8_t> record;
+    CommitLog::encode_record(entries, record);
+    log.append(record);
+}
+
 /// Append one row as its own record; timestamps under a second make the
 /// TTL the absolute expiry.
 void append_row(CommitLog& log, const BatchEntry& entry) {
-    log.append_batch(std::span<const BatchEntry>(&entry, 1));
+    append_batch(log, std::span<const BatchEntry>(&entry, 1));
 }
 
 TEST(CommitLog, AppendAndReplay) {
     TempDir dir;
     const std::string path = dir.str() + "/commit.log";
     {
-        CommitLog log(path);
+        CommitLog log(path, ignore_row);
         append_row(log, {make_key(1), 10, 100, 0});
         append_row(log, {make_key(2), 20, 200, 7});
         log.sync();
     }
+    const auto size = fs::file_size(path);
     std::vector<std::pair<Key, Row>> seen;
-    const auto n = CommitLog::replay(
+    CommitLog log(
         path, [&](const Key& k, const Row& r) { seen.emplace_back(k, r); });
-    EXPECT_EQ(n.records, 2u);
-    EXPECT_EQ(n.valid_bytes, fs::file_size(path));
+    EXPECT_EQ(log.records_appended(), 2u);
+    EXPECT_EQ(fs::file_size(path), size);  // every byte was intact
     ASSERT_EQ(seen.size(), 2u);
     EXPECT_EQ(seen[0].first, make_key(1));
     EXPECT_EQ(seen[1].second.value, 200);
@@ -402,7 +413,7 @@ TEST(CommitLog, ReplayStopsAtCorruptTail) {
     TempDir dir;
     const std::string path = dir.str() + "/commit.log";
     {
-        CommitLog log(path);
+        CommitLog log(path, ignore_row);
         append_row(log, {make_key(1), 10, 100, 0});
         log.sync();
     }
@@ -412,19 +423,22 @@ TEST(CommitLog, ReplayStopsAtCorruptTail) {
     fclose(f);
 
     std::uint64_t count = 0;
-    CommitLog::replay(path, [&](const Key&, const Row&) { ++count; });
+    CommitLog log(path, [&](const Key&, const Row&) { ++count; });
     EXPECT_EQ(count, 1u);
 }
 
 TEST(CommitLog, ResetTruncates) {
     TempDir dir;
     const std::string path = dir.str() + "/commit.log";
-    CommitLog log(path);
-    append_row(log, {make_key(1), 10, 100, 0});
-    log.reset();
-    log.sync();
+    {
+        CommitLog log(path, ignore_row);
+        append_row(log, {make_key(1), 10, 100, 0});
+        log.reset();
+        log.sync();
+        EXPECT_EQ(fs::file_size(path), 8u);  // the header, in place
+    }
     std::uint64_t count = 0;
-    CommitLog::replay(path, [&](const Key&, const Row&) { ++count; });
+    CommitLog log(path, [&](const Key&, const Row&) { ++count; });
     EXPECT_EQ(count, 0u);
 }
 
@@ -432,7 +446,7 @@ TEST(CommitLog, AppendBatchReplaysAllRowsFromOneRecord) {
     TempDir dir;
     const std::string path = dir.str() + "/commit.log";
     {
-        CommitLog log(path);
+        CommitLog log(path, ignore_row);
         // Timestamps under a second: a TTL is then the absolute expiry.
         const std::vector<BatchEntry> batch{
             {make_key(1), 10, 100, 0},
@@ -441,18 +455,18 @@ TEST(CommitLog, AppendBatchReplaysAllRowsFromOneRecord) {
             {make_key(3), 30, 300, 0},
             {make_key(3), 31, 310, 9},
         };
-        log.append_batch(batch);
+        append_batch(log, batch);
         log.sync();
         EXPECT_EQ(log.records_appended(), 5u);
     }
     // One header + ONE record for the whole batch:
-    // 8 + (count(4) + 5 * entry(40) + crc(4)).
+    // 8 + (len(4) + 5 * entry(40) + crc(4)).
     EXPECT_EQ(fs::file_size(path), 8u + 4u + 5u * 40u + 4u);
     std::vector<std::pair<Key, Row>> seen;
-    const auto n = CommitLog::replay(
+    CommitLog log(
         path, [&](const Key& k, const Row& r) { seen.emplace_back(k, r); });
-    EXPECT_EQ(n.records, 5u);
-    EXPECT_EQ(n.valid_bytes, fs::file_size(path));
+    EXPECT_EQ(log.records_appended(), 5u);
+    EXPECT_EQ(fs::file_size(path), 8u + 4u + 5u * 40u + 4u);
     ASSERT_EQ(seen.size(), 5u);
     EXPECT_EQ(seen[2].first, make_key(2));
     EXPECT_EQ(seen[2].second.expiry_s, 7u);
@@ -463,7 +477,7 @@ TEST(CommitLog, TornBatchedTailReplaysNoneOfItsRows) {
     TempDir dir;
     const std::string path = dir.str() + "/commit.log";
     {
-        CommitLog log(path);
+        CommitLog log(path, ignore_row);
         const std::vector<BatchEntry> first{
             {make_key(1), 1, 10, 0},
             {make_key(1), 2, 20, 0},
@@ -473,17 +487,16 @@ TEST(CommitLog, TornBatchedTailReplaysNoneOfItsRows) {
             {make_key(2), 4, 40, 0},
             {make_key(2), 5, 50, 0},
         };
-        log.append_batch(first);
-        log.append_batch(second);
+        append_batch(log, first);
+        append_batch(log, second);
         log.sync();
     }
     // Tear the second record: a torn batch is all-or-nothing on replay.
     fs::resize_file(path, fs::file_size(path) - 5);
     std::vector<Row> seen;
-    const auto n = CommitLog::replay(
-        path, [&](const Key&, const Row& r) { seen.push_back(r); });
-    EXPECT_EQ(n.records, 3u);
-    EXPECT_EQ(n.valid_bytes, 8u + 4u + 3u * 40u + 4u);
+    CommitLog log(path, [&](const Key&, const Row& r) { seen.push_back(r); });
+    EXPECT_EQ(log.records_appended(), 3u);
+    EXPECT_EQ(fs::file_size(path), 8u + 4u + 3u * 40u + 4u);
     ASSERT_EQ(seen.size(), 3u);
     EXPECT_EQ(seen.back().ts, 3u);
 }
@@ -502,9 +515,9 @@ TEST(CommitLog, RecordEncodedFromBatchEntriesReplaysSameRows) {
     std::vector<std::uint8_t> record(999, 0xEE);  // dirty reused scratch
     CommitLog::encode_record(batch, record);
 
-    // The v2 record byte for byte: count, (key, ts, value, expiry)*, crc.
+    // The v3 record byte for byte: len, (key, ts, value, expiry)*, crc.
     ByteWriter ref;
-    ref.u32be(static_cast<std::uint32_t>(batch.size()));
+    ref.u32be(static_cast<std::uint32_t>(batch.size() * 40));
     for (const auto& e : batch) {
         std::uint8_t kb[Key::kBytes];
         e.key.serialize(kb);
@@ -519,15 +532,15 @@ TEST(CommitLog, RecordEncodedFromBatchEntriesReplaysSameRows) {
     EXPECT_EQ(record, ref.data());
 
     {
-        CommitLog log(path);
-        log.append(record, batch.size());
+        CommitLog log(path, ignore_row);
+        log.append(record);
         log.sync();
         EXPECT_EQ(log.records_appended(), batch.size());
     }
     std::vector<std::pair<Key, Row>> seen;
-    const auto n = CommitLog::replay(
+    CommitLog log(
         path, [&](const Key& k, const Row& r) { seen.emplace_back(k, r); });
-    EXPECT_EQ(n.records, batch.size());
+    EXPECT_EQ(log.records_appended(), batch.size());
     ASSERT_EQ(seen.size(), batch.size());
     for (std::size_t i = 0; i < batch.size(); ++i) {
         EXPECT_EQ(seen[i].first, batch[i].key);
@@ -552,44 +565,65 @@ void write_headerless_log(const std::string& path) {
     fclose(f);
 }
 
+/// A version-2 DCL2 log: the same header magic, then one record framed
+/// by its row count instead of its byte length.
+void write_v2_log(const std::string& path) {
+    ByteWriter w;
+    w.u32be(0x44434C32);  // 'DCL2'
+    w.u32be(2);
+    ByteWriter rec;
+    rec.u32be(1);
+    std::uint8_t kb[Key::kBytes];
+    make_key(1).serialize(kb);
+    rec.bytes(kb, sizeof kb);
+    rec.u64be(10);
+    rec.i64be(100);
+    rec.u32be(0);
+    rec.u32be(static_cast<std::uint32_t>(murmur3_token(rec.data())));
+    w.bytes(rec.data().data(), rec.size());
+    FILE* f = fopen(path.c_str(), "wb");
+    fwrite(w.data().data(), 1, w.size(), f);
+    fclose(f);
+}
+
+std::string read_file(const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
 TEST(CommitLog, HeaderlessFileReplaysNothingAndIsNotAppendedTo) {
     TempDir dir;
     const std::string path = dir.str() + "/commit.log";
     write_headerless_log(path);
     std::uint64_t count = 0;
-    const auto n =
-        CommitLog::replay(path, [&](const Key&, const Row&) { ++count; });
+    // Appending behind bytes replay cannot read would lose the appends,
+    // and discarding them would lose their rows: the log is refused.
+    EXPECT_THROW(
+        CommitLog log(path, [&](const Key&, const Row&) { ++count; }),
+        StoreError);
     EXPECT_EQ(count, 0u);
-    EXPECT_EQ(n.records, 0u);
-    EXPECT_EQ(n.valid_bytes, 0u);
-    // Appending behind bytes replay cannot read would lose the appends.
-    EXPECT_THROW(CommitLog log(path), StoreError);
     EXPECT_EQ(fs::file_size(path), 44u);
 }
 
-TEST(StorageNode, HeaderlessCommitLogRestartsAsDcl2AndKeepsNewWrites) {
-    TempDir dir;
-    NodeConfig config;
-    config.data_dir = dir.str();
-    const std::string path = dir.str() + "/commit.log";
-    write_headerless_log(path);
-    {
-        StorageNode node(config);
-        EXPECT_TRUE(node.query(make_key(1), 0, kTimestampMax).empty());
-        node.insert(make_key(2), 20, 200);
-        // Crash before any flush: the row lives only in the log.
+// A log of another format (headerless, or DCL2 version 2) stops the node
+// from opening, with the file left as it was: replaying it as version 3
+// would misread its rows, and truncating it would drop them.
+TEST(StorageNode, ForeignCommitLogIsRefusedAndLeftUntouched) {
+    for (const bool headerless : {true, false}) {
+        SCOPED_TRACE(headerless ? "headerless" : "DCL2 version 2");
+        TempDir dir;
+        NodeConfig config;
+        config.data_dir = dir.str();
+        const std::string path = dir.str() + "/commit.log";
+        if (headerless) {
+            write_headerless_log(path);
+        } else {
+            write_v2_log(path);
+        }
+        const std::string before = read_file(path);
+        EXPECT_THROW(StorageNode node(config), StoreError);
+        EXPECT_EQ(read_file(path), before);
     }
-    std::FILE* f = fopen(path.c_str(), "rb");
-    ASSERT_NE(f, nullptr);
-    char magic[4] = {};
-    EXPECT_EQ(fread(magic, 1, sizeof magic, f), sizeof magic);
-    fclose(f);
-    EXPECT_EQ(std::string(magic, sizeof magic), "DCL2");
-
-    StorageNode recovered(config);
-    const auto rows = recovered.query(make_key(2), 0, kTimestampMax);
-    ASSERT_EQ(rows.size(), 1u);
-    EXPECT_EQ(rows[0].value, 200);
 }
 
 // ---------------------------------------------------------- storage node
@@ -783,28 +817,41 @@ TEST(StorageNode, ConcurrentWritersAndReaders) {
 }
 
 TEST(StorageNode, InsertBatchSurvivesCrashViaBatchedCommitLog) {
-    TempDir dir;
-    {
-        StorageNode node({dir.str(), 1u << 20, true});
-        const TimestampNs now = now_ns();
-        const std::vector<BatchEntry> batch{
-            {make_key(1), 100, 42, 0},
-            {make_key(1), 101, 43, 0},
-            {make_key(2), now, 44, 3600},  // TTL relative to the row's ts
-        };
-        node.insert_batch(batch);
-        EXPECT_EQ(node.stats().writes, 3u);
-        // "Crash": destructor without flush; the single batched commit
-        // log record holds all three rows.
+    // The second batch holds 2^20 + 1 rows: a Pusher group of 257 sensors
+    // whose 4,096-reading pending rings filled during an outage drains
+    // that much in one publish, and its one record must replay whole.
+    for (const std::size_t rows_in_batch : {std::size_t{3},
+                                            (std::size_t{1} << 20) + 1}) {
+        SCOPED_TRACE(rows_in_batch);
+        TempDir dir;
+        const std::size_t flush_bytes = 1u << 30;  // no flush: log only
+        {
+            StorageNode node({dir.str(), flush_bytes, true});
+            const TimestampNs now = now_ns();
+            std::vector<BatchEntry> batch{
+                {make_key(1), 100, 42, 0},
+                {make_key(1), 101, 43, 0},
+                {make_key(2), now, 44, 3600},  // TTL relative to the row's ts
+            };
+            while (batch.size() < rows_in_batch) {
+                const auto i = batch.size();
+                batch.push_back({make_key(3), i, static_cast<Value>(i), 0});
+            }
+            node.insert_batch(batch);
+            EXPECT_EQ(node.stats().writes, rows_in_batch);
+            // "Crash": destructor without flush; the single batched
+            // commit log record holds every row.
+        }
+        StorageNode recovered({dir.str(), flush_bytes, true});
+        EXPECT_EQ(recovered.stats().memtable_rows, rows_in_batch);
+        const auto rows = recovered.query(make_key(1), 0, kTimestampMax);
+        ASSERT_EQ(rows.size(), 2u);
+        EXPECT_EQ(rows[0].value, 42);
+        EXPECT_EQ(rows[1].value, 43);
+        const auto other = recovered.query(make_key(2), 0, kTimestampMax);
+        ASSERT_EQ(other.size(), 1u);
+        EXPECT_EQ(other[0].value, 44);
     }
-    StorageNode recovered({dir.str(), 1u << 20, true});
-    const auto rows = recovered.query(make_key(1), 0, kTimestampMax);
-    ASSERT_EQ(rows.size(), 2u);
-    EXPECT_EQ(rows[0].value, 42);
-    EXPECT_EQ(rows[1].value, 43);
-    const auto other = recovered.query(make_key(2), 0, kTimestampMax);
-    ASSERT_EQ(other.size(), 1u);
-    EXPECT_EQ(other[0].value, 44);
 }
 
 // ------------------------------------------------------------ compaction
@@ -1251,18 +1298,6 @@ TEST(MetaStore, ScanPrefixSorted) {
     ASSERT_EQ(hits.size(), 2u);
     EXPECT_EQ(hits[0].first, "vs//a");
     EXPECT_EQ(hits[1].first, "vs//b");
-}
-
-TEST(MetaStore, CompactPreservesContents) {
-    TempDir dir;
-    const std::string path = dir.str() + "/meta.log";
-    {
-        MetaStore meta(path);
-        for (int i = 0; i < 100; ++i) meta.put("k", std::to_string(i));
-        meta.compact();
-    }
-    MetaStore meta(path);
-    EXPECT_EQ(meta.get("k").value(), "99");
 }
 
 // ------------------------------------------- cluster configuration sweep

@@ -598,8 +598,7 @@ TEST(Trace, EndToEndStitchedTimelineAcrossPusherAndAgent) {
     store::StoreCluster cluster(cluster_config);
     store::MetaStore meta(dir.str() + "/meta.log");
     collectagent::CollectAgent agent(
-        parse_config("global { listenTcp false ; restApi true ;\n"
-                     "  traceSampleRate 1 }"),
+        parse_config("global { listenTcp false ; restApi true }"),
         &cluster, &meta);
 
     pusher::Pusher pusher(

@@ -60,6 +60,11 @@
 //                      pipeline inventory. Indirection that is genuinely
 //                      needed carries a
 //                      `dcdblint: allow-trace-stage(<why>)` marker.
+//   durable-io         fsync, fdatasync, ftruncate, resize_file and
+//                      rename are called only from src/store/file.cpp,
+//                      the one place that orders syncs and publishes
+//                      files. Anything else needs a
+//                      `dcdblint: allow-durable-io(<why>)` marker.
 //
 // Markers are written in comments on the offending line or the line
 // directly above, so every suppression carries its justification in situ.
@@ -509,6 +514,28 @@ void check_trace_stage(const std::string& rel,
     }
 }
 
+// Durable I/O has one home: a sync, truncate or rename anywhere else is
+// a second place that must get the durability order right.
+void check_durable_io(const std::string& rel, const std::vector<Line>& lines,
+                      std::vector<Violation>& out) {
+    if (rel.rfind("src/", 0) != 0 || rel == "src/store/file.cpp") return;
+    static const std::vector<std::string_view> calls_banned = {
+        "fsync", "fdatasync", "ftruncate", "resize_file", "rename"};
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+        for (const auto name : calls_banned) {
+            if (!calls(lines[i].code, name)) continue;
+            if (has_marker(lines, i, "dcdblint: allow-durable-io")) break;
+            out.push_back({rel, i + 1, "durable-io",
+                           std::string(name) +
+                               "() outside src/store/file.cpp — go through "
+                               "store/file (RecordLog, sync_file, "
+                               "publish_file), or justify with "
+                               "`dcdblint: allow-durable-io(<why>)`"});
+            break;  // one report per line is enough
+        }
+    }
+}
+
 void check_includes(const std::string& rel, const std::vector<Line>& lines,
                     std::vector<Violation>& out) {
     const std::string layer = layer_of(rel);
@@ -609,6 +636,7 @@ std::vector<Violation> lint_file(const std::string& rel,
     check_pusher_v0_encode(rel, lines, out);
     check_naked_atomic(rel, lines, out);
     check_trace_stage(rel, lines, out);
+    check_durable_io(rel, lines, out);
     check_includes(rel, lines, out);
     check_topic_literals(rel, lines, out);
     return out;
@@ -700,6 +728,22 @@ const Case kCases[] = {
     {"record_span declaration in telemetry clean", "src/telemetry/good3.hpp",
      "void record_span(const TraceContext& ctx, Stage stage,\n"
      "                 TimestampNs start, std::uint64_t dur) noexcept;\n",
+     nullptr},
+    {"fdatasync fires outside store/file", "src/store/bad4.cpp",
+     "if (::fdatasync(::fileno(file_)) != 0) fail();\n", "durable-io"},
+    {"rename fires outside store/file", "src/tools/bad2.cpp",
+     "fs::rename(from, to, ec);\n", "durable-io"},
+    {"store/file may sync, truncate and rename", "src/store/file.cpp",
+     "rc = ::fsync(fd);\n::ftruncate(fd, len);\n"
+     "std::rename(tmp.c_str(), path.c_str());\n",
+     nullptr},
+    {"allow-durable-io marker accepted", "src/store/good8.cpp",
+     "// dcdblint: allow-durable-io(a quarantine, not a publish)\n"
+     "fs::rename(path, quarantined, ec);\n",
+     nullptr},
+    {"durable-io ignores comments and other names", "src/store/good10.cpp",
+     "// fsync -> rename -> dir fsync\nvoid sync_file(FILE* f);\n"
+     "log_.sync();\n",
      nullptr},
     {"atomic trait query clean", "src/net/good.hpp",
      "static_assert(std::atomic<std::uint64_t>::is_always_lock_free);\n",
