@@ -17,7 +17,8 @@
 //      per-reading allocation there is the first thing batching wins.
 //   3. Per-section bookkeeping on KNOWN sensors performs ZERO heap
 //      allocations: the agent's TopicMapper::to_sid / lookup,
-//      CacheSet::push and SensorTree::add, and the Pusher's
+//      CacheSet::push and SensorTree::add (also for an unnormalized
+//      spelling of a known topic), and the Pusher's
 //      SensorGroup::read_all plus the per-sensor drain push_once does.
 //   5. The byte path from the Pusher's encoder to the commit-log record
 //      performs ZERO heap allocations per round trip once warm: encode
@@ -419,7 +420,9 @@ int smoke() {
 
     // 3. Zero allocations per section on known sensors, agent and
     // Pusher side. Readings are a second apart so the 120 s caches
-    // evict instead of growing.
+    // evict instead of growing. The agent also sees one unnormalized
+    // spelling of a known sensor, which must resolve to the same SID,
+    // slot and leaf without allocating.
     {
         store::MetaStore meta;
         TopicMapper mapper(meta);
@@ -434,10 +437,12 @@ int smoke() {
             group.add_sensor(std::make_unique<pusher::SensorBase>(
                 "s" + std::to_string(s), topics.back()));
         }
+        std::vector<std::string> agent_topics = topics;
+        agent_topics.push_back("bench//node0/plugin/group/s0/");
         std::vector<Reading> drain;
         std::uint64_t resolved = 0;
         const auto round = [&](TimestampNs ts) {
-            for (const auto& topic : topics) {
+            for (const auto& topic : agent_topics) {
                 SensorId sid = mapper.to_sid(topic);
                 resolved += mapper.lookup(topic, sid) ? 1 : 0;
                 agent_cache.push(topic, {ts, 1});
@@ -449,24 +454,34 @@ int smoke() {
                 sensor->drain_pending_into(drain);
         };
         // Warm-up: first sightings, cache slots, pending rings, buffers.
-        for (TimestampNs ts = 1; ts <= 4; ++ts) round(ts * kNsPerSec);
+        // It spans more than one 120 s cache window, so s0's slot, fed
+        // under both spellings (two readings a second), has grown its
+        // ring to its steady size.
+        constexpr int kWarmupRounds = 130;
+        for (int i = 1; i <= kWarmupRounds; ++i)
+            round(static_cast<TimestampNs>(i) * kNsPerSec);
         const std::uint64_t before =
             g_allocations.load(std::memory_order_relaxed);
         resolved = 0;
         for (int i = 0; i < kBookkeepRounds; ++i)
-            round(static_cast<TimestampNs>(i + 5) * kNsPerSec);
+            round(static_cast<TimestampNs>(i + kWarmupRounds + 1) *
+                  kNsPerSec);
         const std::uint64_t allocs =
             g_allocations.load(std::memory_order_relaxed) - before;
         std::printf("ingest smoke: %d bookkeeping rounds of %zu known "
-                    "sensors, %llu heap allocations\n",
-                    kBookkeepRounds, topics.size(),
+                    "sensors (%zu agent spellings), %llu heap "
+                    "allocations\n",
+                    kBookkeepRounds, topics.size(), agent_topics.size(),
                     static_cast<unsigned long long>(allocs));
-        if (resolved != kBookkeepRounds * topics.size() ||
+        if (resolved != kBookkeepRounds * agent_topics.size() ||
             drain.size() != topics.size() ||
+            mapper.known_topics() != topics.size() ||
+            agent_cache.sensor_count() != topics.size() ||
             tree.sensor_count() != topics.size() ||
             agent_cache.view(topics[0], 0, kTimestampMax).empty()) {
-            std::fprintf(stderr, "ingest smoke: bookkeeping lost a "
-                                 "sensor or a reading\n");
+            std::fprintf(stderr, "ingest smoke: bookkeeping lost or "
+                                 "duplicated a sensor, or lost a "
+                                 "reading\n");
             return 1;
         }
         if (allocs != 0) {

@@ -12,7 +12,9 @@
 #include "analysis/table.hpp"
 #include "bench_util.hpp"
 #include "common/clock.hpp"
+#include "core/hierarchy.hpp"
 #include "core/payload.hpp"
+#include "core/sensor_cache.hpp"
 #include "core/sensor_id.hpp"
 #include "libdcdb/connection.hpp"
 #include "mqtt/broker.hpp"
@@ -61,6 +63,64 @@ void BM_TopicToSidCached(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_TopicToSidCached);
+
+// The Collect Agent's per-section work on a known sensor, in the
+// pipeline benchmark's wide_fanin shape (4 sessions x 8 groups x 250
+// sensors, one reading per section): to_sid before the store insert,
+// CacheSet::push and SensorTree::add after it. Each benchmark thread is
+// one broker session walking its own 2,000 topics, so Threads(4) shows
+// what the sessions cost each other. cpu_per_section is the CPU time
+// of all threads per section.
+struct KnownSensors {
+    static constexpr int kSessions = 4;
+
+    KnownSensors() : mapper(meta) {
+        for (int s = 0; s < kSessions; ++s)
+            for (int g = 0; g < 8; ++g)
+                for (int k = 0; k < 250; ++k)
+                    topics.push_back("/bench/s" + std::to_string(s) +
+                                     "/tester/g" + std::to_string(g) +
+                                     "/s" + std::to_string(k));
+        for (const auto& topic : topics) {
+            mapper.to_sid(topic);
+            cache.push(topic, {kNsPerSec, 0});
+            tree.add(topic);
+        }
+    }
+
+    store::MetaStore meta;
+    TopicMapper mapper;
+    CacheSet cache{120 * kNsPerSec};
+    SensorTree tree;
+    std::vector<std::string> topics;
+};
+
+void BM_KnownSectionBookkeeping(benchmark::State& state) {
+    static KnownSensors known;  // shared by the benchmark's threads
+    const std::size_t per_session =
+        known.topics.size() / KnownSensors::kSessions;
+    const auto first = known.topics.begin() +
+                       static_cast<std::ptrdiff_t>(
+                           static_cast<std::size_t>(state.thread_index()) *
+                           per_session);
+    const auto last = first + static_cast<std::ptrdiff_t>(per_session);
+    TimestampNs ts = 2 * kNsPerSec;
+    for (auto _ : state) {
+        ts += kNsPerSec;
+        for (auto it = first; it != last; ++it) {
+            benchmark::DoNotOptimize(known.mapper.to_sid(*it));
+            known.cache.push(*it, {ts, 1});
+            known.tree.add(*it);
+        }
+    }
+    const auto sections =
+        static_cast<double>(state.iterations() * per_session);
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(per_session));
+    state.counters["cpu_per_section"] = benchmark::Counter(
+        sections, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_KnownSectionBookkeeping)->Threads(1)->Threads(4);
 
 void BM_PayloadDecode64Readings(benchmark::State& state) {
     std::vector<Reading> readings;

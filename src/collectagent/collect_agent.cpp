@@ -242,7 +242,7 @@ void CollectAgent::on_publish(const mqtt::Publish& message) {
 
     // Cache the newest persisted reading per sensor, notify the live
     // listener, and keep the hierarchy browsable. For a known sensor the
-    // cache and tree visits are string_view probes under shared locks.
+    // cache and tree visits are lock-free probes, in any spelling.
     for (const auto& pending : sections) {
         if (live_listener_) {
             topic_scratch.assign(pending.topic);

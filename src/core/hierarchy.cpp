@@ -1,15 +1,14 @@
 #include "core/hierarchy.hpp"
 
+#include <algorithm>
+
 #include "common/string_utils.hpp"
 #include "mqtt/topic.hpp"
 
 namespace dcdb {
 
 void SensorTree::add(std::string_view topic) {
-    {
-        ReaderLock lock(mutex_);
-        if (sensors_.find(topic) != sensors_.end()) return;
-    }
+    if (sensors_.find(topic)) return;
     const std::string normalized = normalize_sensor_topic(topic);
     const auto levels = split_nonempty(normalized, '/');
     WriterLock lock(mutex_);
@@ -18,7 +17,7 @@ void SensorTree::add(std::string_view topic) {
         children_[path.empty() ? "/" : path].insert(level);
         path += "/" + level;
     }
-    sensors_.insert(normalized);
+    sensors_.try_emplace(normalized);
 }
 
 std::vector<std::string> SensorTree::children(const std::string& path) const {
@@ -33,26 +32,21 @@ std::vector<std::string> SensorTree::sensors_below(
     const std::string& path) const {
     const std::string prefix =
         path.empty() || path == "/" ? "/" : normalize_sensor_topic(path);
-    ReaderLock lock(mutex_);
     std::vector<std::string> out;
-    for (const auto& sensor : sensors_) {
+    sensors_.for_each([&](std::string_view sensor, const Leaf&) {
         if (prefix == "/" || sensor == prefix ||
-            (sensor.size() > prefix.size() &&
-             sensor.compare(0, prefix.size(), prefix) == 0 &&
+            (sensor.size() > prefix.size() && sensor.starts_with(prefix) &&
              sensor[prefix.size()] == '/'))
-            out.push_back(sensor);
-    }
+            out.emplace_back(sensor);
+    });
+    std::sort(out.begin(), out.end());
     return out;
 }
 
 bool SensorTree::is_sensor(const std::string& path) const {
-    ReaderLock lock(mutex_);
-    return sensors_.count(normalize_sensor_topic(path)) > 0;
+    return sensors_.find(path) != nullptr;
 }
 
-std::size_t SensorTree::sensor_count() const {
-    ReaderLock lock(mutex_);
-    return sensors_.size();
-}
+std::size_t SensorTree::sensor_count() const { return sensors_.size(); }
 
 }  // namespace dcdb

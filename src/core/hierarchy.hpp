@@ -8,7 +8,6 @@
 // Grafana-equivalent hierarchical browsing in the examples.
 #pragma once
 
-#include <functional>
 #include <map>
 #include <set>
 #include <string>
@@ -16,12 +15,13 @@
 #include <vector>
 
 #include "common/mutex.hpp"
+#include "core/topic_table.hpp"
 
 namespace dcdb {
 
-/// Read-mostly: re-adding a registered sensor (every ingest does) is a
-/// string_view find under the shared lock; only a new or un-normalized
-/// topic is normalized and takes the writer lock.
+/// Read-mostly: re-adding a registered sensor (every ingest does) is one
+/// lock-free probe of the leaf table, in any spelling; only a new topic
+/// is normalized and takes the writer lock.
 class SensorTree {
   public:
     /// Register a sensor topic ("/sys/rack0/node1/power").
@@ -32,21 +32,23 @@ class SensorTree {
         DCDB_EXCLUDES(mutex_);
 
     /// Full topics of all sensors at or below `path`, sorted.
-    std::vector<std::string> sensors_below(const std::string& path) const
-        DCDB_EXCLUDES(mutex_);
+    std::vector<std::string> sensors_below(const std::string& path) const;
 
     /// True if `path` is itself a registered sensor (a leaf).
-    bool is_sensor(const std::string& path) const DCDB_EXCLUDES(mutex_);
+    bool is_sensor(const std::string& path) const;
 
-    std::size_t sensor_count() const DCDB_EXCLUDES(mutex_);
+    std::size_t sensor_count() const;
 
   private:
+    struct Leaf {};
+
     mutable SharedMutex mutex_;
     // path -> names
     std::map<std::string, std::set<std::string>> children_
         DCDB_GUARDED_BY(mutex_);
-    // leaf topics, normalized; std::less<> allows string_view probes
-    std::set<std::string, std::less<>> sensors_ DCDB_GUARDED_BY(mutex_);
+    // Leaf topics, normalized. A topic enters after its path is in
+    // children_, under mutex_ (so mutex_ -> the table's insert mutex).
+    TopicTable<Leaf> sensors_;
 };
 
 }  // namespace dcdb

@@ -114,24 +114,11 @@ CacheSet::CacheSet(TimestampNs window_ns)
     : window_ns_(window_ns),
       id_(g_next_cache_set_id.fetch_add(1, std::memory_order_relaxed)) {}
 
-const CacheSet::Slot* CacheSet::find(std::string_view topic) const {
-    ReaderLock lock(mutex_);
-    const auto it = slots_.find(topic);
-    return it == slots_.end() ? nullptr : &it->second;
-}
-
 CacheSet::Slot& CacheSet::slot(std::string_view topic,
                                TimestampNs interval_hint_ns) {
-    {
-        ReaderLock lock(mutex_);
-        const auto it = slots_.find(topic);
-        if (it != slots_.end()) return it->second;
-    }
-    WriterLock lock(mutex_);
+    if (Slot* s = slots_.find(topic)) return *s;
     // try_emplace keeps a slot another thread created meanwhile.
-    return slots_
-        .try_emplace(std::string(topic), window_ns_, interval_hint_ns)
-        .first->second;
+    return *slots_.try_emplace(topic, window_ns_, interval_hint_ns).first;
 }
 
 void CacheSet::push(std::string_view topic, const Reading& r,
@@ -140,41 +127,38 @@ void CacheSet::push(std::string_view topic, const Reading& r,
 }
 
 std::optional<Reading> CacheSet::latest(std::string_view topic) const {
-    const Slot* s = find(topic);
+    const Slot* s = slots_.find(topic);
     return s ? s->latest() : std::nullopt;
 }
 
 std::vector<Reading> CacheSet::view(std::string_view topic, TimestampNs t0,
                                     TimestampNs t1) const {
-    const Slot* s = find(topic);
+    const Slot* s = slots_.find(topic);
     return s ? s->view(t0, t1) : std::vector<Reading>{};
 }
 
 std::optional<double> CacheSet::average(std::string_view topic,
                                         TimestampNs horizon_ns) const {
-    const Slot* s = find(topic);
+    const Slot* s = slots_.find(topic);
     return s ? s->average(horizon_ns) : std::nullopt;
 }
 
 std::vector<std::string> CacheSet::topics() const {
-    ReaderLock lock(mutex_);
     std::vector<std::string> out;
-    out.reserve(slots_.size());
-    for (const auto& [topic, slot] : slots_) out.push_back(topic);
+    slots_.for_each([&out](std::string_view topic, const Slot&) {
+        out.emplace_back(topic);
+    });
     std::sort(out.begin(), out.end());
     return out;
 }
 
-std::size_t CacheSet::sensor_count() const {
-    ReaderLock lock(mutex_);
-    return slots_.size();
-}
+std::size_t CacheSet::sensor_count() const { return slots_.size(); }
 
 std::size_t CacheSet::memory_bytes() const {
-    ReaderLock lock(mutex_);
     std::size_t total = 0;
-    for (const auto& [topic, slot] : slots_)
+    slots_.for_each([&total](std::string_view topic, const Slot& slot) {
         total += slot.memory_bytes() + topic.size();
+    });
     return total;
 }
 

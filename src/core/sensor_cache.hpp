@@ -10,16 +10,14 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "common/mutex.hpp"
-#include "common/string_utils.hpp"
 #include "common/types.hpp"
+#include "core/topic_table.hpp"
 
 namespace dcdb {
 
@@ -65,9 +63,10 @@ class SensorCache {
 /// Thread-safe set of named sensor caches (one per sensor topic), shared
 /// by the sampler threads and the REST server.
 ///
-/// Each topic owns a Slot: its cache plus a leaf mutex. Slots are created
-/// on first sight and live as long as the set, at a stable address, so a
-/// known topic costs a string_view probe under the shared map lock and a
+/// Each topic owns a Slot: its cache plus a leaf mutex. Slots are keyed
+/// by the normalized topic, so every spelling of a sensor shares one. A
+/// slot is created on first sight and lives as long as the set, at a
+/// stable address, so a known topic costs one lock-free probe and a
 /// caller that always feeds one sensor can resolve its Slot once.
 class CacheSet {
   public:
@@ -96,25 +95,22 @@ class CacheSet {
     /// The slot for `topic`, created on first sight (sized with
     /// `interval_hint_ns`). Valid for the set's lifetime.
     Slot& slot(std::string_view topic,
-               TimestampNs interval_hint_ns = kNsPerSec)
-        DCDB_EXCLUDES(mutex_);
+               TimestampNs interval_hint_ns = kNsPerSec);
 
     /// Insert a reading for `topic`, creating the cache on first sight.
     void push(std::string_view topic, const Reading& r,
-              TimestampNs interval_hint_ns = kNsPerSec)
-        DCDB_EXCLUDES(mutex_);
+              TimestampNs interval_hint_ns = kNsPerSec);
 
-    std::optional<Reading> latest(std::string_view topic) const
-        DCDB_EXCLUDES(mutex_);
+    std::optional<Reading> latest(std::string_view topic) const;
     std::vector<Reading> view(std::string_view topic, TimestampNs t0,
-                              TimestampNs t1) const DCDB_EXCLUDES(mutex_);
+                              TimestampNs t1) const;
     std::optional<double> average(std::string_view topic,
-                                  TimestampNs horizon_ns) const
-        DCDB_EXCLUDES(mutex_);
+                                  TimestampNs horizon_ns) const;
 
-    std::vector<std::string> topics() const DCDB_EXCLUDES(mutex_);
-    std::size_t sensor_count() const DCDB_EXCLUDES(mutex_);
-    std::size_t memory_bytes() const DCDB_EXCLUDES(mutex_);
+    /// Normalized topics, sorted.
+    std::vector<std::string> topics() const;
+    std::size_t sensor_count() const;
+    std::size_t memory_bytes() const;
     TimestampNs window_ns() const { return window_ns_; }
 
     /// Unique per set for the process lifetime (never reused, unlike an
@@ -122,16 +118,12 @@ class CacheSet {
     std::uint64_t id() const { return id_; }
 
   private:
-    const Slot* find(std::string_view topic) const DCDB_EXCLUDES(mutex_);
-
     TimestampNs window_ns_;
     std::uint64_t id_;
-    // Lock order: mutex_ -> Slot::mutex_ (memory_bytes walks the slots
-    // under the shared lock); push/latest/view/average take the slot
-    // lock after releasing mutex_.
-    mutable SharedMutex mutex_;
-    std::unordered_map<std::string, Slot, StringHash, std::equal_to<>>
-        slots_ DCDB_GUARDED_BY(mutex_);
+    // Lock order: the table's insert mutex -> Slot::mutex_
+    // (memory_bytes walks the slots under it); push/latest/view/average
+    // probe without a lock and then take only the slot lock.
+    TopicTable<Slot> slots_;
 };
 
 }  // namespace dcdb

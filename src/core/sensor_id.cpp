@@ -47,46 +47,34 @@ TopicMapper::TopicMapper(store::MetaStore& meta) : meta_(meta) {
     const std::string prefix = "topics/";
     const auto topics = meta_.scan_prefix(prefix);
     known_topics_ = topics.size();
-    registered_.reserve(topics.size());
     for (const auto& entry : topics) {
         // A topic whose components did not survive stays unregistered:
         // its next sighting takes the first-sighting path.
+        const std::string_view topic =
+            std::string_view(entry.first).substr(prefix.size());
         std::array<std::string_view, kSidLevels> levels;
-        const std::size_t depth = sensor_topic_levels(
-            std::string_view(entry.first).substr(prefix.size()), levels);
+        const std::size_t depth = sensor_topic_levels(topic, levels);
+        if (depth == 0 || depth > kSidLevels) continue;
         SensorId sid;
-        if (depth > 0 && depth <= kSidLevels &&
-            resolve_locked(Levels(levels.data(), depth), sid))
-            registered_.insert(sid);
+        std::size_t i = 0;
+        for (; i < depth; ++i) {
+            const auto it = forward_[i].find(levels[i]);
+            if (it == forward_[i].end()) break;
+            sid.set_level(i, it->second);
+        }
+        if (i == depth) registered_.try_emplace(topic, sid);
     }
-}
-
-bool TopicMapper::resolve_locked(Levels levels, SensorId& out) const {
-    SensorId sid;
-    for (std::size_t i = 0; i < levels.size(); ++i) {
-        const auto it = forward_[i].find(levels[i]);
-        if (it == forward_[i].end()) return false;
-        sid.set_level(i, it->second);
-    }
-    out = sid;
-    return true;
 }
 
 SensorId TopicMapper::to_sid(std::string_view topic) {
+    if (const SensorId* sid = registered_.find(topic)) return *sid;
     std::array<std::string_view, kSidLevels> levels;
     const std::size_t depth = sensor_topic_levels(topic, levels);
     if (depth == 0) throw Error("empty sensor topic");
     if (depth > kSidLevels)
         throw Error("topic exceeds " + std::to_string(kSidLevels) +
                     " hierarchy levels: " + std::string(topic));
-    const Levels path(levels.data(), depth);
-    {
-        ReaderLock lock(mutex_);
-        SensorId sid;
-        if (resolve_locked(path, sid) && registered_.contains(sid))
-            return sid;
-    }
-    return register_topic(path);
+    return register_topic(Levels(levels.data(), depth));
 }
 
 SensorId TopicMapper::register_topic(Levels levels) {
@@ -97,6 +85,9 @@ SensorId TopicMapper::register_topic(Levels levels) {
     }
 
     WriterLock lock(mutex_);
+    // Another session may have registered the topic while this one
+    // waited for the writer lock.
+    if (const SensorId* sid = registered_.find(normalized)) return *sid;
     SensorId sid;
     for (std::size_t i = 0; i < levels.size(); ++i) {
         auto& dict = forward_[i];
@@ -117,15 +108,12 @@ SensorId TopicMapper::register_topic(Levels levels) {
         }
         sid.set_level(i, id);
     }
-    // Another session may have registered the topic while this one
-    // waited for the writer lock.
-    if (registered_.contains(sid)) return sid;
     const std::string topic_key = "topics/" + normalized;
     if (!meta_.contains(topic_key)) {
         meta_.put(topic_key, sid.hex());
         ++known_topics_;
     }
-    registered_.insert(sid);
+    registered_.try_emplace(normalized, sid);
     return sid;
 }
 
@@ -147,15 +135,9 @@ std::string TopicMapper::to_topic(const SensorId& sid) const {
 }
 
 bool TopicMapper::lookup(std::string_view topic, SensorId& out) const {
-    std::array<std::string_view, kSidLevels> levels;
-    const std::size_t depth = sensor_topic_levels(topic, levels);
-    if (depth == 0 || depth > kSidLevels) return false;
-    ReaderLock lock(mutex_);
-    SensorId sid;
-    if (!resolve_locked(Levels(levels.data(), depth), sid) ||
-        !registered_.contains(sid))
-        return false;
-    out = sid;
+    const SensorId* sid = registered_.find(topic);
+    if (!sid) return false;
+    out = *sid;
     return true;
 }
 

@@ -23,11 +23,11 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "common/mutex.hpp"
 #include "common/string_utils.hpp"
 #include "common/types.hpp"
+#include "core/topic_table.hpp"
 #include "store/key.hpp"
 #include "store/metastore.hpp"
 
@@ -52,14 +52,6 @@ struct SensorId {
     friend bool operator==(const SensorId&, const SensorId&) = default;
 };
 
-struct SensorIdHash {
-    std::size_t operator()(const SensorId& sid) const {
-        std::uint64_t h = 1469598103934665603ull;
-        for (const auto b : sid.bytes) h = (h ^ b) * 1099511628211ull;
-        return static_cast<std::size_t>(h);
-    }
-};
-
 /// Width of one store partition in time: a sensor's series is split into
 /// day-sized buckets, as in DCDB's production Cassandra schema.
 inline constexpr TimestampNs kBucketWidthNs = 24ull * 3600 * kNsPerSec;
@@ -81,10 +73,9 @@ inline store::Key sensor_key(const SensorId& sid, TimestampNs ts) {
 /// Thread-safe; backed by a MetaStore so the mapping survives restarts
 /// (a requirement for SIDs to be usable as long-term storage keys).
 ///
-/// Read-mostly: a topic seen before resolves under the shared lock by
-/// probing the per-level dictionaries with string_view levels and the
-/// registered-SID set, allocating nothing. Only a first sighting takes
-/// the writer lock to allocate components and persist the topic.
+/// Read-mostly: a topic seen before resolves with one lock-free probe of
+/// the registered-topic table, allocating nothing. Only a first sighting
+/// takes the writer lock to allocate components and persist the topic.
 class TopicMapper {
   public:
     /// `meta` must outlive the mapper; pass a fresh in-memory MetaStore
@@ -100,18 +91,13 @@ class TopicMapper {
     std::string to_topic(const SensorId& sid) const DCDB_EXCLUDES(mutex_);
 
     /// Lookup without allocating; false if the topic is unknown.
-    bool lookup(std::string_view topic, SensorId& out) const
-        DCDB_EXCLUDES(mutex_);
+    bool lookup(std::string_view topic, SensorId& out) const;
 
     std::size_t known_topics() const DCDB_EXCLUDES(mutex_);
 
   private:
     using Levels = std::span<const std::string_view>;
 
-    /// SID of `levels` if every component is known; does not check that
-    /// the topic itself was registered.
-    bool resolve_locked(Levels levels, SensorId& out) const
-        DCDB_REQUIRES_SHARED(mutex_);
     /// First-sighting path: allocate missing components and persist the
     /// topic's `topics/` record. Each record is written before memory
     /// changes, so a failed write throws and serves nothing.
@@ -122,7 +108,7 @@ class TopicMapper {
     // Per-level dictionaries. meta_ has its own internal lock; it is
     // only written while mutex_ is held exclusively (dictionary
     // allocation), so the lock order is always mutex_ ->
-    // MetaStore::mutex_.
+    // MetaStore::mutex_ (and mutex_ -> the table's insert mutex).
     std::array<std::unordered_map<std::string, std::uint16_t, StringHash,
                                   std::equal_to<>>,
                kSidLevels>
@@ -130,11 +116,9 @@ class TopicMapper {
     std::array<std::unordered_map<std::uint16_t, std::string>, kSidLevels>
         reverse_ DCDB_GUARDED_BY(mutex_);
     std::array<std::uint16_t, kSidLevels> next_id_ DCDB_GUARDED_BY(mutex_){};
-    // SIDs whose topic has a `topics/` record. Topics and SIDs are 1:1,
-    // so membership means the topic is registered; a SID enters only
-    // after its record is written.
-    std::unordered_set<SensorId, SensorIdHash> registered_
-        DCDB_GUARDED_BY(mutex_);
+    // Normalized topic -> SID of every topic with a `topics/` record; a
+    // topic enters only after its record is written, under mutex_.
+    TopicTable<SensorId> registered_;
     std::size_t known_topics_ DCDB_GUARDED_BY(mutex_){0};
 };
 

@@ -47,13 +47,24 @@ std::vector<std::string> topic_levels(std::string_view topic) {
 }
 
 std::string normalize_sensor_topic(std::string_view topic) {
-    const auto levels = split_nonempty(topic, '/');
     std::string out;
-    for (const auto& level : levels) {
-        out.push_back('/');
-        out += level;
+    normalize_sensor_topic(topic, out);
+    return out;
+}
+
+void normalize_sensor_topic(std::string_view topic, std::string& out) {
+    out.clear();
+    std::size_t start = 0;
+    while (start < topic.size()) {
+        std::size_t end = topic.find('/', start);
+        if (end == std::string_view::npos) end = topic.size();
+        if (end > start) {
+            out.push_back('/');
+            out.append(topic, start, end - start);
+        }
+        start = end + 1;
     }
-    return out.empty() ? "/" : out;
+    if (out.empty()) out.push_back('/');
 }
 
 std::size_t sensor_topic_levels(std::string_view topic,

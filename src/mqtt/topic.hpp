@@ -32,6 +32,10 @@ std::vector<std::string> topic_levels(std::string_view topic);
 /// separators, strip a trailing '/'. DCDB configs are tolerant about this.
 std::string normalize_sensor_topic(std::string_view topic);
 
+/// The same, written into `out` (allocation-free once `out` has grown to
+/// the topic's length).
+void normalize_sensor_topic(std::string_view topic, std::string& out);
+
 /// The non-empty levels of a sensor topic as views into `topic` — the
 /// levels of normalize_sensor_topic(topic), without allocating. Fills at
 /// most `out.size()` entries and returns the total level count, so a

@@ -60,7 +60,7 @@ void SensorBase::store_reading(Reading r, CacheSet* cache,
     if (!cache) return;
     if (!slot) {
         // First reading into this set: resolve the slot once, outside
-        // the sensor lock (creating it takes the set's writer lock).
+        // the sensor lock (creating it takes the set's insert mutex).
         slot = &cache->slot(topic_, interval_hint_ns);
         MutexLock lock(mutex_);
         cache_id_ = cache->id();

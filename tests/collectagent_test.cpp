@@ -94,6 +94,27 @@ TEST_F(CollectAgentTest, CacheHoldsLatestReadingPerSensor) {
     EXPECT_EQ(agent.stats().known_sensors, 2u);
 }
 
+// Two spellings of one sensor are one SID, one tree leaf and one cache
+// slot, so the cache (and GET /sensors/a/b) serves the newest reading
+// under either spelling.
+TEST_F(CollectAgentTest, SpellingsOfOneSensorShareOneCacheSlot) {
+    CollectAgent agent(parse_config("global { listenTcp false }"),
+                       cluster_.get(), meta_.get());
+    agent.ingest("/a/b", {kNsPerSec, 10});
+    agent.ingest("a//b/", {2 * kNsPerSec, 20});
+
+    EXPECT_EQ(agent.mapper().known_topics(), 1u);
+    EXPECT_EQ(agent.hierarchy().sensor_count(), 1u);
+    EXPECT_EQ(agent.cache().sensor_count(), 1u);
+    EXPECT_EQ(agent.cache().topics(), std::vector<std::string>{"/a/b"});
+    for (const char* spelling : {"/a/b", "a//b/"}) {
+        const auto latest = agent.cache().latest(spelling);
+        ASSERT_TRUE(latest.has_value()) << spelling;
+        EXPECT_EQ(latest->ts, 2 * kNsPerSec) << spelling;
+        EXPECT_EQ(latest->value, 20) << spelling;
+    }
+}
+
 TEST_F(CollectAgentTest, HierarchyTreeTracksTopics) {
     CollectAgent agent(parse_config("global { listenTcp false }"),
                        cluster_.get(), meta_.get());

@@ -11,6 +11,7 @@
 #include "core/payload.hpp"
 #include "core/sensor_cache.hpp"
 #include "core/sensor_id.hpp"
+#include "core/topic_table.hpp"
 
 namespace dcdb {
 namespace {
@@ -370,14 +371,63 @@ TEST(SensorTree, SensorsBelowSubtree) {
     // Prefix must respect level boundaries: "/a/bb/s" is not below "/a/b".
     tree.add("/a/bb/s4");
     EXPECT_EQ(tree.sensors_below("/a/b").size(), 2u);
+    // Sorted, whatever the order of first sight.
+    tree.add("/a/b/s0");
+    EXPECT_EQ(tree.sensors_below("/a/b"),
+              (std::vector<std::string>{"/a/b/s0", "/a/b/s1", "/a/b/s2"}));
 }
 
 TEST(SensorTree, IsSensorDistinguishesLeaves) {
     SensorTree tree;
     tree.add("/a/b/s1");
+    tree.add("a//b/s1/");  // another spelling of the same sensor
     EXPECT_TRUE(tree.is_sensor("/a/b/s1"));
+    EXPECT_TRUE(tree.is_sensor("//a/b/s1"));
     EXPECT_FALSE(tree.is_sensor("/a/b"));
     EXPECT_EQ(tree.sensor_count(), 1u);
+}
+
+// ------------------------------------------------------------ topic table
+
+TEST(TopicTable, AnySpellingFindsTheNormalizedKey) {
+    TopicTable<int> table;
+    EXPECT_TRUE(table.try_emplace("a//b/", 7).second);
+    ASSERT_NE(table.find("/a/b"), nullptr);
+    EXPECT_EQ(*table.find("/a/b"), 7);
+    EXPECT_EQ(table.find("a/b/"), table.find("/a/b"));
+    EXPECT_EQ(table.find("/a"), nullptr);
+    EXPECT_EQ(table.find("/a/b/c"), nullptr);
+
+    const auto again = table.try_emplace("/a/b", 9);
+    EXPECT_FALSE(again.second);
+    EXPECT_EQ(*again.first, 7);  // the first value stays
+    EXPECT_EQ(table.size(), 1u);
+    table.for_each([](std::string_view key, const int& value) {
+        EXPECT_EQ(key, "/a/b");
+        EXPECT_EQ(value, 7);
+    });
+}
+
+TEST(TopicTable, GrowingKeepsEveryEntryAtItsAddress) {
+    TopicTable<std::string> table;
+    std::vector<const std::string*> addresses;
+    for (int i = 0; i < 1000; ++i) {
+        const std::string topic = "/grow/s" + std::to_string(i);
+        addresses.push_back(table.try_emplace(topic, topic).first);
+    }
+    EXPECT_EQ(table.size(), 1000u);
+    for (int i = 0; i < 1000; ++i) {
+        const std::string topic = "/grow/s" + std::to_string(i);
+        EXPECT_EQ(table.find(topic), addresses[static_cast<std::size_t>(i)]);
+        EXPECT_EQ(*table.find(topic), topic);
+    }
+    std::size_t visited = 0;
+    table.for_each([&](std::string_view key, const std::string& value) {
+        EXPECT_EQ(key, "/grow/s" + std::to_string(visited));  // insertion order
+        EXPECT_EQ(key, value);
+        ++visited;
+    });
+    EXPECT_EQ(visited, 1000u);
 }
 
 }  // namespace

@@ -21,9 +21,11 @@
 #include <vector>
 
 #include "common/fault.hpp"
+#include "common/random.hpp"
 #include "core/hierarchy.hpp"
 #include "core/sensor_cache.hpp"
 #include "core/sensor_id.hpp"
+#include "core/topic_table.hpp"
 #include "mqtt/broker.hpp"
 #include "mqtt/client.hpp"
 #include "pusher/pusher.hpp"
@@ -83,8 +85,8 @@ TEST(CacheSetRace, ProducersVersusIterators) {
         producers.emplace_back([&, p] {
             while (!go.load()) std::this_thread::yield();
             for (int i = 0; i < kPushes; ++i) {
-                // Two producers share each topic so one cache sees
-                // concurrent-writer interleavings through the set mutex.
+                // Two producers share each topic so one slot sees
+                // concurrent writers.
                 const std::string topic =
                     "/rack0/node" + std::to_string(p % 2) + "/power";
                 cache.push(topic,
@@ -212,6 +214,76 @@ TEST(TopicMapperRace, NewTopicResolvedOnceWhileReadersProbe) {
     EXPECT_EQ(cache.view(topic, 0, kTimestampMax).size(),
               static_cast<std::size_t>(kResolvers * kPushes));
     EXPECT_EQ(tree.sensor_count(), 1u);
+}
+
+// ------------------------------------------------------------- TopicTable
+
+// One writer inserts topics one by one, through a dozen doublings of the
+// slot array (16 slots at half load -> 65,536), and publishes a count
+// after each insert. Readers pick a random topic below the count they
+// read: it must be found, with the value it was inserted with — whether
+// the reader probes the array current at the insert or a newer one.
+// They also probe the topic being inserted: found or not, it must never
+// be seen half built, which only the table's own publication ensures.
+TEST(TopicTableRace, ReadersFindEveryPublishedTopicWhileTheTableGrows) {
+    constexpr std::size_t kTopics = 20000;
+    constexpr std::size_t kReaders = 3;
+    struct Value {
+        std::size_t index;
+        std::uint64_t check;
+    };
+    const auto check_of = [](std::size_t i) {
+        return static_cast<std::uint64_t>(i) * 0x9E3779B97F4A7C15ull;
+    };
+    std::vector<std::string> topics;
+    topics.reserve(kTopics);
+    for (std::size_t i = 0; i < kTopics; ++i)
+        topics.push_back("/grow/rack" + std::to_string(i % 64) + "/s" +
+                         std::to_string(i));
+
+    TopicTable<Value> table;
+    std::atomic<std::size_t> published{0};
+    std::atomic<bool> go{false};
+    std::atomic<bool> done{false};
+
+    const auto intact = [&](const Value* v, std::size_t i) {
+        return v != nullptr && v->index == i && v->check == check_of(i);
+    };
+    std::vector<std::thread> readers;
+    std::vector<std::size_t> bad(kReaders, 0);
+    for (std::size_t r = 0; r < kReaders; ++r) {
+        readers.emplace_back([&, r] {
+            Rng rng(r + 1);
+            while (!go.load()) std::this_thread::yield();
+            while (!done.load()) {
+                const std::size_t count = published.load();
+                if (count < kTopics) {
+                    const Value* next = table.find(topics[count]);
+                    if (next != nullptr && !intact(next, count)) ++bad[r];
+                }
+                if (count == 0) continue;
+                const std::size_t i = rng.below(count);
+                if (!intact(table.find(topics[i]), i)) ++bad[r];
+            }
+        });
+    }
+
+    go.store(true);
+    for (std::size_t i = 0; i < kTopics; ++i) {
+        EXPECT_TRUE(
+            table.try_emplace(topics[i], Value{i, check_of(i)}).second);
+        published.store(i + 1);
+    }
+    done.store(true);
+    for (auto& t : readers) t.join();
+
+    // Readers are stressors that may not get scheduled on a loaded
+    // machine, so only what they did observe is checked.
+    for (std::size_t r = 0; r < kReaders; ++r)
+        EXPECT_EQ(bad[r], 0u) << "reader " << r;
+    EXPECT_EQ(table.size(), kTopics);
+    for (std::size_t i = 0; i < kTopics; ++i)
+        EXPECT_TRUE(intact(table.find(topics[i]), i)) << topics[i];
 }
 
 // ----------------------------------------------------------------- Broker

@@ -3,6 +3,7 @@
 // codecs (IPMI, SNMP/BER, BACnet).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 
@@ -61,12 +62,22 @@ TEST(Hpl, CalibrationHitsTargetDuration) {
     EXPECT_LT(per_worker_s, 2.0);
 }
 
+// One repetition is under a millisecond of CPU per worker, so a cold
+// start or a stolen time slice can outweigh it: an untimed warm-up runs
+// first, and each repetition count is timed by the minimum of three runs.
 TEST(Hpl, MoreWorkTakesLonger) {
     HplAnalog hpl(2, 96);
     hpl.set_repetitions(1);
-    const double t1 = hpl.run().cpu_seconds;
-    hpl.set_repetitions(4);
-    const double t4 = hpl.run().cpu_seconds;
+    hpl.run();
+    const auto min_cpu_of_three = [&hpl](std::size_t repetitions) {
+        hpl.set_repetitions(repetitions);
+        double best = hpl.run().cpu_seconds;
+        for (int i = 0; i < 2; ++i)
+            best = std::min(best, hpl.run().cpu_seconds);
+        return best;
+    };
+    const double t1 = min_cpu_of_three(1);
+    const double t4 = min_cpu_of_three(4);
     EXPECT_GT(t4, 2.0 * t1);
 }
 
