@@ -19,7 +19,8 @@
 //      allocations: the agent's TopicMapper::to_sid / lookup,
 //      CacheSet::push and SensorTree::add (also for an unnormalized
 //      spelling of a known topic), and the Pusher's
-//      SensorGroup::read_all plus the per-sensor drain push_once does.
+//      SensorGroup::read_all plus the per-sensor peek and release that
+//      push_once does around a publish.
 //   5. The byte path from the Pusher's encoder to the commit-log record
 //      performs ZERO heap allocations per round trip once warm: encode
 //      into a reused buffer, write_publish over an in-proc pair,
@@ -440,7 +441,9 @@ int smoke() {
         std::vector<std::string> agent_topics = topics;
         agent_topics.push_back("bench//node0/plugin/group/s0/");
         std::vector<Reading> drain;
+        std::vector<std::uint64_t> ends(topics.size());
         std::uint64_t resolved = 0;
+        std::uint64_t released = 0;
         const auto round = [&](TimestampNs ts) {
             for (const auto& topic : agent_topics) {
                 SensorId sid = mapper.to_sid(topic);
@@ -450,8 +453,10 @@ int smoke() {
             }
             group.read_all(ts, &pusher_cache);
             drain.clear();
-            for (const auto& sensor : group.sensors())
-                sensor->drain_pending_into(drain);
+            for (std::size_t s = 0; s < ends.size(); ++s)
+                group.sensors()[s]->peek_pending_into(drain, ends[s]);
+            for (std::size_t s = 0; s < ends.size(); ++s)
+                released += group.sensors()[s]->release_pending(ends[s]);
         };
         // Warm-up: first sightings, cache slots, pending rings, buffers.
         // It spans more than one 120 s cache window, so s0's slot, fed
@@ -463,6 +468,7 @@ int smoke() {
         const std::uint64_t before =
             g_allocations.load(std::memory_order_relaxed);
         resolved = 0;
+        released = 0;
         for (int i = 0; i < kBookkeepRounds; ++i)
             round(static_cast<TimestampNs>(i + kWarmupRounds + 1) *
                   kNsPerSec);
@@ -474,6 +480,7 @@ int smoke() {
                     kBookkeepRounds, topics.size(), agent_topics.size(),
                     static_cast<unsigned long long>(allocs));
         if (resolved != kBookkeepRounds * agent_topics.size() ||
+            released != kBookkeepRounds * topics.size() ||
             drain.size() != topics.size() ||
             mapper.known_topics() != topics.size() ||
             agent_cache.sensor_count() != topics.size() ||
@@ -489,7 +496,8 @@ int smoke() {
                          "ingest smoke: known-sensor bookkeeping "
                          "allocated %llu times — to_sid, lookup, "
                          "CacheSet::push, SensorTree::add, read_all and "
-                         "the pending drain must not touch the heap\n",
+                         "the pending peek and release must not touch "
+                         "the heap\n",
                          static_cast<unsigned long long>(allocs));
             return 1;
         }

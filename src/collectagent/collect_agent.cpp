@@ -274,18 +274,7 @@ void CollectAgent::ingest(const std::string& topic, const Reading& reading) {
 std::vector<Reading> CollectAgent::query_stored(const std::string& topic,
                                                 TimestampNs t0,
                                                 TimestampNs t1) const {
-    SensorId sid;
-    if (!mapper_.lookup(topic, sid) || t1 < t0) return {};
-    std::vector<Reading> out;
-    for (std::uint32_t bucket = time_bucket(t0);; ++bucket) {
-        store::Key key;
-        key.sid = sid.bytes;
-        key.bucket = bucket;
-        for (const auto& row : cluster_->query(key, t0, t1))
-            out.push_back({row.ts, row.value});
-        if (bucket == time_bucket(t1)) break;
-    }
-    return out;
+    return query_series(mapper_, *cluster_, topic, t0, t1);
 }
 
 CollectAgent::Readiness CollectAgent::readiness() const {

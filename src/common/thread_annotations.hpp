@@ -1,7 +1,7 @@
 // Clang thread-safety (capability) analysis attributes.
 //
 // DCDB's hot paths — sampler threads filling the sensor cache, broker
-// session threads feeding the storage layer, the pusher's retry queue —
+// session threads feeding the storage layer, the pusher's pending rings —
 // all rely on mutex discipline that used to be checked by nothing. These
 // macros make that discipline machine-checked: building with Clang and
 // -Wthread-safety (turned on together with -Werror=thread-safety-analysis

@@ -5,6 +5,7 @@
 #include "common/error.hpp"
 #include "common/string_utils.hpp"
 #include "mqtt/topic.hpp"
+#include "store/cluster.hpp"
 
 namespace dcdb {
 
@@ -144,6 +145,25 @@ bool TopicMapper::lookup(std::string_view topic, SensorId& out) const {
 std::size_t TopicMapper::known_topics() const {
     ReaderLock lock(mutex_);
     return known_topics_;
+}
+
+std::vector<Reading> query_series(const TopicMapper& mapper,
+                                  const store::StoreCluster& cluster,
+                                  std::string_view topic, TimestampNs t0,
+                                  TimestampNs t1) {
+    SensorId sid;
+    if (!mapper.lookup(topic, sid) || t1 < t0) return {};
+    std::vector<Reading> out;
+    const std::uint32_t last_bucket = time_bucket(t1);
+    for (std::uint32_t bucket = time_bucket(t0);; ++bucket) {
+        store::Key key;
+        key.sid = sid.bytes;
+        key.bucket = bucket;
+        for (const auto& row : cluster.query(key, t0, t1))
+            out.push_back({row.ts, row.value});
+        if (bucket == last_bucket) break;
+    }
+    return out;
 }
 
 }  // namespace dcdb

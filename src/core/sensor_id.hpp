@@ -23,6 +23,7 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <vector>
 
 #include "common/mutex.hpp"
 #include "common/string_utils.hpp"
@@ -67,6 +68,19 @@ inline store::Key sensor_key(const SensorId& sid, TimestampNs ts) {
     k.bucket = time_bucket(ts);
     return k;
 }
+
+namespace store {
+class StoreCluster;
+}
+class TopicMapper;
+
+/// Every stored reading of `topic` in [t0, t1], oldest first, read from
+/// `cluster` one day bucket at a time. Empty when `mapper` does not know
+/// the topic or t1 < t0.
+std::vector<Reading> query_series(const TopicMapper& mapper,
+                                  const store::StoreCluster& cluster,
+                                  std::string_view topic, TimestampNs t0,
+                                  TimestampNs t1);
 
 /// Persistent, bidirectional topic <-> SID dictionary.
 ///

@@ -14,22 +14,7 @@ Connection::Connection(store::StoreCluster& cluster, store::MetaStore& meta)
 std::vector<Reading> Connection::query_raw(const std::string& topic,
                                            TimestampNs t0,
                                            TimestampNs t1) const {
-    SensorId sid;
-    if (!mapper_.lookup(topic, sid)) return {};
-    if (t1 < t0) return {};
-
-    std::vector<Reading> out;
-    const std::uint32_t first_bucket = time_bucket(t0);
-    const std::uint32_t last_bucket = time_bucket(t1);
-    for (std::uint32_t bucket = first_bucket;; ++bucket) {
-        store::Key key;
-        key.sid = sid.bytes;
-        key.bucket = bucket;
-        for (const auto& row : cluster_.query(key, t0, t1))
-            out.push_back({row.ts, row.value});
-        if (bucket == last_bucket) break;
-    }
-    return out;
+    return query_series(mapper_, cluster_, topic, t0, t1);
 }
 
 std::vector<Sample> Connection::query(const std::string& topic,

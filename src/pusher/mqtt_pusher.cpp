@@ -11,8 +11,8 @@ namespace dcdb::pusher {
 
 namespace {
 
-/// The drain buffer is kept across rounds unless it is over 4x this or
-/// 4x the round's largest group drain.
+/// The peek buffer is kept across rounds unless it is over 4x this or
+/// 4x the round's largest group peek.
 constexpr std::size_t kMinDrainBuffer = 1024;
 
 }  // namespace
@@ -29,26 +29,7 @@ MqttPusher::MqttPusher(ClientProvider client_provider,
                     .counter("pusher.push.messages")),
       publish_failures_(
           telemetry::resolve_registry(config_.registry, owned_registry_)
-              .counter("pusher.push.failures")),
-      retry_attempts_(
-          telemetry::resolve_registry(config_.registry, owned_registry_)
-              .counter("pusher.push.retry.attempts")),
-      retry_successes_(
-          telemetry::resolve_registry(config_.registry, owned_registry_)
-              .counter("pusher.push.retry.successes")),
-      readings_requeued_(
-          telemetry::resolve_registry(config_.registry, owned_registry_)
-              .counter("pusher.push.requeued")),
-      readings_dropped_(
-          telemetry::resolve_registry(config_.registry, owned_registry_)
-              .counter("pusher.push.dropped")),
-      retry_batches_(
-          telemetry::resolve_registry(config_.registry, owned_registry_)
-              .gauge("pusher.retry.queue.batches")),
-      retry_readings_(
-          telemetry::resolve_registry(config_.registry, owned_registry_)
-              .gauge("pusher.retry.queue.readings")),
-      jitter_rng_(config.stagger_seed ^ 0xD1CEu) {}
+              .counter("pusher.push.failures")) {}
 
 MqttPusher::~MqttPusher() { stop(); }
 
@@ -64,85 +45,12 @@ void MqttPusher::stop() {
         return;
     }
     if (thread_.joinable()) thread_.join();
-    // Final flush so no sampled or re-queued reading is lost on an
-    // orderly shutdown.
+    // Final flush so no pending reading is lost on an orderly shutdown.
     try {
-        push_round(/*final_flush=*/true);
+        push_once();
     } catch (const std::exception& e) {
         DCDB_WARN("pusher") << "final flush failed: " << e.what();
     }
-}
-
-bool MqttPusher::publish(mqtt::MqttClient* client, const std::string& topic,
-                         std::span<const std::uint8_t> payload,
-                         std::size_t readings) {
-    try {
-        client->publish(topic, payload, config_.qos);
-    } catch (const std::exception& e) {
-        publish_failures_.add(1);
-        DCDB_DEBUG("pusher") << "publish failed on " << topic << ": "
-                             << e.what();
-        return false;
-    }
-    readings_.add(readings);
-    messages_.add(1);
-    return true;
-}
-
-void MqttPusher::bump_backoff() {
-    retry_backoff_ns_ =
-        retry_backoff_ns_ == 0
-            ? config_.retry_backoff_min_ns
-            : std::min<TimestampNs>(retry_backoff_ns_ * 2,
-                                    config_.retry_backoff_max_ns);
-    // Equal-jitter: wait in [backoff/2, backoff] so a fleet of Pushers
-    // that lost the same Collect Agent does not retry in lockstep.
-    const TimestampNs half = retry_backoff_ns_ / 2;
-    retry_next_attempt_ns_ =
-        steady_ns() + half + jitter_rng_.below(half + 1);
-}
-
-void MqttPusher::requeue(FailedPublish failed) {
-    readings_requeued_.add(failed.readings);
-    retry_readings_.add(static_cast<std::int64_t>(failed.readings));
-    retry_queue_readings_ += failed.readings;
-    retry_queue_.push_back(std::move(failed));
-    while (retry_queue_readings_ > config_.retry_max_readings) {
-        // Drop policy: oldest payloads first, and count the loss.
-        const std::size_t lost = retry_queue_.front().readings;
-        retry_queue_.pop_front();
-        retry_queue_readings_ -= lost;
-        readings_dropped_.add(lost);
-        retry_readings_.sub(static_cast<std::int64_t>(lost));
-    }
-    retry_batches_.set(static_cast<std::int64_t>(retry_queue_.size()));
-    bump_backoff();
-}
-
-std::size_t MqttPusher::flush_retries(mqtt::MqttClient* client,
-                                      bool ignore_backoff) {
-    if (retry_queue_.empty()) return 0;
-    if (!ignore_backoff && steady_ns() < retry_next_attempt_ns_) return 0;
-
-    std::size_t sent = 0;
-    while (!retry_queue_.empty()) {
-        const FailedPublish& failed = retry_queue_.front();
-        // Attempt counted before, success only after: a payload failing
-        // N times must read as N attempts / 0 successes, not N publishes.
-        retry_attempts_.add(1);
-        if (!publish(client, failed.topic, failed.payload, failed.readings)) {
-            bump_backoff();  // still failing: wait longer
-            return sent;
-        }
-        retry_successes_.add(1);
-        retry_queue_readings_ -= failed.readings;
-        retry_readings_.sub(static_cast<std::int64_t>(failed.readings));
-        retry_queue_.pop_front();
-        retry_batches_.set(static_cast<std::int64_t>(retry_queue_.size()));
-        ++sent;
-    }
-    retry_backoff_ns_ = 0;  // queue drained: back to normal operation
-    return sent;
 }
 
 std::span<const Reading> MqttPusher::readings_of(const Drained& d) const {
@@ -195,11 +103,20 @@ void MqttPusher::publish_sections(
     const TimestampNs publish_wall = trace.valid() ? now_ns() : 0;
     const TimestampNs publish_start = trace.valid() ? steady_ns() : 0;
     encode_batch(sections_, trace, payload_);
-    if (!publish(client, topic, payload_, readings)) {
-        // Only a failed payload is copied: the queue outlives the buffer.
-        requeue({topic, payload_, readings});
+    try {
+        client->publish(topic, payload_, config_.qos);
+    } catch (const std::exception& e) {
+        // The readings stay pending and go out again next round.
+        publish_failures_.add(1);
+        DCDB_DEBUG("pusher") << "publish failed on " << topic << ": "
+                             << e.what();
         return;
     }
+    std::size_t released = 0;
+    for (std::size_t i = first; i < last; ++i)
+        released += drained_[i].sensor->release_pending(drained_[i].end);
+    readings_.add(released);
+    messages_.add(1);
     if (trace.valid() && config_.tracer) {
         config_.tracer->record_span(
             trace, telemetry::trace::Stage::kPublish, publish_wall,
@@ -210,17 +127,10 @@ void MqttPusher::publish_sections(
 }
 
 std::size_t MqttPusher::push_once() {
-    return push_round(/*final_flush=*/false);
-}
-
-std::size_t MqttPusher::push_round(bool final_flush) {
     MutexLock lock(push_mutex_);
     mqtt::MqttClient* client = client_provider_();
-    if (!client) return 0;  // agent unreachable; retry next round
-    // Backlog first: keeps per-sensor readings arriving in send order.
-    // The final flush bypasses the backoff gate — it is the last chance
-    // to deliver.
-    std::size_t sent = flush_retries(client, /*ignore_backoff=*/final_flush);
+    if (!client) return 0;  // agent unreachable; the rings keep the readings
+    std::size_t sent = 0;
     std::size_t largest_drain = 0;
     for (const auto& plugin : *plugins_) {
         for (const auto& group : plugin->groups()) {
@@ -231,15 +141,17 @@ std::size_t MqttPusher::push_round(bool final_flush) {
                                    : telemetry::trace::TraceContext{};
             const TimestampNs drain_wall = trace.valid() ? now_ns() : 0;
             const TimestampNs drain_start = trace.valid() ? steady_ns() : 0;
-            // The whole group drains into one reused buffer; sections
+            // The whole group is peeked into one reused buffer; sections
             // are views into it, so nothing is copied but the encoding.
             drain_.clear();
             drained_.clear();
             for (const auto& sensor : group->sensors()) {
                 const std::size_t begin = drain_.size();
-                const std::size_t count = sensor->drain_pending_into(drain_);
+                std::uint64_t end = 0;
+                const std::size_t count =
+                    sensor->peek_pending_into(drain_, end);
                 if (count != 0)
-                    drained_.push_back({sensor.get(), begin, count});
+                    drained_.push_back({sensor.get(), begin, count, end});
             }
             largest_drain = std::max(largest_drain, drain_.size());
             if (drained_.empty()) continue;
@@ -265,16 +177,6 @@ MqttPusherStats MqttPusher::stats() const {
     s.readings_pushed = readings_.value();
     s.messages_sent = messages_.value();
     s.publish_failures = publish_failures_.value();
-    s.retry_attempts = retry_attempts_.value();
-    s.retry_successes = retry_successes_.value();
-    s.readings_requeued = readings_requeued_.value();
-    s.readings_dropped = readings_dropped_.value();
-    s.retry_queue_batches =
-        static_cast<std::size_t>(std::max<std::int64_t>(
-            retry_batches_.value(), 0));
-    s.retry_queue_readings =
-        static_cast<std::size_t>(std::max<std::int64_t>(
-            retry_readings_.value(), 0));
     return s;
 }
 

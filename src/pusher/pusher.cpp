@@ -38,16 +38,20 @@ Pusher::Pusher(ConfigNode config, std::unique_ptr<mqtt::Transport> transport)
         config_.get_duration_ns_or("global.cacheWindow", 120 * kNsPerSec);
     cache_ = std::make_unique<CacheSet>(cache_window);
 
+    // MQTT connection: explicit transport > configured broker > none.
+    // With none, the sensors keep no pending readings: nothing would
+    // publish them.
+    const std::string broker =
+        config_.get_string_or("global.mqttBroker", "none");
+    const bool publishes = transport || (broker != "none" && !broker.empty());
+
     const int threads = static_cast<int>(
         config_.get_i64_or("global.threads", 2));
     sampler_ = std::make_unique<Sampler>(threads, cache_.get(), &registry_,
-                                         &tracer_);
+                                         &tracer_, publishes);
 
     configure_plugins();
 
-    // MQTT connection: explicit transport > configured broker > none.
-    const std::string broker =
-        config_.get_string_or("global.mqttBroker", "none");
     if (transport) {
         mqtt_client_ = std::make_unique<mqtt::MqttClient>(
             std::move(transport), "pusher-" + topic_prefix_, &registry_);
@@ -78,7 +82,7 @@ Pusher::Pusher(ConfigNode config, std::unique_ptr<mqtt::Transport> transport)
     reconnect_backoff_max_ns_ = config_.get_duration_ns_or(
         "global.reconnectBackoffMax", 10 * kNsPerSec);
 
-    if (mqtt_client_ || !broker_host_.empty()) {
+    if (publishes) {
         MqttPusherConfig mc;
         mc.push_interval_ns =
             config_.get_duration_ns_or("global.pushInterval", kNsPerSec);
@@ -86,12 +90,6 @@ Pusher::Pusher(ConfigNode config, std::unique_ptr<mqtt::Transport> transport)
         mc.qos = static_cast<std::uint8_t>(
             config_.get_i64_or("global.qos", 0));
         mc.stagger_seed = std::hash<std::string>{}(topic_prefix_);
-        mc.retry_max_readings = static_cast<std::size_t>(
-            config_.get_u64_or("global.retryQueueMax", mc.retry_max_readings));
-        mc.retry_backoff_min_ns = config_.get_duration_ns_or(
-            "global.retryBackoffMin", 100 * kNsPerMs);
-        mc.retry_backoff_max_ns = config_.get_duration_ns_or(
-            "global.retryBackoffMax", 10 * kNsPerSec);
         mc.registry = &registry_;
         mc.tracer = &tracer_;
         mqtt_pusher_ = std::make_unique<MqttPusher>(
@@ -257,13 +255,8 @@ PusherStats Pusher::stats() const {
         s.readings_pushed = ms.readings_pushed;
         s.messages_sent = ms.messages_sent;
         s.publish_failures = ms.publish_failures;
-        s.retry_attempts = ms.retry_attempts;
-        s.retry_successes = ms.retry_successes;
-        s.readings_requeued = ms.readings_requeued;
-        s.readings_dropped = ms.readings_dropped;
-        s.retry_queue_batches = ms.retry_queue_batches;
-        s.retry_queue_readings = ms.retry_queue_readings;
     }
+    s.readings_dropped = sampler_->readings_dropped();
     s.reconnects = reconnects_.value();
     s.reconnect_failures = reconnect_failures_.value();
     s.cache_bytes = cache_->memory_bytes();

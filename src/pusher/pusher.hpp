@@ -48,12 +48,9 @@ struct PusherStats {
     std::size_t cache_bytes{0};
     // Delivery-reliability counters (see MqttPusherStats).
     std::uint64_t publish_failures{0};
-    std::uint64_t retry_attempts{0};
-    std::uint64_t retry_successes{0};
-    std::uint64_t readings_requeued{0};
+    /// Readings that a full pending ring overwrote, outages included:
+    /// readings_pushed + readings_dropped + pending == readings sampled.
     std::uint64_t readings_dropped{0};
-    std::size_t retry_queue_batches{0};
-    std::size_t retry_queue_readings{0};
     std::uint64_t reconnects{0};
     std::uint64_t reconnect_failures{0};
 };
@@ -104,7 +101,7 @@ class Pusher {
     /// Port of the REST API server (0 if disabled).
     std::uint16_t rest_port() const;
 
-    /// Synchronous drain+publish (benches use this for deterministic IO).
+    /// One synchronous push round (benches use this for deterministic IO).
     void push_now();
 
     /// True when an MQTT connection to the Collect Agent is currently up.

@@ -120,12 +120,7 @@ HttpResponse handle_stats(Pusher& pusher) {
        << "readings_pushed " << s.readings_pushed << "\n"
        << "messages_sent " << s.messages_sent << "\n"
        << "publish_failures " << s.publish_failures << "\n"
-       << "retry_attempts " << s.retry_attempts << "\n"
-       << "retry_successes " << s.retry_successes << "\n"
-       << "readings_requeued " << s.readings_requeued << "\n"
        << "readings_dropped " << s.readings_dropped << "\n"
-       << "retry_queue_batches " << s.retry_queue_batches << "\n"
-       << "retry_queue_readings " << s.retry_queue_readings << "\n"
        << "reconnects " << s.reconnects << "\n"
        << "reconnect_failures " << s.reconnect_failures << "\n"
        << "cache_bytes " << s.cache_bytes << "\n";

@@ -8,18 +8,22 @@ namespace dcdb::pusher {
 
 Sampler::Sampler(int threads, CacheSet* cache,
                  telemetry::MetricRegistry* registry,
-                 telemetry::trace::Tracer* tracer)
+                 telemetry::trace::Tracer* tracer, bool keep_pending)
     : thread_count_(std::max(threads, 1)),
       cache_(cache),
       tracer_(tracer),
+      keep_pending_(keep_pending),
       samples_(telemetry::resolve_registry(registry, owned_registry_)
                    .counter("pusher.samples")),
       sample_latency_(telemetry::resolve_registry(registry, owned_registry_)
-                          .histogram("pusher.sample.latency")) {}
+                          .histogram("pusher.sample.latency")),
+      dropped_(telemetry::resolve_registry(registry, owned_registry_)
+                   .counter("pusher.push.dropped")) {}
 
 Sampler::~Sampler() { stop(); }
 
 void Sampler::add_group(SensorGroup* group) {
+    group->set_pending(&dropped_, keep_pending_);
     MutexLock lock(mutex_);
     queue_.push({next_aligned(now_ns(), group->interval_ns()), group});
     cv_.notify_one();

@@ -29,19 +29,24 @@ namespace dcdb::pusher {
 class Sampler {
   public:
     /// `threads`: number of sampling threads (paper production: 2).
-    /// `registry` receives pusher.samples and the per-sample latency
-    /// histogram; nullptr keeps a private registry. `tracer`, when set,
-    /// head-samples group reads and parks the minted context on the
-    /// group for the push thread.
+    /// `registry` receives pusher.samples, the per-sample latency
+    /// histogram and pusher.push.dropped; nullptr keeps a private
+    /// registry. `tracer`, when set, head-samples group reads and parks
+    /// the minted context on the group for the push thread.
+    /// `keep_pending` false tells every group to keep no pending
+    /// readings: nothing publishes them.
     Sampler(int threads, CacheSet* cache,
             telemetry::MetricRegistry* registry = nullptr,
-            telemetry::trace::Tracer* tracer = nullptr);
+            telemetry::trace::Tracer* tracer = nullptr,
+            bool keep_pending = true);
     ~Sampler();
 
     Sampler(const Sampler&) = delete;
     Sampler& operator=(const Sampler&) = delete;
 
     /// Register a group; first deadline is the next aligned boundary.
+    /// The group's full pending rings count their overwrites in
+    /// pusher.push.dropped from now on.
     void add_group(SensorGroup* group) DCDB_EXCLUDES(mutex_);
 
     /// Remove all groups belonging to a reconfigured plugin.
@@ -53,6 +58,8 @@ class Sampler {
     bool running() const { return running_.load(std::memory_order_relaxed); }
 
     std::uint64_t samples_taken() const { return samples_.value(); }
+    /// Readings the groups' full pending rings overwrote.
+    std::uint64_t readings_dropped() const { return dropped_.value(); }
 
   private:
     struct Scheduled {
@@ -68,9 +75,11 @@ class Sampler {
     int thread_count_;
     CacheSet* cache_;
     telemetry::trace::Tracer* tracer_;
+    bool keep_pending_;
     std::unique_ptr<telemetry::MetricRegistry> owned_registry_;
     telemetry::Counter& samples_;
     telemetry::Histogram& sample_latency_;
+    telemetry::Counter& dropped_;
     Mutex mutex_;
     CondVar cv_;
     std::priority_queue<Scheduled, std::vector<Scheduled>, std::greater<>>

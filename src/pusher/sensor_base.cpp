@@ -10,8 +10,8 @@ namespace {
 
 /// Smallest pending ring; it doubles from here up to kMaxPending.
 constexpr std::size_t kMinPendingRing = 4;
-/// A drain frees a ring above this size once it is 4x what the drain
-/// took, so the backlog of an agent outage is not retained afterwards.
+/// A release that empties a ring above this size frees it once it is 4x
+/// what the release took, so an agent outage's backlog is not retained.
 constexpr std::size_t kShrinkPendingRing = 256;
 
 }  // namespace
@@ -30,26 +30,30 @@ void SensorBase::grow_pending() {
                              kMaxPending));
 }
 
-void SensorBase::store_reading(Reading r, CacheSet* cache,
-                               TimestampNs interval_hint_ns) {
+bool SensorBase::store_reading(Reading r, CacheSet* cache,
+                               TimestampNs interval_hint_ns,
+                               bool keep_pending) {
     CacheSet::Slot* slot = nullptr;
+    bool overwrote = false;
     {
         MutexLock lock(mutex_);
         if (delta_) {
             const Value raw = r.value;
             if (!last_raw_) {
                 last_raw_ = raw;
-                return;  // first sample of a counter has no delta yet
+                return false;  // first sample of a counter has no delta yet
             }
             r.value = raw - *last_raw_;
             last_raw_ = raw;
         }
-        if (pending_count_ == kMaxPending) {
+        if (keep_pending && pending_count_ == kMaxPending) {
             // Full at the cap: overwrite the oldest reading in O(1).
             pending_[pending_head_] = r;
             pending_head_ = (pending_head_ + 1) % pending_.size();
+            ++head_seq_;
             ++dropped_;
-        } else {
+            overwrote = true;
+        } else if (keep_pending) {
             if (pending_count_ == pending_.size()) grow_pending();
             pending_[(pending_head_ + pending_count_) % pending_.size()] = r;
             ++pending_count_;
@@ -57,7 +61,7 @@ void SensorBase::store_reading(Reading r, CacheSet* cache,
         latest_ = r;
         if (cache && cache->id() == cache_id_) slot = cache_slot_;
     }
-    if (!cache) return;
+    if (!cache) return overwrote;
     if (!slot) {
         // First reading into this set: resolve the slot once, outside
         // the sensor lock (creating it takes the set's insert mutex).
@@ -67,9 +71,11 @@ void SensorBase::store_reading(Reading r, CacheSet* cache,
         cache_slot_ = slot;
     }
     slot->push(r);
+    return overwrote;
 }
 
-std::size_t SensorBase::drain_pending_into(std::vector<Reading>& out) {
+std::size_t SensorBase::peek_pending_into(std::vector<Reading>& out,
+                                          std::uint64_t& end) {
     MutexLock lock(mutex_);
     const std::size_t n = pending_count_;
     const auto head = pending_.begin() +
@@ -78,16 +84,32 @@ std::size_t SensorBase::drain_pending_into(std::vector<Reading>& out) {
     out.insert(out.end(), head, head + static_cast<std::ptrdiff_t>(first));
     out.insert(out.end(), pending_.begin(),
                pending_.begin() + static_cast<std::ptrdiff_t>(n - first));
-    pending_head_ = 0;
-    pending_count_ = 0;
-    if (pending_.size() > kShrinkPendingRing && pending_.size() > 4 * n)
+    end = head_seq_ + n;
+    return n;
+}
+
+std::size_t SensorBase::release_pending(std::uint64_t end) {
+    MutexLock lock(mutex_);
+    const std::uint64_t ahead = end > head_seq_ ? end - head_seq_ : 0;
+    const auto n = static_cast<std::size_t>(
+        std::min<std::uint64_t>(ahead, pending_count_));
+    if (n == 0) return 0;
+    pending_head_ = (pending_head_ + n) % pending_.size();
+    head_seq_ += n;
+    pending_count_ -= n;
+    if (pending_count_ == 0 && pending_.size() > kShrinkPendingRing &&
+        pending_.size() > 4 * n) {
         std::vector<Reading>().swap(pending_);
+        pending_head_ = 0;
+    }
     return n;
 }
 
 std::vector<Reading> SensorBase::drain_pending() {
     std::vector<Reading> out;
-    drain_pending_into(out);
+    std::uint64_t end = 0;
+    peek_pending_into(out, end);
+    release_pending(end);
     return out;
 }
 

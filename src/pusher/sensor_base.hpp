@@ -2,9 +2,11 @@
 // represents a single data source that cannot be divided any further"
 // (paper, Section 4.1). A sensor always belongs to a group.
 //
-// Each sensor owns a pending buffer (readings accumulated since the last
-// MQTT push) and mirrors every reading into the Pusher-wide sensor cache
-// that backs the REST API.
+// Each sensor owns a pending ring (readings not yet delivered to the
+// Collect Agent) and mirrors every reading into the Pusher-wide sensor
+// cache that backs the REST API. A push round peeks the ring and
+// releases what a payload carried only once that payload is published,
+// so the ring is the Pusher's only buffer of undelivered readings.
 #pragma once
 
 #include <optional>
@@ -39,18 +41,28 @@ class SensorBase {
     /// Record one reading (called from sampler threads). Applies delta
     /// conversion if enabled and mirrors the reading into `cache` (may be
     /// null in unit tests). The sensor resolves its slot in `cache` once
-    /// and pushes through it afterwards.
-    void store_reading(Reading r, CacheSet* cache,
-                       TimestampNs interval_hint_ns) DCDB_EXCLUDES(mutex_);
-
-    /// Move the readings accumulated since the last drain, oldest first,
-    /// onto the end of `out` under one lock acquisition; returns how many.
-    /// The pending ring keeps its storage, so a steady sampling rate
-    /// drains without allocating on either side.
-    std::size_t drain_pending_into(std::vector<Reading>& out)
+    /// and pushes through it afterwards. With `keep_pending` false the
+    /// reading skips the pending ring (nothing would publish it).
+    /// Returns true when a full ring overwrote its oldest reading.
+    bool store_reading(Reading r, CacheSet* cache,
+                       TimestampNs interval_hint_ns, bool keep_pending = true)
         DCDB_EXCLUDES(mutex_);
 
-    /// drain_pending_into a fresh vector (tests and one-off callers).
+    /// Copy the pending readings, oldest first, onto the end of `out`
+    /// under one lock acquisition; returns how many. `end` receives the
+    /// sequence number one past the newest copied, for release_pending.
+    /// The ring keeps its storage, so a steady sampling rate peeks
+    /// without allocating on either side.
+    std::size_t peek_pending_into(std::vector<Reading>& out,
+                                  std::uint64_t& end) DCDB_EXCLUDES(mutex_);
+
+    /// Forget the readings before sequence number `end` that are still
+    /// pending (one the cap overwrote since the peek is already gone);
+    /// returns how many.
+    std::size_t release_pending(std::uint64_t end) DCDB_EXCLUDES(mutex_);
+
+    /// Peek into a fresh vector and release it all (tests and callers
+    /// that consume the readings themselves).
     std::vector<Reading> drain_pending() DCDB_EXCLUDES(mutex_);
 
     /// Pending readings are capped so a dead Collect Agent cannot grow a
@@ -76,9 +88,11 @@ class SensorBase {
 
     mutable Mutex mutex_;
     // Pending readings: a ring over pending_ (its size is the ring's
-    // capacity), oldest at pending_head_.
+    // capacity), oldest at pending_head_, whose sequence number is
+    // head_seq_. A release and an overwrite at the cap move the head.
     std::vector<Reading> pending_ DCDB_GUARDED_BY(mutex_);
     std::size_t pending_head_ DCDB_GUARDED_BY(mutex_){0};
+    std::uint64_t head_seq_ DCDB_GUARDED_BY(mutex_){0};
     std::size_t pending_count_ DCDB_GUARDED_BY(mutex_){0};
     std::optional<Reading> latest_ DCDB_GUARDED_BY(mutex_);
     // last_raw_ feeds delta conversion

@@ -47,6 +47,15 @@ class SensorGroup {
     /// long. Readings go through store_reading() into `cache`.
     void read_all(TimestampNs ts, CacheSet* cache);
 
+    /// Set by the Pusher's sampler before the group is first read: each
+    /// reading a full pending ring overwrites adds 1 to `dropped`, and
+    /// with `keep` false the sensors keep no pending readings (a Pusher
+    /// with no publisher). A standalone group keeps them.
+    void set_pending(telemetry::Counter* dropped, bool keep) {
+        dropped_ = dropped;
+        keep_pending_ = keep;
+    }
+
     void set_entity(Entity* entity) { entity_ = entity; }
     Entity* entity() const { return entity_; }
 
@@ -61,7 +70,7 @@ class SensorGroup {
     std::uint64_t reads_performed() const { return reads_.value(); }
 
     /// Handoff slot for a trace minted by the sampler for this group's
-    /// latest read; the push thread takes it when it drains the group.
+    /// latest read; the push thread takes it when it peeks the group.
     telemetry::trace::PendingTrace& pending_trace() {
         return pending_trace_;
     }
@@ -80,6 +89,8 @@ class SensorGroup {
     std::vector<Value> scratch_;  // reused across reads, no hot-path alloc
     std::atomic<bool> enabled_{true};
     telemetry::Counter reads_;  // per-group, not registry-published
+    telemetry::Counter* dropped_{nullptr};
+    bool keep_pending_{true};
     telemetry::trace::PendingTrace pending_trace_;
 };
 

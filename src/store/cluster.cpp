@@ -41,13 +41,8 @@ std::size_t StoreCluster::primary_node(const Key& key) const {
 
 void StoreCluster::insert(const Key& key, TimestampNs ts, Value value,
                           std::uint32_t ttl_s, int local_hint) {
-    const std::size_t primary = primary_node(key);
-    for (std::size_t r = 0; r < config_.replication; ++r) {
-        nodes_[(primary + r) % nodes_.size()]->insert(key, ts, value, ttl_s);
-    }
-    total_writes_.add(1);
-    if (local_hint >= 0 && static_cast<std::size_t>(local_hint) == primary)
-        local_writes_.add(1);
+    const BatchEntry entry{key, ts, value, ttl_s};
+    insert_batch(std::span<const BatchEntry>(&entry, 1), local_hint);
 }
 
 void StoreCluster::insert_batch(std::span<const BatchEntry> entries,

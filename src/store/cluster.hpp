@@ -61,8 +61,9 @@ class StoreCluster {
     /// Primary owner of a key.
     std::size_t primary_node(const Key& key) const;
 
-    /// Insert into the primary and its replicas. `local_hint`, when >= 0,
-    /// is the index of the node colocated with the writer; used only for
+    /// Insert into the primary and its replicas, as a batch of one:
+    /// insert_batch is the only write path. `local_hint`, when >= 0, is
+    /// the index of the node colocated with the writer; used only for
     /// locality accounting (the paper's "nearest server" claim).
     void insert(const Key& key, TimestampNs ts, Value value,
                 std::uint32_t ttl_s = 0, int local_hint = -1);
@@ -71,8 +72,7 @@ class StoreCluster {
     /// destination node, and each group lands via
     /// StorageNode::insert_batch — one writer-lock acquisition and one
     /// commit-log record per (node, replica) touched, instead of one
-    /// per reading. Write accounting stays in readings, matching
-    /// insert().
+    /// per reading. Write accounting is in readings.
     void insert_batch(std::span<const BatchEntry> entries,
                       int local_hint = -1,
                       const telemetry::trace::TraceContext* trace = nullptr);

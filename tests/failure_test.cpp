@@ -628,7 +628,9 @@ TEST(Failure, AgentDeadLettersWholeBatchAtomicallyAndRecovers) {
 
 // --------------------------------------------- pusher delivery pipeline
 
-TEST(Failure, PusherRetryQueueBoundsLossAndDrainsOnRecovery) {
+TEST(Failure, PusherPendingRingBoundsLossAndDrainsOnRecovery) {
+    constexpr std::uint64_t kReads = 5000;
+    constexpr std::uint64_t kCap = pusher::SensorBase::kMaxPending;
     std::atomic<std::uint64_t> received{0};
     mqtt::MqttBroker broker(
         mqtt::BrokerMode::kReduced, [&](const mqtt::Publish& p) {
@@ -637,46 +639,36 @@ TEST(Failure, PusherRetryQueueBoundsLossAndDrainsOnRecovery) {
             received.fetch_add(view.total_readings);
         });
     auto config = parse_config(
-        "global { topicPrefix /rq ; pushInterval 30ms ; qos 1 ;\n"
-        "  retryQueueMax 3 ; retryBackoffMin 10ms ; retryBackoffMax 40ms "
-        "}\n"
-        "plugins { tester { group g { sensors 1 ; interval 30ms } } }\n");
+        "global { topicPrefix /rq ; qos 1 }\n"
+        "plugins { tester { group g { sensors 1 ; interval 1s } } }\n");
     pusher::Pusher pusher(std::move(config), broker.connect_inproc());
+    pusher::SensorGroup& group = *pusher.plugins().front()->groups().front();
 
-    // Network down for every publish: payloads pile into the retry
-    // queue until the bound (3 readings) evicts the oldest (counted,
-    // never silent).
-    auto fault = std::make_unique<ScopedFault>(
-        FaultPoint::kMqttSend, FaultSpec{.error_prob = 1.0});
-    pusher.start();
-    const auto deadline = steady_ns() + 15 * kNsPerSec;
-    while (steady_ns() < deadline && pusher.stats().readings_dropped == 0)
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    const auto mid = pusher.stats();
-    EXPECT_GT(mid.publish_failures, 0u);
-    EXPECT_GT(mid.readings_requeued, 0u);
-    EXPECT_GT(mid.readings_dropped, 0u);
-    EXPECT_LE(mid.retry_queue_batches, 3u);
+    {
+        // Network down for every publish: the readings stay in the
+        // sensor's ring, whose cap overwrites the oldest (counted,
+        // never silent).
+        ScopedFault fault(FaultPoint::kMqttSend, FaultSpec{.error_prob = 1.0});
+        for (TimestampNs i = 1; i <= kReads; ++i) {
+            group.read_all(i * kNsPerSec, nullptr);
+            if (i % 500 == 0) pusher.push_now();
+        }
+        const auto mid = pusher.stats();
+        EXPECT_EQ(mid.publish_failures, kReads / 500);
+        EXPECT_EQ(mid.readings_pushed, 0u);
+        EXPECT_EQ(mid.readings_dropped, kReads - kCap);
+    }
 
-    // Network heals: the queue must drain completely.
-    fault.reset();
-    const auto drain_deadline = steady_ns() + 15 * kNsPerSec;
-    while (steady_ns() < drain_deadline &&
-           pusher.stats().retry_queue_batches > 0)
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    pusher.stop();
-
+    // Network heals: one round delivers the freshest kCap readings.
+    pusher.push_now();
     const auto s = pusher.stats();
-    EXPECT_EQ(s.retry_queue_batches, 0u);
-    EXPECT_GT(s.retry_attempts, 0u);
-    EXPECT_GT(s.retry_successes, 0u);  // the drain really delivered
-    EXPECT_LE(s.retry_successes, s.retry_attempts);
+    EXPECT_EQ(s.readings_pushed, kCap);
+    EXPECT_EQ(group.sensors().front()->pending_count(), 0u);
     // Zero-loss ledger: every sampled reading was either delivered to
-    // the broker or explicitly counted as dropped at the queue bound.
-    // (One tester sensor: one sample == one reading; QoS 1 means the
-    // broker sink ran before each publish returned.)
+    // the broker or counted as dropped at the ring's cap. (QoS 1 means
+    // the broker sink ran before each publish returned.)
     EXPECT_EQ(received.load(), s.readings_pushed);
-    EXPECT_EQ(s.readings_pushed + s.readings_dropped, s.samples_taken);
+    EXPECT_EQ(s.readings_pushed + s.readings_dropped, kReads);
 }
 
 TEST(Failure, EndToEndNoLossThroughAgentRestartAndStoreFaults) {
@@ -699,7 +691,6 @@ TEST(Failure, EndToEndNoLossThroughAgentRestartAndStoreFaults) {
     auto config = parse_config(
         "global { mqttBroker 127.0.0.1:" + std::to_string(port) +
         " ; topicPrefix /e2e ; pushInterval 50ms ; qos 1 ;\n"
-        "  retryBackoffMin 20ms ; retryBackoffMax 100ms ;\n"
         "  reconnectBackoffMin 20ms ; reconnectBackoffMax 100ms }\n"
         "plugins { tester { group g { sensors 3 ; interval 25ms } } }\n");
     pusher::Pusher pusher(std::move(config));
@@ -709,15 +700,15 @@ TEST(Failure, EndToEndNoLossThroughAgentRestartAndStoreFaults) {
     ASSERT_GE(agent->stats().readings, 12u);
 
     {
-        // Force one full push round onto the retry path so the
-        // retry/backoff counters are deterministically exercised.
+        // Fail one full push round, so its readings must stay pending
+        // and go out again later.
         ScopedFault send_fault(FaultPoint::kMqttSend,
                                {.error_prob = 1.0, .max_triggers = 3});
-        const auto requeue_deadline = steady_ns() + 10 * kNsPerSec;
-        while (steady_ns() < requeue_deadline &&
-               pusher.stats().readings_requeued == 0)
+        const auto failure_deadline = steady_ns() + 10 * kNsPerSec;
+        while (steady_ns() < failure_deadline &&
+               pusher.stats().publish_failures == 0)
             std::this_thread::sleep_for(std::chrono::milliseconds(10));
-        ASSERT_GT(pusher.stats().readings_requeued, 0u);
+        ASSERT_GT(pusher.stats().publish_failures, 0u);
     }
 
     // Broker killed mid-run; Pusher keeps sampling and backs off.
@@ -738,24 +729,22 @@ TEST(Failure, EndToEndNoLossThroughAgentRestartAndStoreFaults) {
     while (steady_ns() < run_deadline &&
            (agent2->stats().readings < 60 ||
             agent2->stats().store_errors == 0 ||
-            pusher.stats().retry_queue_batches > 0 ||
             !pusher.mqtt_connected()))
         std::this_thread::sleep_for(std::chrono::milliseconds(20));
     ASSERT_TRUE(pusher.mqtt_connected()) << "pusher never reconnected";
 
-    // Orderly shutdown flushes every remaining pending/retry reading
-    // (QoS 1: each publish returns only once the agent stored it).
+    // Orderly shutdown flushes every remaining pending reading (QoS 1:
+    // each publish returns only once the agent stored it).
     pusher.stop();
 
     const auto ps = pusher.stats();
     EXPECT_GT(ps.publish_failures, 0u);
-    EXPECT_GT(ps.readings_requeued, 0u);
-    EXPECT_GT(ps.retry_attempts, 0u);
-    EXPECT_GT(ps.retry_successes, 0u);
     EXPECT_GE(ps.reconnects, 1u);
     EXPECT_GE(ps.reconnect_failures, 1u);
     EXPECT_EQ(ps.readings_dropped, 0u);
-    EXPECT_EQ(ps.retry_queue_batches, 0u);
+    for (const auto& sensor :
+         pusher.plugins().front()->groups().front()->sensors())
+        EXPECT_EQ(sensor->pending_count(), 0u) << sensor->topic();
 
     const auto as = agent2->stats();
     EXPECT_GT(as.store_errors, 0u) << "fault injection never fired";

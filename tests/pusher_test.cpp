@@ -1,6 +1,7 @@
 // Tests for the Pusher framework: sensors, groups, the sampler's aligned
 // scheduling, the MQTT push path, the REST API and plugin lifecycle.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <condition_variable>
@@ -10,6 +11,7 @@
 #include <set>
 #include <thread>
 
+#include "collectagent/collect_agent.hpp"
 #include "common/clock.hpp"
 #include "common/fault.hpp"
 #include "core/payload.hpp"
@@ -95,19 +97,42 @@ TEST(SensorBase, FullPendingRingDropsOldestInOrder) {
 TEST(SensorBase, DrainAppendsAndTheRingIsReused) {
     SensorBase s("x", "/t/x");
     std::vector<Reading> out = {{1, 1}};
+    std::uint64_t end = 0;
     for (TimestampNs round = 0; round < 5; ++round) {
         // Wrap the ring: three readings per round into a ring of four.
         for (TimestampNs i = 0; i < 3; ++i)
             s.store_reading({10 * round + i, 0}, nullptr, kNsPerSec);
         out.resize(1);
-        EXPECT_EQ(s.drain_pending_into(out), 3u);
+        EXPECT_EQ(s.peek_pending_into(out, end), 3u);
         ASSERT_EQ(out.size(), 4u);
         EXPECT_EQ(out[0].ts, 1u);
         for (TimestampNs i = 0; i < 3; ++i)
             EXPECT_EQ(out[1 + i].ts, 10 * round + i);
+        EXPECT_EQ(s.pending_count(), 3u) << "a peek keeps the readings";
+        EXPECT_EQ(s.release_pending(end), 3u);
+        EXPECT_EQ(s.release_pending(end), 0u) << "released once";
     }
-    EXPECT_EQ(s.drain_pending_into(out), 0u);
+    EXPECT_EQ(s.peek_pending_into(out, end), 0u);
     EXPECT_EQ(s.dropped_readings(), 0u);
+}
+
+TEST(SensorBase, ReleaseSkipsWhatTheCapOverwroteSinceThePeek) {
+    constexpr std::size_t kCap = SensorBase::kMaxPending;
+    SensorBase s("x", "/t/x");
+    for (std::size_t i = 1; i <= kCap; ++i)
+        s.store_reading({i, 0}, nullptr, kNsPerSec);
+    std::vector<Reading> peeked;
+    std::uint64_t end = 0;
+    ASSERT_EQ(s.peek_pending_into(peeked, end), kCap);
+    // Ten fresher readings overwrite the ten oldest peeked ones.
+    for (std::size_t i = kCap + 1; i <= kCap + 10; ++i)
+        EXPECT_TRUE(s.store_reading({i, 0}, nullptr, kNsPerSec));
+    EXPECT_EQ(s.dropped_readings(), 10u);
+    EXPECT_EQ(s.release_pending(end), kCap - 10);
+    const auto rest = s.drain_pending();
+    ASSERT_EQ(rest.size(), 10u);
+    EXPECT_EQ(rest.front().ts, kCap + 1);
+    EXPECT_EQ(rest.back().ts, kCap + 10);
 }
 
 namespace {
@@ -353,10 +378,19 @@ struct BrokerTally {
 /// One tester group of `sensors` sensors, sampled by the test itself.
 ConfigNode wide_config(std::size_t sensors) {
     return parse_config(
-        "global { topicPrefix /wide ; qos 1 ;\n"
-        "  retryBackoffMin 1ms ; retryBackoffMax 1ms }\n"
+        "global { topicPrefix /wide ; qos 1 }\n"
         "plugins { tester { group g { sensors " + std::to_string(sensors) +
         " ; interval 1s } } }\n");
+}
+
+/// Sum of the pending readings of every sensor of the Pusher.
+std::uint64_t pending_readings(const Pusher& pusher) {
+    std::uint64_t pending = 0;
+    for (const auto& plugin : pusher.plugins())
+        for (const auto& group : plugin->groups())
+            for (const auto& sensor : group->sensors())
+                pending += sensor->pending_count();
+    return pending;
 }
 
 TEST(Pusher, FailedPublishOfTenThousandSensorsIsRetriedAsOneMessage) {
@@ -374,20 +408,123 @@ TEST(Pusher, FailedPublishOfTenThousandSensorsIsRetriedAsOneMessage) {
     }
     auto s = pusher.stats();
     EXPECT_EQ(s.publish_failures, 1u);
-    EXPECT_EQ(s.retry_queue_batches, 1u);
-    EXPECT_EQ(s.retry_queue_readings, 10000u);
+    EXPECT_EQ(s.readings_pushed, 0u);
+    EXPECT_EQ(pending_readings(pusher), 10000u);
 
-    // Past the 1 ms backoff, the next round republishes the payload.
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    // The next round sends the readings again.
     pusher.push_now();
     s = pusher.stats();
     EXPECT_EQ(s.readings_dropped, 0u);
     EXPECT_EQ(s.readings_pushed, 10000u);
-    EXPECT_EQ(s.retry_successes, 1u);
-    EXPECT_EQ(s.retry_queue_batches, 0u);
+    EXPECT_EQ(pending_readings(pusher), 0u);
     EXPECT_EQ(tally.messages.load(), 1u) << "the recovery is one message";
     EXPECT_EQ(tally.readings.load(), 10000u);
     EXPECT_EQ(tally.not_v1.load(), 0u);
+}
+
+// A failed publish must not let a fresher reading of the same sensor
+// reach the agent first: the agent's cache would then serve the older
+// reading as the latest, and its "oldest first" view would run
+// backwards.
+TEST(Pusher, FailedReadingsNeverOvertakeFresherOnes) {
+    namespace fs = std::filesystem;
+    const fs::path dir =
+        fs::temp_directory_path() /
+        ("dcdb_pusher_order_" + std::to_string(::getpid()));
+    fs::create_directories(dir);
+    {
+        store::ClusterConfig cc;
+        cc.base_dir = dir.string();
+        cc.commitlog_enabled = false;
+        store::StoreCluster cluster(cc);
+        store::MetaStore meta;
+        collectagent::CollectAgent agent(
+            parse_config("global { listenTcp false }"), &cluster, &meta);
+        Pusher pusher(
+            parse_config("global { topicPrefix /order ; qos 1 }\n"
+                         "plugins { tester { group g { sensors 1 ; "
+                         "interval 1s } } }\n"),
+            agent.connect_inproc());
+        SensorGroup& group = *pusher.plugins().front()->groups().front();
+        const std::string topic = group.sensors().front()->topic();
+
+        group.read_all(kNsPerSec, &pusher.cache());
+        {
+            ScopedFault fault(FaultPoint::kMqttSend,
+                              {.error_prob = 1.0, .max_triggers = 1});
+            pusher.push_now();
+        }
+        group.read_all(2 * kNsPerSec, &pusher.cache());
+        pusher.push_now();
+        // One more round after a pause: nothing older may arrive late.
+        std::this_thread::sleep_for(std::chrono::milliseconds(150));
+        pusher.push_now();
+
+        EXPECT_EQ(pusher.stats().publish_failures, 1u);
+        EXPECT_EQ(pusher.stats().readings_pushed, 2u);
+        const auto latest = agent.cache().latest(topic);
+        ASSERT_TRUE(latest.has_value());
+        EXPECT_EQ(latest->ts, 2 * kNsPerSec);
+        // The agent caches each section's newest reading.
+        const auto view = agent.cache().view(topic, 0, kTimestampMax);
+        ASSERT_FALSE(view.empty());
+        for (std::size_t i = 1; i < view.size(); ++i)
+            EXPECT_LT(view[i - 1].ts, view[i].ts) << "view() is oldest first";
+        const auto stored = agent.query_stored(topic, 0, kTimestampMax);
+        ASSERT_EQ(stored.size(), 2u);
+        EXPECT_EQ(stored[0].ts, kNsPerSec);
+        EXPECT_EQ(stored[1].ts, 2 * kNsPerSec);
+    }
+    fs::remove_all(dir);
+}
+
+// With the agent unreachable no push round runs, so a full ring's
+// overwrites are the only loss, and they are counted where an operator
+// looks: PusherStats and /metrics.
+TEST(Pusher, PendingRingDropsAreCountedWhileTheAgentIsUnreachable) {
+    constexpr std::uint64_t kReads = 5000;
+    Pusher pusher(parse_config(
+        "global { topicPrefix /outage ; mqttBroker 127.0.0.1:1 ;\n"
+        "  restApi true }\n"
+        "plugins { tester { group g { sensors 1 ; interval 1s } } }\n"));
+    SensorGroup& group = *pusher.plugins().front()->groups().front();
+    for (TimestampNs i = 1; i <= kReads; ++i)
+        group.read_all(i * kNsPerSec, &pusher.cache());
+
+    constexpr std::uint64_t kDropped = kReads - SensorBase::kMaxPending;
+    EXPECT_EQ(group.sensors().front()->dropped_readings(), kDropped);
+    EXPECT_EQ(pusher.stats().readings_dropped, kDropped);
+    EXPECT_EQ(pending_readings(pusher), SensorBase::kMaxPending);
+    const auto metrics = http_get("127.0.0.1", pusher.rest_port(), "/metrics");
+    ASSERT_EQ(metrics.status, 200);
+    EXPECT_NE(metrics.body.find("\ndcdb_pusher_push_dropped " +
+                                std::to_string(kDropped) + "\n"),
+              std::string::npos)
+        << metrics.body;
+}
+
+// Nothing publishes a cache-only Pusher's pending readings, so its
+// sensors keep none, and drop none.
+TEST(Pusher, CacheOnlyPusherKeepsNoPendingReadings) {
+    constexpr int kSensors = 1000;
+    constexpr TimestampNs kReads = 5000;
+    Pusher pusher(parse_config(
+        "global { topicPrefix /cacheonly ; mqttBroker none }\n"
+        "plugins { tester { group g { sensors " + std::to_string(kSensors) +
+        " ; interval 1s } } }\n"));
+    ASSERT_FALSE(pusher.mqtt_configured());
+    SensorGroup& group = *pusher.plugins().front()->groups().front();
+    for (TimestampNs i = 1; i <= kReads; ++i)
+        group.read_all(i * kNsPerSec, &pusher.cache());
+
+    EXPECT_EQ(pending_readings(pusher), 0u);
+    EXPECT_EQ(pusher.stats().readings_dropped, 0u);
+    EXPECT_EQ(group.sensors().front()->dropped_readings(), 0u);
+    EXPECT_EQ(pusher.cache().sensor_count(),
+              static_cast<std::size_t>(kSensors));
+    const auto latest = pusher.cache().latest(group.sensors().back()->topic());
+    ASSERT_TRUE(latest.has_value());
+    EXPECT_EQ(latest->ts, kReads * kNsPerSec);
 }
 
 TEST(Pusher, DrainOverThePacketCapIsSplitIntoPayloadsUnderIt) {

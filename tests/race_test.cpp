@@ -584,15 +584,21 @@ class TickGroup final : public pusher::SensorGroup {
 };
 
 // Sampler threads read their groups into one cache set (each sensor
-// resolving and then reusing its slot) while a push thread drains every
-// sensor into one reused buffer and a REST-like reader walks the cache.
-// Every reading must end up drained, still pending, or counted dropped.
-TEST(SensorBaseRace, SamplersVersusDrainsAndCacheReaders) {
+// resolving and then reusing its slot) while a push thread peeks each
+// group into one reused buffer and releases what it peeked, as a push
+// round does after a publish, and a REST-like reader walks the cache.
+// `release_at` is how many pending readings a sensor needs before the
+// push thread releases them; one round in three releases nothing, as
+// after a failed publish. Every reading must end up released, still
+// pending, or counted dropped, and no reading is released twice or out
+// of order.
+void samplers_versus_peeks_and_cache_readers(int reads,
+                                            std::size_t release_at) {
     constexpr int kGroups = 2;
     constexpr int kSensors = 8;
-    constexpr int kReads = 2000;
 
-    CacheSet cache(/*window_ns=*/10 * kNsPerSec);
+    CacheSet cache(/*window_ns=*/2 * static_cast<TimestampNs>(reads) *
+                   kNsPerMs);
     std::vector<std::unique_ptr<TickGroup>> groups;
     for (int g = 0; g < kGroups; ++g) {
         groups.push_back(
@@ -611,21 +617,51 @@ TEST(SensorBaseRace, SamplersVersusDrainsAndCacheReaders) {
     for (int g = 0; g < kGroups; ++g) {
         samplers.emplace_back([&, g] {
             while (!go.load()) std::this_thread::yield();
-            for (int i = 1; i <= kReads; ++i)
+            for (int i = 1; i <= reads; ++i)
                 groups[static_cast<std::size_t>(g)]->read_all(
                     static_cast<TimestampNs>(i) * kNsPerMs, &cache);
             sampling.fetch_sub(1);
         });
     }
-    std::size_t drained = 0;
+    std::uint64_t released = 0;
+    bool in_order = true;
     std::thread pusher_thread([&] {
+        struct Peeked {
+            std::size_t begin, count;
+            std::uint64_t end;
+        };
         std::vector<Reading> buffer;
+        std::vector<Peeked> peeked;
+        std::vector<TimestampNs> last_released(kGroups * kSensors, 0);
         while (!go.load()) std::this_thread::yield();
-        while (sampling.load() > 0) {
+        for (int round = 0; sampling.load() > 0; ++round) {
+            std::size_t k = 0;
             for (const auto& group : groups) {
                 buffer.clear();
-                for (const auto& sensor : group->sensors())
-                    drained += sensor->drain_pending_into(buffer);
+                peeked.clear();
+                for (const auto& sensor : group->sensors()) {
+                    Peeked p{buffer.size(), 0, 0};
+                    p.count = sensor->peek_pending_into(buffer, p.end);
+                    peeked.push_back(p);
+                }
+                for (std::size_t i = 0; i < peeked.size(); ++i, ++k) {
+                    const Peeked& p = peeked[i];
+                    if (round % 3 == 0 || p.count < release_at) continue;
+                    const std::size_t n =
+                        group->sensors()[i]->release_pending(p.end);
+                    released += n;
+                    // The cap overwrote the oldest of the peek since, so
+                    // the release took its newest n.
+                    if (n > p.count) {
+                        in_order = false;
+                        continue;
+                    }
+                    const std::size_t stop = p.begin + p.count;
+                    for (std::size_t r = stop - n; r < stop; ++r) {
+                        if (buffer[r].ts <= last_released[k]) in_order = false;
+                        last_released[k] = buffer[r].ts;
+                    }
+                }
             }
         }
     });
@@ -642,30 +678,46 @@ TEST(SensorBaseRace, SamplersVersusDrainsAndCacheReaders) {
     done.store(true);
     reader.join();
 
-    std::uint64_t accounted = drained;
+    EXPECT_TRUE(in_order) << "a reading was released twice or out of order";
+    std::uint64_t pending = 0;
+    std::uint64_t dropped = 0;
     for (const auto& group : groups) {
         for (const auto& sensor : group->sensors()) {
-            accounted += sensor->pending_count() + sensor->dropped_readings();
+            pending += sensor->pending_count();
+            dropped += sensor->dropped_readings();
             EXPECT_EQ(cache.view(sensor->topic(), 0, kTimestampMax).size(),
-                      static_cast<std::size_t>(kReads));
+                      static_cast<std::size_t>(reads));
         }
     }
-    EXPECT_EQ(accounted, static_cast<std::uint64_t>(kGroups) * kSensors *
-                             kReads);
+    EXPECT_EQ(released + pending + dropped,
+              static_cast<std::uint64_t>(kGroups) * kSensors *
+                  static_cast<std::uint64_t>(reads));
+    if (static_cast<std::size_t>(reads) > pusher::SensorBase::kMaxPending) {
+        EXPECT_GT(dropped, 0u) << "releases never met the cap";
+    }
     EXPECT_EQ(cache.sensor_count(), static_cast<std::size_t>(kGroups) *
                                         kSensors);
 }
 
+TEST(SensorBaseRace, SamplersVersusDrainsAndCacheReaders) {
+    // Below the cap: rings only grow and shrink.
+    samplers_versus_peeks_and_cache_readers(2000, 1);
+    // Above it: each release meets a full ring that the samplers keep
+    // overwriting between the peek and the release.
+    samplers_versus_peeks_and_cache_readers(
+        3 * static_cast<int>(pusher::SensorBase::kMaxPending),
+        pusher::SensorBase::kMaxPending);
+}
+
 // Two threads push while a third stops the Pusher, with half of all
-// MQTT sends failing: every round, the retry queue and the final flush
-// share one push lock, and every sampled reading is still accounted for.
+// MQTT sends failing: every round and the final flush share one push
+// lock, and every sampled reading is still accounted for.
 TEST(PusherRace, PushNowVersusStopWithFlakySends) {
     mqtt::MqttBroker broker(mqtt::BrokerMode::kReduced, nullptr, 0,
                             /*listen_tcp=*/false);
     // One sensor per group, so one sample is one reading.
     pusher::Pusher pusher(
-        parse_config("global { topicPrefix /race ; pushInterval 5ms ;\n"
-                     "  retryBackoffMin 1ms ; retryBackoffMax 4ms }\n"
+        parse_config("global { topicPrefix /race ; pushInterval 5ms }\n"
                      "plugins { tester {\n"
                      "  group a { sensors 1 ; interval 2ms }\n"
                      "  group b { sensors 1 ; interval 3ms } } }\n"),
@@ -703,8 +755,7 @@ TEST(PusherRace, PushNowVersusStopWithFlakySends) {
     }
     EXPECT_GT(s.samples_taken, 0u);
     EXPECT_GT(s.publish_failures, 0u);
-    EXPECT_EQ(s.readings_pushed + s.readings_dropped +
-                  s.retry_queue_readings + pending,
+    EXPECT_EQ(s.readings_pushed + s.readings_dropped + pending,
               s.samples_taken);
 }
 
