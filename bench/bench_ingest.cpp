@@ -16,9 +16,9 @@
 //      steady state — the agent decodes on broker session threads, and
 //      per-reading allocation there is the first thing batching wins.
 //   3. Per-section bookkeeping on KNOWN sensors performs ZERO heap
-//      allocations: the agent's TopicMapper::to_sid / lookup,
-//      CacheSet::push and SensorTree::add (also for an unnormalized
-//      spelling of a known topic), and the Pusher's
+//      allocations: the agent's SensorIndex::resolve and the push
+//      through the resolved entry's cache slot (also for an
+//      unnormalized spelling of a known topic), and the Pusher's
 //      SensorGroup::read_all plus the per-sensor peek and release that
 //      push_once does around a publish.
 //   5. The byte path from the Pusher's encoder to the commit-log record
@@ -44,10 +44,10 @@
 
 #include "bench_util.hpp"
 #include "common/clock.hpp"
-#include "core/hierarchy.hpp"
 #include "core/payload.hpp"
 #include "core/sensor_cache.hpp"
 #include "core/sensor_id.hpp"
+#include "core/sensor_index.hpp"
 #include "mqtt/transport.hpp"
 #include "pusher/sensor_group.hpp"
 #include "store/commitlog.hpp"
@@ -422,13 +422,11 @@ int smoke() {
     // 3. Zero allocations per section on known sensors, agent and
     // Pusher side. Readings are a second apart so the 120 s caches
     // evict instead of growing. The agent also sees one unnormalized
-    // spelling of a known sensor, which must resolve to the same SID,
-    // slot and leaf without allocating.
+    // spelling of a known sensor, which must resolve to the same entry
+    // (SID and slot) without allocating.
     {
         store::MetaStore meta;
-        TopicMapper mapper(meta);
-        CacheSet agent_cache(120 * kNsPerSec);
-        SensorTree tree;
+        SensorIndex index(meta, 120 * kNsPerSec);
         CacheSet pusher_cache(120 * kNsPerSec);
         CountingGroup group("g", kNsPerSec);
         std::vector<std::string> topics;
@@ -446,10 +444,9 @@ int smoke() {
         std::uint64_t released = 0;
         const auto round = [&](TimestampNs ts) {
             for (const auto& topic : agent_topics) {
-                SensorId sid = mapper.to_sid(topic);
-                resolved += mapper.lookup(topic, sid) ? 1 : 0;
-                agent_cache.push(topic, {ts, 1});
-                tree.add(topic);
+                const SensorIndex::Handle sensor = index.resolve(topic);
+                resolved += sensor.entry != nullptr ? 1 : 0;
+                index.publish(topic, sensor).slot().push({ts, 1});
             }
             group.read_all(ts, &pusher_cache);
             drain.clear();
@@ -482,10 +479,10 @@ int smoke() {
         if (resolved != kBookkeepRounds * agent_topics.size() ||
             released != kBookkeepRounds * topics.size() ||
             drain.size() != topics.size() ||
-            mapper.known_topics() != topics.size() ||
-            agent_cache.sensor_count() != topics.size() ||
-            tree.sensor_count() != topics.size() ||
-            agent_cache.view(topics[0], 0, kTimestampMax).empty()) {
+            index.mapper().known_topics() != topics.size() ||
+            index.sensor_count() != topics.size() ||
+            index.hierarchy().sensor_count() != topics.size() ||
+            index.view(topics[0], 0, kTimestampMax).empty()) {
             std::fprintf(stderr, "ingest smoke: bookkeeping lost or "
                                  "duplicated a sensor, or lost a "
                                  "reading\n");
@@ -494,10 +491,9 @@ int smoke() {
         if (allocs != 0) {
             std::fprintf(stderr,
                          "ingest smoke: known-sensor bookkeeping "
-                         "allocated %llu times — to_sid, lookup, "
-                         "CacheSet::push, SensorTree::add, read_all and "
-                         "the pending peek and release must not touch "
-                         "the heap\n",
+                         "allocated %llu times — SensorIndex::resolve, "
+                         "the slot push, read_all and the pending peek "
+                         "and release must not touch the heap\n",
                          static_cast<unsigned long long>(allocs));
             return 1;
         }

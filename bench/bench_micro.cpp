@@ -12,10 +12,9 @@
 #include "analysis/table.hpp"
 #include "bench_util.hpp"
 #include "common/clock.hpp"
-#include "core/hierarchy.hpp"
 #include "core/payload.hpp"
-#include "core/sensor_cache.hpp"
 #include "core/sensor_id.hpp"
+#include "core/sensor_index.hpp"
 #include "libdcdb/connection.hpp"
 #include "mqtt/broker.hpp"
 #include "mqtt/client.hpp"
@@ -66,32 +65,29 @@ BENCHMARK(BM_TopicToSidCached);
 
 // The Collect Agent's per-section work on a known sensor, in the
 // pipeline benchmark's wide_fanin shape (4 sessions x 8 groups x 250
-// sensors, one reading per section): to_sid before the store insert,
-// CacheSet::push and SensorTree::add after it. Each benchmark thread is
-// one broker session walking its own 2,000 topics, so Threads(4) shows
-// what the sessions cost each other. cpu_per_section is the CPU time
-// of all threads per section.
+// sensors, one reading per section): SensorIndex::resolve before the
+// store insert, and the push through the resolved entry's cache slot
+// after it. Each benchmark thread is one broker session walking its own
+// 2,000 topics, so Threads(4) shows what the sessions cost each other.
+// cpu_per_section is the CPU time of all threads per section.
 struct KnownSensors {
     static constexpr int kSessions = 4;
 
-    KnownSensors() : mapper(meta) {
+    KnownSensors() : index(meta, 120 * kNsPerSec) {
         for (int s = 0; s < kSessions; ++s)
             for (int g = 0; g < 8; ++g)
                 for (int k = 0; k < 250; ++k)
                     topics.push_back("/bench/s" + std::to_string(s) +
                                      "/tester/g" + std::to_string(g) +
                                      "/s" + std::to_string(k));
-        for (const auto& topic : topics) {
-            mapper.to_sid(topic);
-            cache.push(topic, {kNsPerSec, 0});
-            tree.add(topic);
-        }
+        for (const auto& topic : topics)
+            index.publish(topic, index.resolve(topic))
+                .slot()
+                .push({kNsPerSec, 0});
     }
 
     store::MetaStore meta;
-    TopicMapper mapper;
-    CacheSet cache{120 * kNsPerSec};
-    SensorTree tree;
+    SensorIndex index;
     std::vector<std::string> topics;
 };
 
@@ -108,9 +104,9 @@ void BM_KnownSectionBookkeeping(benchmark::State& state) {
     for (auto _ : state) {
         ts += kNsPerSec;
         for (auto it = first; it != last; ++it) {
-            benchmark::DoNotOptimize(known.mapper.to_sid(*it));
-            known.cache.push(*it, {ts, 1});
-            known.tree.add(*it);
+            const SensorIndex::Handle sensor = known.index.resolve(*it);
+            benchmark::DoNotOptimize(sensor.sid);
+            known.index.publish(*it, sensor).slot().push({ts, 1});
         }
     }
     const auto sections =

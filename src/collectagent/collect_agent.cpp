@@ -30,9 +30,8 @@ CollectAgent::CollectAgent(const ConfigNode& config,
                            telemetry::MetricRegistry* registry)
     : cluster_(cluster),
       registry_(telemetry::resolve_registry(registry, owned_registry_)),
-      mapper_(*meta),
-      cache_(config.get_duration_ns_or("global.cacheWindow",
-                                       120 * kNsPerSec)),
+      index_(*meta, config.get_duration_ns_or("global.cacheWindow",
+                                              120 * kNsPerSec)),
       ttl_s_(static_cast<std::uint32_t>(
           config.get_i64_or("global.ttl", 0))),
       store_node_hint_(static_cast<int>(
@@ -50,6 +49,11 @@ CollectAgent::CollectAgent(const ConfigNode& config,
       dead_letters_(registry_.counter("collectagent.dead.letters")),
       store_latency_(registry_.histogram("collectagent.store.latency")),
       tracer_(agent_tracer_config(&registry_)) {
+    // The REST /sensors counters, registered here rather than on the
+    // first request so that /metrics shows them from the start.
+    registry_.counter("collectagent.cache.hits");
+    registry_.counter("collectagent.cache.misses");
+
     const bool listen_tcp = config.get_bool_or("global.listenTcp", true);
     const auto port = static_cast<std::uint16_t>(
         config.get_i64_or("global.mqttPort", 0));
@@ -136,17 +140,37 @@ bool CollectAgent::insert_batch_with_retry(
     }
 }
 
-namespace {
-
-/// One decoded section, SID-resolved, awaiting storage. Views point into
-/// the publish payload, which outlives the whole on_publish call.
-struct PendingSection {
+/// Views point into the publish payload, which outlives the whole
+/// on_publish call.
+struct CollectAgent::PendingSection {
     std::string_view topic;
-    SensorId sid;
+    SensorIndex::Handle sensor;
     ReadingsView readings;
 };
 
-}  // namespace
+/// ingest's derived readings are untraced, whole and kept from the live
+/// listener.
+struct CollectAgent::Arrival {
+    telemetry::trace::TraceContext trace;  // invalid: untraced
+    TimestampNs decode_wall{0};
+    TimestampNs decode_start{0};
+    bool torn{false};  // its readings count as salvaged
+    bool live{false};  // the live listener sees its readings
+};
+
+std::size_t CollectAgent::resolve_section(std::string_view topic,
+                                         ReadingsView readings,
+                                         std::vector<PendingSection>& out) {
+    try {
+        const SensorIndex::Handle sensor = index_.resolve(topic);
+        if (!readings.empty()) out.push_back({topic, sensor, readings});
+        return 0;
+    } catch (const std::exception& e) {
+        DCDB_WARN("collectagent")
+            << "dropping section on " << topic << ": " << e.what();
+        return readings.size();
+    }
+}
 
 void CollectAgent::on_publish(const mqtt::Publish& message) {
     messages_.add(1);
@@ -162,96 +186,83 @@ void CollectAgent::on_publish(const mqtt::Publish& message) {
     thread_local BatchPayloadView view;
     thread_local std::vector<PendingSection> sections;
     thread_local std::vector<store::BatchEntry> batch;
-    thread_local std::string topic_scratch;
     sections.clear();
-    batch.clear();
 
     const std::span<const std::uint8_t> payload(message.payload);
     std::size_t discarded = 0;
-    bool torn = false;
+    Arrival arrival;
+    arrival.live = true;
 
     // Cheap tail probe to decide whether this message is worth the
     // tracing clock reads. Attribution stays with decode_batch (the
     // authoritative parse): a torn payload never yields a trace here.
-    const bool maybe_traced =
-        telemetry::trace::peek_trailer(payload).valid();
-    const TimestampNs decode_wall = maybe_traced ? now_ns() : 0;
-    const TimestampNs decode_start = maybe_traced ? steady_ns() : 0;
-    telemetry::trace::TraceContext trace;
+    if (telemetry::trace::peek_trailer(payload).valid()) {
+        arrival.decode_wall = now_ns();
+        arrival.decode_start = steady_ns();
+    }
 
     if (is_batch_payload(payload)) {
         decode_batch(payload, view);  // cannot throw: header was checked
-        torn = view.torn_bytes > 0;
-        trace = view.trace;
-        for (const auto& section : view.sections) {
-            PendingSection pending;
-            pending.topic = section.topic;
-            pending.readings = section.readings;
-            try {
-                pending.sid = mapper_.to_sid(section.topic);
-            } catch (const std::exception& e) {
-                discarded += section.readings.size();
-                DCDB_WARN("collectagent")
-                    << "dropping section on " << section.topic << ": "
-                    << e.what();
-                continue;
-            }
-            if (pending.readings.size() > 0) sections.push_back(pending);
-        }
+        arrival.torn = view.torn_bytes > 0;
+        arrival.trace = view.trace;
+        for (const auto& section : view.sections)
+            discarded +=
+                resolve_section(section.topic, section.readings, sections);
     } else {
         const SalvagedReadings salvage = decode_readings_view(payload);
-        torn = salvage.torn_bytes > 0;
-        if (salvage.readings.size() > 0) {
-            PendingSection pending;
-            pending.topic = message.topic;
-            pending.readings = salvage.readings;
-            try {
-                pending.sid = mapper_.to_sid(message.topic);
-                sections.push_back(pending);
-            } catch (const std::exception& e) {
-                discarded += salvage.readings.size();
-                DCDB_WARN("collectagent")
-                    << "dropping message on " << message.topic << ": "
-                    << e.what();
-            }
-        }
+        arrival.torn = salvage.torn_bytes > 0;
+        if (!salvage.readings.empty())
+            discarded +=
+                resolve_section(message.topic, salvage.readings, sections);
     }
-    if (torn) ++discarded;  // the torn tail is at least one lost reading
+    // The torn tail is at least one lost reading.
+    if (arrival.torn) ++discarded;
     if (discarded > 0) decode_errors_.add(discarded);
 
+    store_sections(sections, batch, arrival);
+}
+
+void CollectAgent::store_sections(std::span<const PendingSection> sections,
+                                  std::vector<store::BatchEntry>& batch,
+                                  const Arrival& arrival) {
+    batch.clear();
     for (const auto& pending : sections) {
         for (std::size_t i = 0; i < pending.readings.size(); ++i) {
             const Reading reading = pending.readings[i];
             batch.push_back(store::BatchEntry{
-                sensor_key(pending.sid, reading.ts), reading.ts,
+                sensor_key(pending.sensor.sid, reading.ts), reading.ts,
                 reading.value, ttl_s_});
         }
     }
     if (batch.empty()) return;
-    if (torn) decode_salvaged_.add(batch.size());
+    if (arrival.torn) decode_salvaged_.add(batch.size());
 
-    if (trace.valid()) {
+    const telemetry::trace::TraceContext* trace =
+        arrival.trace.valid() ? &arrival.trace : nullptr;
+    if (trace) {
         // Decode span covers payload parse + SID mapping + batch build.
-        tracer_.record_span(trace, telemetry::trace::Stage::kDecode,
-                            decode_wall, steady_ns() - decode_start,
+        tracer_.record_span(*trace, telemetry::trace::Stage::kDecode,
+                            arrival.decode_wall,
+                            steady_ns() - arrival.decode_start,
                             static_cast<std::uint32_t>(batch.size()));
     }
-    if (!insert_batch_with_retry(batch, trace.valid() ? &trace : nullptr))
-        return;
+    if (!insert_batch_with_retry(batch, trace)) return;
     readings_.add(batch.size());
 
-    // Cache the newest persisted reading per sensor, notify the live
-    // listener, and keep the hierarchy browsable. For a known sensor the
-    // cache and tree visits are lock-free probes, in any spelling.
+    // Cache the newest persisted reading per sensor through its handle
+    // (a first sighting joins the hierarchy and the index here) and
+    // notify the live listener, which may re-enter through ingest: that
+    // uses its own batch, and `batch` is not read again below.
+    thread_local std::string topic_scratch;
     for (const auto& pending : sections) {
-        if (live_listener_) {
+        if (arrival.live && live_listener_) {
             topic_scratch.assign(pending.topic);
             for (std::size_t i = 0; i < pending.readings.size(); ++i)
                 live_listener_(topic_scratch, pending.readings[i]);
         }
-        cache_.push(pending.topic,
-                    pending.readings[pending.readings.size() - 1]);
-        tree_.add(pending.topic);
+        index_.publish(pending.topic, pending.sensor)
+            .slot()
+            .push(pending.readings[pending.readings.size() - 1]);
     }
 }
 
@@ -260,21 +271,18 @@ void CollectAgent::set_live_listener(LiveListener listener) {
 }
 
 void CollectAgent::ingest(const std::string& topic, const Reading& reading) {
-    const SensorId sid = mapper_.to_sid(topic);
-    const store::BatchEntry entry{sensor_key(sid, reading.ts), reading.ts,
-                                  reading.value, ttl_s_};
-    if (!insert_batch_with_retry(
-            std::span<const store::BatchEntry>(&entry, 1), nullptr))
-        return;
-    cache_.push(topic, reading);
-    tree_.add(topic);
-    readings_.add(1);
+    const std::vector<std::uint8_t> record = encode_readings({reading});
+    const PendingSection section{topic, index_.resolve(topic),
+                                 decode_readings_view(record).readings};
+    std::vector<store::BatchEntry> batch;
+    store_sections(std::span<const PendingSection>(&section, 1), batch,
+                   Arrival{});
 }
 
 std::vector<Reading> CollectAgent::query_stored(const std::string& topic,
                                                 TimestampNs t0,
                                                 TimestampNs t1) const {
-    return query_series(mapper_, *cluster_, topic, t0, t1);
+    return query_series(index_.mapper(), *cluster_, topic, t0, t1);
 }
 
 CollectAgent::Readiness CollectAgent::readiness() const {
@@ -293,7 +301,7 @@ CollectAgentStats CollectAgent::stats() const {
     s.store_errors = store_errors_.value();
     s.store_retries = store_retries_.value();
     s.dead_letters = dead_letters_.value();
-    s.known_sensors = tree_.sensor_count();
+    s.known_sensors = index_.sensor_count();
     return s;
 }
 

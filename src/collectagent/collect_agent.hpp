@@ -26,9 +26,8 @@
 #include <span>
 
 #include "common/config.hpp"
-#include "core/hierarchy.hpp"
-#include "core/sensor_cache.hpp"
-#include "core/sensor_id.hpp"
+#include "core/payload.hpp"
+#include "core/sensor_index.hpp"
 #include "mqtt/broker.hpp"
 #include "net/http.hpp"
 #include "store/cluster.hpp"
@@ -81,9 +80,10 @@ class CollectAgent {
 
     std::uint16_t rest_port() const;
 
-    CacheSet& cache() { return cache_; }
-    const SensorTree& hierarchy() const { return tree_; }
-    TopicMapper& mapper() { return mapper_; }
+    /// The sensor cache (REST /sensors), read through the index.
+    const SensorIndex& cache() const { return index_; }
+    const SensorTree& hierarchy() const { return index_.hierarchy(); }
+    TopicMapper& mapper() { return index_.mapper(); }
 
     /// The agent-wide metric registry (own, broker and REST metrics).
     telemetry::MetricRegistry& telemetry() { return registry_; }
@@ -127,7 +127,26 @@ class CollectAgent {
     void stop();
 
   private:
+    /// One decoded section, resolved to its sensor, awaiting storage.
+    struct PendingSection;
+    /// How a batch of sections reached the agent.
+    struct Arrival;
+
     void on_publish(const mqtt::Publish& message);
+
+    /// Resolves a decoded section into `out` (empty sections are
+    /// resolved but not kept). An unmappable topic discards the
+    /// section; returns the number of readings it discarded.
+    std::size_t resolve_section(std::string_view topic,
+                                ReadingsView readings,
+                                std::vector<PendingSection>& out);
+
+    /// The path on_publish and ingest share once their sections are
+    /// resolved: builds the batch in `batch`, stores it and, once it is
+    /// stored, pushes each section's newest reading through its handle.
+    void store_sections(std::span<const PendingSection> sections,
+                        std::vector<store::BatchEntry>& batch,
+                        const Arrival& arrival);
 
     /// Insert a whole decoded batch with bounded retries (transient
     /// store errors must not drop decoded data). The batch is the unit
@@ -140,9 +159,7 @@ class CollectAgent {
     // Declared before every member that registers metrics into it.
     std::unique_ptr<telemetry::MetricRegistry> owned_registry_;
     telemetry::MetricRegistry& registry_;
-    TopicMapper mapper_;
-    CacheSet cache_;
-    SensorTree tree_;
+    SensorIndex index_;
     std::uint32_t ttl_s_;
     int store_node_hint_;
     std::uint32_t store_retry_max_;

@@ -30,8 +30,14 @@ Pusher::Pusher(ConfigNode config, std::unique_ptr<mqtt::Transport> transport)
       reconnects_(registry_.counter("pusher.reconnects")),
       reconnect_failures_(registry_.counter("pusher.reconnect.failures")),
       cache_bytes_(registry_.gauge("pusher.cache.bytes")),
+      readings_pending_(registry_.gauge("pusher.push.pending")),
       tracer_(pusher_tracer_config(config_, &registry_)) {
     plugins::register_builtin_plugins();
+    // The REST /sensors counters, registered here rather than on the
+    // first request so that /metrics and the self-feed carry them from
+    // the start.
+    registry_.counter("pusher.cache.hits");
+    registry_.counter("pusher.cache.misses");
 
     topic_prefix_ = config_.get_string_or("global.topicPrefix", "/node");
     const auto cache_window =
@@ -110,6 +116,8 @@ Pusher::Pusher(ConfigNode config, std::unique_ptr<mqtt::Transport> transport)
             [this] {
                 cache_bytes_.set(
                     static_cast<std::int64_t>(cache_->memory_bytes()));
+                readings_pending_.set(
+                    static_cast<std::int64_t>(pending_readings()));
             });
         for (const auto& group : feed->groups())
             sampler_->add_group(group.get());
@@ -245,6 +253,15 @@ bool Pusher::mqtt_connected() const {
     return mqtt_client_ && mqtt_client_->connected();
 }
 
+std::uint64_t Pusher::pending_readings() const {
+    std::uint64_t pending = 0;
+    for (const auto& plugin : plugins_)
+        for (const auto& group : plugin->groups())
+            for (const auto& sensor : group->sensors())
+                pending += sensor->pending_count();
+    return pending;
+}
+
 PusherStats Pusher::stats() const {
     PusherStats s;
     s.plugins = plugins_.size();
@@ -257,6 +274,8 @@ PusherStats Pusher::stats() const {
         s.publish_failures = ms.publish_failures;
     }
     s.readings_dropped = sampler_->readings_dropped();
+    s.readings_pending = pending_readings();
+    readings_pending_.set(static_cast<std::int64_t>(s.readings_pending));
     s.reconnects = reconnects_.value();
     s.reconnect_failures = reconnect_failures_.value();
     s.cache_bytes = cache_->memory_bytes();

@@ -49,8 +49,11 @@ struct PusherStats {
     // Delivery-reliability counters (see MqttPusherStats).
     std::uint64_t publish_failures{0};
     /// Readings that a full pending ring overwrote, outages included:
-    /// readings_pushed + readings_dropped + pending == readings sampled.
+    /// readings_pushed + readings_dropped + readings_pending == readings
+    /// sampled.
     std::uint64_t readings_dropped{0};
+    /// Readings waiting in the sensors' pending rings for a publish.
+    std::uint64_t readings_pending{0};
     std::uint64_t reconnects{0};
     std::uint64_t reconnect_failures{0};
 };
@@ -118,6 +121,9 @@ class Pusher {
   private:
     void configure_plugins();
 
+    /// The sum of every sensor's pending_count().
+    std::uint64_t pending_readings() const;
+
     /// ClientProvider for the push thread: returns the live client, or
     /// (for TCP-configured brokers) attempts a reconnect with backoff —
     /// a Pusher must keep sampling through Collect Agent restarts.
@@ -132,6 +138,7 @@ class Pusher {
     telemetry::Counter& reconnects_;
     telemetry::Counter& reconnect_failures_;
     telemetry::Gauge& cache_bytes_;
+    telemetry::Gauge& readings_pending_;
     // Declared before the sampler and push thread that record into it.
     telemetry::trace::Tracer tracer_;
 

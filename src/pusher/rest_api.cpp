@@ -121,6 +121,7 @@ HttpResponse handle_stats(Pusher& pusher) {
        << "messages_sent " << s.messages_sent << "\n"
        << "publish_failures " << s.publish_failures << "\n"
        << "readings_dropped " << s.readings_dropped << "\n"
+       << "readings_pending " << s.readings_pending << "\n"
        << "reconnects " << s.reconnects << "\n"
        << "reconnect_failures " << s.reconnect_failures << "\n"
        << "cache_bytes " << s.cache_bytes << "\n";

@@ -626,6 +626,50 @@ TEST(Failure, AgentDeadLettersWholeBatchAtomicallyAndRecovers) {
     EXPECT_EQ(agent.cache().latest("/ok/s")->ts, 7u);
 }
 
+// A first sighting joins the hierarchy and the agent's sensor index only
+// once its batch is stored. A dead-lettered first batch keeps its SID
+// reserved in the dictionary but serves no cached reading, adds no tree
+// leaf and is not a known sensor; the next stored batch, in another
+// spelling and through ingest, indexes it under that same SID.
+TEST(Failure, DeadLetteredFirstSightingIsIndexedOnlyOnceStored) {
+    TempDir dir;
+    store::StoreCluster cluster({dir.str(), 1, 1, "hierarchy", 1u << 20,
+                                 false});
+    store::MetaStore meta;
+    collectagent::CollectAgent agent(
+        parse_config("global { listenTcp false ; storeRetryMax 1 }"),
+        &cluster, &meta);
+    mqtt::MqttClient client(agent.connect_inproc(), "first-sighting");
+    client.connect();
+    {
+        ScopedFault fault(FaultPoint::kStoreInsert,
+                          {.error_prob = 1.0, .max_triggers = 1});
+        client.publish("/first/s", encode_readings({{1, 1}, {2, 2}}), 1);
+    }
+    client.disconnect();
+
+    SensorId reserved;
+    ASSERT_TRUE(agent.mapper().lookup("/first/s", reserved));
+    EXPECT_EQ(agent.stats().dead_letters, 2u);
+    EXPECT_EQ(agent.stats().known_sensors, 0u);
+    EXPECT_EQ(agent.cache().sensor_count(), 0u);
+    EXPECT_FALSE(agent.cache().latest("/first/s").has_value());
+    EXPECT_FALSE(agent.hierarchy().is_sensor("/first/s"));
+
+    agent.ingest("first//s/", {3, 3});
+    EXPECT_EQ(agent.stats().known_sensors, 1u);
+    EXPECT_TRUE(agent.hierarchy().is_sensor("/first/s"));
+    EXPECT_EQ(agent.cache().topics(), std::vector<std::string>{"/first/s"});
+    ASSERT_TRUE(agent.cache().latest("/first/s").has_value());
+    EXPECT_EQ(agent.cache().latest("/first/s")->ts, 3u);
+    SensorId sid;
+    ASSERT_TRUE(agent.mapper().lookup("/first/s", sid));
+    EXPECT_EQ(sid, reserved);
+    const auto rows = agent.query_stored("/first/s", 0, kTimestampMax);
+    ASSERT_EQ(rows.size(), 1u);
+    EXPECT_EQ(rows[0].ts, 3u);
+}
+
 // --------------------------------------------- pusher delivery pipeline
 
 TEST(Failure, PusherPendingRingBoundsLossAndDrainsOnRecovery) {

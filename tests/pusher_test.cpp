@@ -493,12 +493,22 @@ TEST(Pusher, PendingRingDropsAreCountedWhileTheAgentIsUnreachable) {
 
     constexpr std::uint64_t kDropped = kReads - SensorBase::kMaxPending;
     EXPECT_EQ(group.sensors().front()->dropped_readings(), kDropped);
-    EXPECT_EQ(pusher.stats().readings_dropped, kDropped);
     EXPECT_EQ(pending_readings(pusher), SensorBase::kMaxPending);
+    // The Pusher's half of the ledger balances from stats() alone.
+    const PusherStats s = pusher.stats();
+    EXPECT_EQ(s.readings_dropped, kDropped);
+    EXPECT_EQ(s.readings_pending, SensorBase::kMaxPending);
+    EXPECT_EQ(s.readings_pushed + s.readings_dropped + s.readings_pending,
+              kReads);
     const auto metrics = http_get("127.0.0.1", pusher.rest_port(), "/metrics");
     ASSERT_EQ(metrics.status, 200);
     EXPECT_NE(metrics.body.find("\ndcdb_pusher_push_dropped " +
                                 std::to_string(kDropped) + "\n"),
+              std::string::npos)
+        << metrics.body;
+    EXPECT_NE(metrics.body.find("\ndcdb_pusher_push_pending " +
+                                std::to_string(SensorBase::kMaxPending) +
+                                "\n"),
               std::string::npos)
         << metrics.body;
 }

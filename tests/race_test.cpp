@@ -14,8 +14,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
+#include <map>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -25,6 +28,7 @@
 #include "core/hierarchy.hpp"
 #include "core/sensor_cache.hpp"
 #include "core/sensor_id.hpp"
+#include "core/sensor_index.hpp"
 #include "core/topic_table.hpp"
 #include "mqtt/broker.hpp"
 #include "mqtt/client.hpp"
@@ -214,6 +218,125 @@ TEST(TopicMapperRace, NewTopicResolvedOnceWhileReadersProbe) {
     EXPECT_EQ(cache.view(topic, 0, kTimestampMax).size(),
               static_cast<std::size_t>(kResolvers * kPushes));
     EXPECT_EQ(tree.sensor_count(), 1u);
+}
+
+// ------------------------------------------------------------ SensorIndex
+
+// Four broker sessions resolve overlapping topic sets through the agent's
+// index, publish each entry as after a stored batch, and push readings.
+// Every new topic is a first sighting for two sessions at once, in two
+// spellings; every session also resolves the topics indexed before the
+// start. One session owns each topic's pushes, so its last reading is
+// the newest, while a reader walks topics(), latest() and
+// memory_bytes(). Each
+// normalized topic must end with one entry and one SID of its own.
+TEST(SensorIndexRace, SessionsResolveFirstSightingsAndKnownTopics) {
+    constexpr std::size_t kSessions = 4;
+    constexpr std::size_t kNew = 64;
+    constexpr std::size_t kKnown = 64;
+    constexpr std::size_t kTopics = kNew + kKnown;
+    constexpr TimestampNs kRounds = 40;
+
+    // Topic t: new for t < kNew, resolved by sessions t % 4 and
+    // (t + 1) % 4; known otherwise, resolved by every session. Session
+    // s spells each topic canonically when s is even.
+    std::vector<std::string> canonical;
+    std::vector<std::string> unnormalized;
+    for (std::size_t t = 0; t < kTopics; ++t) {
+        const std::string path = (t < kNew ? "race/new/n" : "race/known/k") +
+                                 std::to_string(t);
+        canonical.push_back("/" + path);
+        unnormalized.push_back(path.substr(0, 5) + "//" + path.substr(5) +
+                               "/");
+    }
+    const auto resolves = [&](std::size_t s, std::size_t t) {
+        return t >= kNew || t % kSessions == s || (t + 1) % kSessions == s;
+    };
+    const auto owns = [&](std::size_t s, std::size_t t) {
+        return t % kSessions == s;
+    };
+
+    store::MetaStore meta;
+    SensorIndex index(meta, /*window_ns=*/10 * kNsPerSec);
+    for (std::size_t t = kNew; t < kTopics; ++t)
+        index.publish(canonical[t], index.resolve(canonical[t]));
+
+    std::vector<std::vector<SensorId>> sids(
+        kSessions, std::vector<SensorId>(kTopics));
+    std::atomic<std::size_t> mismatches{0};
+    std::atomic<bool> go{false};
+    std::atomic<bool> done{false};
+
+    std::vector<std::thread> sessions;
+    for (std::size_t s = 0; s < kSessions; ++s) {
+        sessions.emplace_back([&, s] {
+            while (!go.load()) std::this_thread::yield();
+            const auto& spellings = s % 2 == 0 ? canonical : unnormalized;
+            for (TimestampNs round = 1; round <= kRounds; ++round) {
+                for (std::size_t t = 0; t < kTopics; ++t) {
+                    if (!resolves(s, t)) continue;
+                    const SensorIndex::Handle sensor =
+                        index.resolve(spellings[t]);
+                    SensorIndex::Entry& entry =
+                        index.publish(spellings[t], sensor);
+                    SensorId& seen = sids[s][t];
+                    if (round == 1) seen = sensor.sid;
+                    if (sensor.sid != seen || entry.sid() != seen)
+                        mismatches.fetch_add(1);
+                    if (owns(s, t))
+                        entry.slot().push({round, static_cast<Value>(t)});
+                }
+            }
+        });
+    }
+
+    // Each topic has one pushing session, so what latest() serves never
+    // goes back in time.
+    std::thread reader([&] {
+        std::map<std::string, TimestampNs> newest;
+        while (!done.load()) {
+            for (const auto& topic : index.topics()) {
+                const auto latest = index.latest(topic);
+                if (!latest) continue;
+                TimestampNs& seen = newest[topic];
+                if (latest->ts < seen) mismatches.fetch_add(1);
+                seen = latest->ts;
+            }
+            index.memory_bytes();
+        }
+    });
+
+    go.store(true);
+    for (auto& t : sessions) t.join();
+    done.store(true);
+    reader.join();
+
+    EXPECT_EQ(mismatches.load(), 0u);
+    EXPECT_EQ(index.sensor_count(), kTopics);
+    EXPECT_EQ(index.hierarchy().sensor_count(), kTopics);
+    EXPECT_EQ(index.mapper().known_topics(), kTopics);
+    EXPECT_EQ(meta.scan_prefix("topics/").size(), kTopics);
+    std::vector<std::string> expected = canonical;
+    std::sort(expected.begin(), expected.end());
+    EXPECT_EQ(index.topics(), expected);
+
+    std::set<std::string> distinct;
+    for (std::size_t t = 0; t < kTopics; ++t) {
+        const SensorId sid = index.mapper().to_sid(canonical[t]);
+        distinct.insert(sid.hex());
+        for (std::size_t s = 0; s < kSessions; ++s) {
+            if (resolves(s, t)) {
+                EXPECT_EQ(sids[s][t], sid) << canonical[t];
+            }
+        }
+        for (const auto* spelling : {&canonical[t], &unnormalized[t]}) {
+            const auto latest = index.latest(*spelling);
+            ASSERT_TRUE(latest.has_value()) << *spelling;
+            EXPECT_EQ(latest->ts, kRounds) << *spelling;
+            EXPECT_EQ(latest->value, static_cast<Value>(t)) << *spelling;
+        }
+    }
+    EXPECT_EQ(distinct.size(), kTopics);
 }
 
 // ------------------------------------------------------------- TopicTable

@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <filesystem>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -429,6 +430,51 @@ TEST(SelfFeed, PusherMetricsFlowIntoStoreAndDcdbquery) {
               0)
         << err.str();
     EXPECT_NE(out.str().find(samples_topic + ","), std::string::npos);
+}
+
+// The REST /sensors hit and miss counters exist from construction, not
+// from the first /sensors request: /metrics lists only registered
+// metrics, and the self-feed's sensor set is a snapshot of the registry
+// taken when the Pusher is built.
+TEST(SelfFeed, CacheCountersAreRegisteredBeforeAnyRequest) {
+    TempDir dir;
+    store::ClusterConfig cluster_config;
+    cluster_config.base_dir = dir.str();
+    cluster_config.nodes = 1;
+    cluster_config.commitlog_enabled = false;
+    store::StoreCluster cluster(cluster_config);
+    store::MetaStore meta;
+    collectagent::CollectAgent agent(
+        parse_config("global { listenTcp false ; restApi true }"), &cluster,
+        &meta);
+    pusher::Pusher pusher(parse_config(
+        "global { topicPrefix /fresh ; mqttBroker none ; restApi true ;\n"
+        "  telemetryFeed true }\n"));
+
+    std::set<std::string> feed;
+    for (const auto& plugin : pusher.plugins())
+        if (plugin->name() == "telemetry")
+            for (const auto& group : plugin->groups())
+                for (const auto& sensor : group->sensors())
+                    feed.insert(sensor->name());
+    for (const char* name : {"pusher.cache.hits", "pusher.cache.misses",
+                             "pusher.push.pending"})
+        EXPECT_EQ(feed.count(name), 1u) << name;
+
+    const auto expect_zero_counters = [](std::uint16_t port,
+                                         const std::string& daemon) {
+        const auto resp = http_get("127.0.0.1", port, "/metrics");
+        ASSERT_EQ(resp.status, 200);
+        const auto parsed = parse_prometheus(resp.body);
+        for (const char* stat : {"hits", "misses"}) {
+            const std::string name = "dcdb_" + daemon + "_cache_" + stat;
+            ASSERT_TRUE(parsed.scalars.count(name)) << name << "\n"
+                                                    << resp.body;
+            EXPECT_EQ(parsed.scalars.at(name), 0.0) << name;
+        }
+    };
+    expect_zero_counters(pusher.rest_port(), "pusher");
+    expect_zero_counters(agent.rest_port(), "collectagent");
 }
 
 TEST(PerfCommand, RejectsBadEndpoints) {
