@@ -19,6 +19,7 @@
 #include "analysis/table.hpp"
 #include "bench_util.hpp"
 #include "common/clock.hpp"
+#include "core/sensor_cache.hpp"
 #include "plugins/devices.hpp"
 #include "pusher/plugin.hpp"
 #include "sim/apps.hpp"
@@ -59,10 +60,12 @@ std::vector<double> characterize(const sim::AppModel& app) {
         static_cast<std::size_t>(kRunSimSeconds / kIntervalS);
     const auto interval_ns =
         static_cast<TimestampNs>(kIntervalS * 1e9);
+    // A cache window over the whole run keeps every reading.
+    CacheSet cache(static_cast<TimestampNs>(2 * kRunSimSeconds * 1e9));
     for (std::size_t k = 0; k <= steps; ++k) {
         const TimestampNs ts = t0 + k * interval_ns;
         for (const auto& group : plugin->groups())
-            group->read_all(ts, nullptr);
+            group->read_all(ts, &cache);
     }
 
     // Gather per-interval instruction deltas and power readings.
@@ -70,7 +73,7 @@ std::vector<double> characterize(const sim::AppModel& app) {
     std::vector<std::vector<Reading>> core_series;
     for (const auto& group : plugin->groups()) {
         for (const auto& sensor : group->sensors()) {
-            auto readings = sensor->drain_pending();
+            auto readings = cache.view(sensor->topic(), 0, kTimestampMax);
             if (sensor->name() == "power") {
                 for (const auto& r : readings)
                     power_w[r.ts] = static_cast<double>(r.value) / 1000.0;

@@ -1,7 +1,6 @@
 #include "core/sensor_cache.hpp"
 
 #include <algorithm>
-#include <atomic>
 
 namespace dcdb {
 
@@ -10,51 +9,96 @@ SensorCache::SensorCache(TimestampNs window_ns, TimestampNs interval_hint_ns)
     interval_hint_ns = std::max<TimestampNs>(interval_hint_ns, 1);
     const std::size_t hint =
         static_cast<std::size_t>(window_ns / interval_hint_ns) + 2;
-    ring_.resize(std::clamp<std::size_t>(hint, 4, 1u << 20));
+    base_capacity_ =
+        static_cast<std::uint32_t>(std::clamp<std::size_t>(hint, 4, 1u << 20));
+    reshape(base_capacity_);
 }
 
-void SensorCache::grow() {
-    // Re-linearize into a doubled ring (rare; only when the hint was off).
-    std::vector<Reading> bigger(ring_.size() * 2);
-    const std::size_t start = (head_ + ring_.size() - count_) % ring_.size();
-    for (std::size_t i = 0; i < count_; ++i)
-        bigger[i] = ring_[(start + i) % ring_.size()];
-    head_ = count_;
-    ring_ = std::move(bigger);
+void SensorCache::reshape(std::uint32_t capacity) {
+    const std::uint32_t keep = std::min(count_, capacity);
+    auto ring = std::make_unique<Reading[]>(capacity);
+    for (std::uint32_t i = 0; i < keep; ++i) ring[i] = at(count_ - keep + i);
+    ring_ = std::move(ring);
+    capacity_ = capacity;
+    head_ = keep % capacity;
+    count_ = keep;
 }
 
-void SensorCache::push(const Reading& r) {
-    // Evict entries older than the window only when the ring is full, so
-    // the common path is a single store.
-    if (count_ == ring_.size()) {
-        const std::size_t oldest = head_;  // == start when full
+bool SensorCache::push(const Reading& r, bool pending) {
+    const bool joins = pending || pending_ != 0;
+    const bool dropped = joins && pending_ == kMaxPending;
+    if (dropped) {
+        // Full at the cap: the oldest pending reading stops being
+        // pending, in O(1).
+        --pending_;
+        ++head_seq_;
+    }
+    // Evict the oldest reading only when the ring is full, so the common
+    // path is a single store, and only once it is outside the window and
+    // not pending; otherwise grow (rare: the hint was off, or a backlog).
+    if (count_ == capacity_) {
         // Clamp the window start at 0: timestamps smaller than the window
         // (early boot, test clocks) must not underflow the unsigned
         // subtraction — every reading is in-window then, so grow.
         const TimestampNs window_start =
             r.ts >= window_ns_ ? r.ts - window_ns_ : 0;
-        if (ring_[oldest].ts >= window_start) {
-            // Oldest entry still inside the window: ring too small.
-            grow();
+        if (ring_[head_].ts >= window_start) {  // the oldest, when full
+            reshape(2 * capacity_);
+        } else if (count_ == pending_) {
+            // Every reading is pending: no more than the cap is needed.
+            reshape(std::min<std::uint32_t>(2 * capacity_, kMaxPending));
         } else {
             --count_;  // drop the oldest
         }
     }
-    ring_[head_ % ring_.size()] = r;
-    head_ = (head_ + 1) % ring_.size();
+    ring_[head_] = r;
+    if (++head_ == capacity_) head_ = 0;
     ++count_;
+    pending_ += joins ? 1 : 0;
+    return dropped;
+}
+
+std::size_t SensorCache::peek_pending(std::vector<Reading>& out,
+                                      std::uint64_t& end) const {
+    // The pending readings end at head_ and may wrap: copy both runs.
+    const std::uint32_t first = (head_ + capacity_ - pending_) % capacity_;
+    const std::uint32_t run = std::min(pending_, capacity_ - first);
+    out.insert(out.end(), &ring_[first], &ring_[first] + run);
+    out.insert(out.end(), &ring_[0], &ring_[0] + (pending_ - run));
+    end = head_seq_ + pending_;
+    return pending_;
+}
+
+std::size_t SensorCache::release_pending(std::uint64_t end) {
+    const std::uint64_t ahead = end > head_seq_ ? end - head_seq_ : 0;
+    const auto n = static_cast<std::uint32_t>(
+        std::min<std::uint64_t>(ahead, pending_));
+    if (n == 0) return 0;
+    head_seq_ += n;
+    pending_ -= n;
+    // A release that empties a ring above this size, and 4x what it took,
+    // shrinks it: an agent outage's backlog is not retained. Only when
+    // the hint-sized ring still holds the whole window, though: the
+    // newest reading it would lose is outside the window.
+    constexpr std::size_t kShrinkRing = 256;
+    if (pending_ == 0 && capacity_ > base_capacity_ &&
+        capacity_ > kShrinkRing && capacity_ > 4 * std::size_t{n} &&
+        (count_ <= base_capacity_ ||
+         at(count_ - base_capacity_ - 1).ts + window_ns_ <
+             at(count_ - 1).ts))
+        reshape(base_capacity_);
+    return n;
 }
 
 std::optional<Reading> SensorCache::latest() const {
     if (count_ == 0) return std::nullopt;
-    return ring_[(head_ + ring_.size() - 1) % ring_.size()];
+    return at(count_ - 1);
 }
 
 std::vector<Reading> SensorCache::view(TimestampNs t0, TimestampNs t1) const {
     std::vector<Reading> out;
-    const std::size_t start = (head_ + ring_.size() - count_) % ring_.size();
     for (std::size_t i = 0; i < count_; ++i) {
-        const Reading& r = ring_[(start + i) % ring_.size()];
+        const Reading& r = at(i);
         if (r.ts >= t0 && r.ts <= t1) out.push_back(r);
     }
     return out;
@@ -67,9 +111,8 @@ std::optional<double> SensorCache::average(TimestampNs horizon_ns) const {
         newest->ts >= horizon_ns ? newest->ts - horizon_ns : 0;
     double sum = 0;
     std::size_t n = 0;
-    const std::size_t start = (head_ + ring_.size() - count_) % ring_.size();
     for (std::size_t i = 0; i < count_; ++i) {
-        const Reading& r = ring_[(start + i) % ring_.size()];
+        const Reading& r = at(i);
         if (r.ts >= t0) {
             sum += static_cast<double>(r.value);
             ++n;
@@ -79,9 +122,25 @@ std::optional<double> SensorCache::average(TimestampNs horizon_ns) const {
     return sum / static_cast<double>(n);
 }
 
-void CacheSet::Slot::push(const Reading& r) {
+bool CacheSet::Slot::push(const Reading& r, bool pending) {
     MutexLock lock(mutex_);
-    cache_.push(r);
+    return cache_.push(r, pending);
+}
+
+std::size_t CacheSet::Slot::peek_pending(std::vector<Reading>& out,
+                                         std::uint64_t& end) const {
+    MutexLock lock(mutex_);
+    return cache_.peek_pending(out, end);
+}
+
+std::size_t CacheSet::Slot::release_pending(std::uint64_t end) {
+    MutexLock lock(mutex_);
+    return cache_.release_pending(end);
+}
+
+std::size_t CacheSet::Slot::pending() const {
+    MutexLock lock(mutex_);
+    return cache_.pending();
 }
 
 std::optional<Reading> CacheSet::Slot::latest() const {
@@ -105,14 +164,7 @@ std::size_t CacheSet::Slot::memory_bytes() const {
     return cache_.memory_bytes();
 }
 
-namespace {
-// dcdblint: allow-atomic(id source, not a stat counter)
-std::atomic<std::uint64_t> g_next_cache_set_id{1};
-}  // namespace
-
-CacheSet::CacheSet(TimestampNs window_ns)
-    : window_ns_(window_ns),
-      id_(g_next_cache_set_id.fetch_add(1, std::memory_order_relaxed)) {}
+CacheSet::CacheSet(TimestampNs window_ns) : window_ns_(window_ns) {}
 
 CacheSet::Slot& CacheSet::slot(std::string_view topic,
                                TimestampNs interval_hint_ns) {
@@ -158,6 +210,14 @@ std::size_t CacheSet::memory_bytes() const {
     std::size_t total = 0;
     slots_.for_each([&total](std::string_view topic, const Slot& slot) {
         total += slot.memory_bytes() + topic.size();
+    });
+    return total;
+}
+
+std::uint64_t CacheSet::pending() const {
+    std::uint64_t total = 0;
+    slots_.for_each([&total](std::string_view, const Slot& slot) {
+        total += slot.pending();
     });
     return total;
 }

@@ -37,8 +37,10 @@ MqttBroker::~MqttBroker() { stop(); }
 
 void MqttBroker::stop() {
     if (stopping_.exchange(true)) return;
-    if (listener_) listener_->close();
+    // As in HttpServer::stop: close the listener only once accept() is done.
+    if (listener_) listener_->shutdown();
     if (accept_thread_.joinable()) accept_thread_.join();
+    if (listener_) listener_->close();
 
     std::list<std::unique_ptr<Session>> sessions;
     std::vector<std::unique_ptr<Session>> finished;

@@ -194,8 +194,11 @@ HttpServer::~HttpServer() { stop(); }
 
 void HttpServer::stop() {
     if (stopping_.exchange(true)) return;
-    listener_.close();
+    // Wake accept(), and close the descriptor only once its thread is
+    // gone: closing it under a blocked accept() races on the fd.
+    listener_.shutdown();
     if (accept_thread_.joinable()) accept_thread_.join();
+    listener_.close();
     std::vector<std::thread> workers;
     {
         std::scoped_lock lock(workers_mutex_);

@@ -172,8 +172,12 @@ void TcpListener::set_accept_timeout_ms(int ms) {
     setsockopt(fd_.get(), SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
 }
 
-void TcpListener::close() {
+void TcpListener::shutdown() {
     if (fd_.valid()) ::shutdown(fd_.get(), SHUT_RDWR);
+}
+
+void TcpListener::close() {
+    shutdown();
     fd_.reset();
 }
 

@@ -95,7 +95,10 @@ class TcpListener {
     /// Make accept() return nullopt after `ms` with no connection.
     void set_accept_timeout_ms(int ms);
 
-    /// Unblock pending/future accept() calls.
+    /// Unblock pending/future accept() calls, keeping the descriptor:
+    /// close it only once no thread can be inside accept().
+    void shutdown();
+    /// shutdown(), then close the descriptor.
     void close();
     bool closed() const;
 

@@ -19,9 +19,10 @@ constexpr std::size_t kMinDrainBuffer = 1024;
 
 MqttPusher::MqttPusher(ClientProvider client_provider,
                        const std::vector<std::unique_ptr<Plugin>>* plugins,
-                       MqttPusherConfig config)
+                       SharedMutex* plugins_mutex, MqttPusherConfig config)
     : client_provider_(std::move(client_provider)),
       plugins_(plugins),
+      plugins_mutex_(plugins_mutex),
       config_(config),
       readings_(telemetry::resolve_registry(config_.registry, owned_registry_)
                     .counter("pusher.push.readings")),
@@ -63,7 +64,7 @@ void MqttPusher::publish_group(mqtt::MqttClient* client, std::size_t& sent,
     // of encode_batch, and a PUBLISH that read_packet accepts, whose
     // budget keeps room for the longest topic, a packet id, the batch
     // header and a trailer. One section always fits: at most
-    // kMaxPending readings.
+    // SensorCache::kMaxPending readings.
     constexpr std::size_t kMaxSections = 0xFFFF;
     constexpr std::size_t kBudget =
         mqtt::kMaxRemainingLength - (2 + 0xFFFF + 2 + kBatchHeaderBytes +
@@ -129,7 +130,8 @@ void MqttPusher::publish_sections(
 std::size_t MqttPusher::push_once() {
     MutexLock lock(push_mutex_);
     mqtt::MqttClient* client = client_provider_();
-    if (!client) return 0;  // agent unreachable; the rings keep the readings
+    if (!client) return 0;  // agent unreachable; the slots keep the readings
+    ReaderLock plugins(*plugins_mutex_);
     std::size_t sent = 0;
     std::size_t largest_drain = 0;
     for (const auto& plugin : *plugins_) {
@@ -164,8 +166,8 @@ std::size_t MqttPusher::push_once() {
             publish_group(client, sent, trace);
         }
     }
-    // Like the sensors' pending rings: give back a buffer sized by a
-    // backlog once the rounds are small again.
+    // Like the slots' rings: give back a buffer sized by a backlog once
+    // the rounds are small again.
     if (drain_.capacity() > 4 * std::max(largest_drain, kMinDrainBuffer))
         std::vector<Reading>().swap(drain_);
     trim_scratch(payload_);

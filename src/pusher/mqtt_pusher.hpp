@@ -9,12 +9,12 @@
 // and burst mode ("regular bursts twice per minute", which reduced
 // network interference for AMG).
 //
-// Delivery reliability: a round peeks each sensor's pending ring, and a
-// sensor releases what a payload carried only once that payload is
-// published (after its PUBACK under QoS 1). A failed payload's readings
-// stay in their rings and go out again at the next round, in order and
-// in the same section as any fresher ones, so the rings
-// (SensorBase::kMaxPending per sensor, oldest dropped and counted in
+// Delivery reliability: a round peeks the pending readings of each
+// sensor's cache slot, and the slot releases what a payload carried only
+// once that payload is published (after its PUBACK under QoS 1). A failed
+// payload's readings stay pending and go out again at the next round, in
+// order and in the same section as any fresher ones, so the slots
+// (SensorCache::kMaxPending per sensor, oldest dropped and counted in
 // pusher.push.dropped) bound every undelivered reading. The storage
 // layer keys rows by timestamp, so at-least-once redelivery after an
 // unacknowledged QoS-1 publish deduplicates server-side.
@@ -61,16 +61,19 @@ struct MqttPusherStats {
 };
 
 /// Supplies the (re)connected MQTT client for each push round. Returns
-/// nullptr while the Collect Agent is unreachable; readings then stay in
-/// the sensors' (bounded) pending rings and go out on reconnection.
+/// nullptr while the Collect Agent is unreachable; readings then stay
+/// pending in the sensors' (bounded) slots and go out on reconnection.
 using ClientProvider = std::function<mqtt::MqttClient*()>;
 
 class MqttPusher {
   public:
-    /// `plugins` must outlive the pusher.
+    /// `plugins` and `plugins_mutex` must outlive the pusher. A round
+    /// walks the plugins' groups holding `plugins_mutex` shared, so a
+    /// plugin reload that holds it exclusively never frees a group under
+    /// a round.
     MqttPusher(ClientProvider client_provider,
                const std::vector<std::unique_ptr<Plugin>>* plugins,
-               MqttPusherConfig config);
+               SharedMutex* plugins_mutex, MqttPusherConfig config);
     ~MqttPusher();
 
     void start();
@@ -87,7 +90,8 @@ class MqttPusher {
 
   private:
     /// One sensor peeked this round: its readings are
-    /// drain_[begin, begin + count), and `end` releases them.
+    /// drain_[begin, begin + count), and `end` releases them from its
+    /// slot.
     struct Drained {
         SensorBase* sensor{nullptr};
         std::size_t begin{0};
@@ -112,6 +116,7 @@ class MqttPusher {
 
     ClientProvider client_provider_;
     const std::vector<std::unique_ptr<Plugin>>* plugins_;
+    SharedMutex* plugins_mutex_;
     MqttPusherConfig config_;
     std::unique_ptr<telemetry::MetricRegistry> owned_registry_;
     telemetry::Counter& readings_;
@@ -122,9 +127,9 @@ class MqttPusher {
 
     // Serializes push rounds (the push thread, push_now, the final
     // flush), so a sensor's peek and release never interleave with
-    // another round's. Lock order: push_mutex_ -> SensorBase::mutex_ and
-    // push_mutex_ -> the client provider's lock; it stays held across a
-    // publish. The scratch below is reused every round: drain_ holds one
+    // another round's. Lock order: push_mutex_ -> *plugins_mutex_
+    // (shared) -> CacheSet::Slot::mutex_, and push_mutex_ -> the client
+    // provider's lock; it stays held across a publish. The scratch below is reused every round: drain_ holds one
     // group's peek at a time and payload_ one encoded payload. A buffer
     // grown by a backlog is freed once rounds are small again.
     Mutex push_mutex_;

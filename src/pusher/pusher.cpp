@@ -45,7 +45,7 @@ Pusher::Pusher(ConfigNode config, std::unique_ptr<mqtt::Transport> transport)
     cache_ = std::make_unique<CacheSet>(cache_window);
 
     // MQTT connection: explicit transport > configured broker > none.
-    // With none, the sensors keep no pending readings: nothing would
+    // With none, the slots keep no pending readings: nothing would
     // publish them.
     const std::string broker =
         config_.get_string_or("global.mqttBroker", "none");
@@ -99,7 +99,8 @@ Pusher::Pusher(ConfigNode config, std::unique_ptr<mqtt::Transport> transport)
         mc.registry = &registry_;
         mc.tracer = &tracer_;
         mqtt_pusher_ = std::make_unique<MqttPusher>(
-            [this] { return client_for_push(); }, &plugins_, mc);
+            [this] { return client_for_push(); }, &plugins_,
+            &plugins_mutex_, mc);
     }
 
     if (config_.get_bool_or("global.restApi", false))
@@ -117,7 +118,7 @@ Pusher::Pusher(ConfigNode config, std::unique_ptr<mqtt::Transport> transport)
                 cache_bytes_.set(
                     static_cast<std::int64_t>(cache_->memory_bytes()));
                 readings_pending_.set(
-                    static_cast<std::int64_t>(pending_readings()));
+                    static_cast<std::int64_t>(cache_->pending()));
             });
         for (const auto& group : feed->groups())
             sampler_->add_group(group.get());
@@ -190,6 +191,8 @@ void Pusher::reload_plugin(const std::string& name) {
     Plugin* plugin = find_plugin(name);
     if (!plugin) throw ConfigError("no such plugin: " + name);
 
+    // Keep every walk of the groups, and readers of config_, out.
+    WriterLock lock(plugins_mutex_);
     // Pull fresh configuration (from disk when we were file-constructed,
     // so "modify a plugin's configuration file at runtime and trigger a
     // reload" works as in Section 5.3).
@@ -203,7 +206,7 @@ void Pusher::reload_plugin(const std::string& name) {
     std::vector<SensorGroup*> old_groups;
     for (const auto& group : plugin->groups())
         old_groups.push_back(group.get());
-    sampler_->remove_groups(old_groups);
+    sampler_->remove_groups(old_groups);  // waits out their reads
 
     plugin->clear();
     PluginContext ctx;
@@ -253,16 +256,8 @@ bool Pusher::mqtt_connected() const {
     return mqtt_client_ && mqtt_client_->connected();
 }
 
-std::uint64_t Pusher::pending_readings() const {
-    std::uint64_t pending = 0;
-    for (const auto& plugin : plugins_)
-        for (const auto& group : plugin->groups())
-            for (const auto& sensor : group->sensors())
-                pending += sensor->pending_count();
-    return pending;
-}
-
 PusherStats Pusher::stats() const {
+    ReaderLock lock(plugins_mutex_);
     PusherStats s;
     s.plugins = plugins_.size();
     for (const auto& plugin : plugins_) s.sensors += plugin->sensor_count();
@@ -274,7 +269,7 @@ PusherStats Pusher::stats() const {
         s.publish_failures = ms.publish_failures;
     }
     s.readings_dropped = sampler_->readings_dropped();
-    s.readings_pending = pending_readings();
+    s.readings_pending = cache_->pending();
     readings_pending_.set(static_cast<std::int64_t>(s.readings_pending));
     s.reconnects = reconnects_.value();
     s.reconnect_failures = reconnect_failures_.value();

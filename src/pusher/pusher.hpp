@@ -48,11 +48,11 @@ struct PusherStats {
     std::size_t cache_bytes{0};
     // Delivery-reliability counters (see MqttPusherStats).
     std::uint64_t publish_failures{0};
-    /// Readings that a full pending ring overwrote, outages included:
+    /// Pending readings that a full cache slot dropped, outages included:
     /// readings_pushed + readings_dropped + readings_pending == readings
     /// sampled.
     std::uint64_t readings_dropped{0};
-    /// Readings waiting in the sensors' pending rings for a publish.
+    /// Readings pending in the cache's slots, waiting for a publish.
     std::uint64_t readings_pending{0};
     std::uint64_t reconnects{0};
     std::uint64_t reconnect_failures{0};
@@ -80,13 +80,20 @@ class Pusher {
     void stop();
 
     /// Re-read a plugin's configuration subtree and rebuild its sensors
-    /// without interrupting the rest of the Pusher (REST reload).
-    void reload_plugin(const std::string& name);
+    /// without interrupting the rest of the Pusher (REST reload). It
+    /// waits out the plugin's reads in flight and any push round, and
+    /// holds plugins_mutex() exclusively while it rebuilds. The cache
+    /// keeps each sensor's slot, so a sensor rebuilt under the same topic
+    /// keeps its history and its undelivered readings.
+    void reload_plugin(const std::string& name) DCDB_EXCLUDES(plugins_mutex_);
 
     Plugin* find_plugin(const std::string& name);
+    /// The plugin list is fixed at construction; their groups change on
+    /// a reload, so walk those under plugins_mutex() held shared.
     const std::vector<std::unique_ptr<Plugin>>& plugins() const {
         return plugins_;
     }
+    SharedMutex& plugins_mutex() const { return plugins_mutex_; }
 
     CacheSet& cache() { return *cache_; }
     const std::string& topic_prefix() const { return topic_prefix_; }
@@ -97,8 +104,9 @@ class Pusher {
     telemetry::MetricRegistry& telemetry() { return registry_; }
     const telemetry::MetricRegistry& telemetry() const { return registry_; }
 
-    PusherStats stats() const;
+    PusherStats stats() const DCDB_EXCLUDES(plugins_mutex_);
 
+    /// A reload may replace it: read it under plugins_mutex() shared.
     const ConfigNode& config() const { return config_; }
 
     /// Port of the REST API server (0 if disabled).
@@ -121,9 +129,6 @@ class Pusher {
   private:
     void configure_plugins();
 
-    /// The sum of every sensor's pending_count().
-    std::uint64_t pending_readings() const;
-
     /// ClientProvider for the push thread: returns the live client, or
     /// (for TCP-configured brokers) attempts a reconnect with backoff —
     /// a Pusher must keep sampling through Collect Agent restarts.
@@ -142,8 +147,16 @@ class Pusher {
     // Declared before the sampler and push thread that record into it.
     telemetry::trace::Tracer tracer_;
 
+    // Declared before the plugins, so every sensor's slot outlives it.
     std::unique_ptr<CacheSet> cache_;
     std::vector<std::unique_ptr<Plugin>> plugins_;
+    // Held shared by every walk of the plugins' groups (push rounds,
+    // stats(), the REST plugin routes) and by REST readers of config_,
+    // and exclusively by reload_plugin.
+    // Lock order: MqttPusher::push_mutex_ -> plugins_mutex_ -> the
+    // cache's locks (stats() walks the slots), and plugins_mutex_ ->
+    // Sampler::mutex_.
+    mutable SharedMutex plugins_mutex_;
     std::unique_ptr<Sampler> sampler_;
 
     mutable Mutex client_mutex_;

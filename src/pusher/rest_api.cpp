@@ -82,6 +82,7 @@ HttpResponse handle_plugins(Pusher& pusher, const HttpRequest& req) {
         if (req.method != "GET")
             return {405, "text/plain", "method not allowed\n"};
         std::ostringstream os;
+        ReaderLock lock(pusher.plugins_mutex());
         for (const auto& plugin : pusher.plugins()) {
             os << plugin->name() << " "
                << (plugin->running() ? "running" : "stopped") << " "
@@ -97,10 +98,12 @@ HttpResponse handle_plugins(Pusher& pusher, const HttpRequest& req) {
     if (!plugin) return HttpResponse::not_found("no such plugin\n");
     const std::string& action = parts[2];
     if (action == "start") {
+        ReaderLock lock(pusher.plugins_mutex());
         plugin->start();
         return HttpResponse::ok("started\n");
     }
     if (action == "stop") {
+        ReaderLock lock(pusher.plugins_mutex());
         plugin->stop();
         return HttpResponse::ok("stopped\n");
     }
@@ -138,8 +141,10 @@ std::unique_ptr<HttpServer> make_pusher_rest_server(Pusher& pusher) {
                 return handle_sensors(pusher, req);
             if (starts_with(req.path, "/plugins"))
                 return handle_plugins(pusher, req);
-            if (req.path == "/config")
+            if (req.path == "/config") {
+                ReaderLock lock(pusher.plugins_mutex());
                 return HttpResponse::ok(pusher.config().to_string());
+            }
             if (req.path == "/stats") return handle_stats(pusher);
             if (req.path == "/healthz")
                 return HttpResponse::json("{\"status\":\"ok\"}\n");

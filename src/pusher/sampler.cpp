@@ -25,14 +25,22 @@ Sampler::~Sampler() { stop(); }
 void Sampler::add_group(SensorGroup* group) {
     group->set_pending(&dropped_, keep_pending_);
     MutexLock lock(mutex_);
-    queue_.push({next_aligned(now_ns(), group->interval_ns()), group});
+    queue_.push_back({next_aligned(now_ns(), group->interval_ns()), group});
+    std::push_heap(queue_.begin(), queue_.end(), std::greater<>{});
     cv_.notify_one();
 }
 
 void Sampler::remove_groups(const std::vector<SensorGroup*>& groups) {
+    const auto listed = [&groups](SensorGroup* group) {
+        return std::ranges::count(groups, group) != 0;
+    };
     MutexLock lock(mutex_);
+    std::erase_if(queue_, [&](const Scheduled& s) { return listed(s.group); });
+    std::make_heap(queue_.begin(), queue_.end(), std::greater<>{});
+    // A worker reading one of them now must not reschedule it.
     removed_.insert(removed_.end(), groups.begin(), groups.end());
-    cv_.notify_all();
+    while (std::ranges::any_of(reading_, listed)) read_done_.wait(mutex_);
+    std::erase_if(removed_, listed);
 }
 
 void Sampler::start() {
@@ -66,17 +74,7 @@ void Sampler::worker_loop() {
                 cv_.wait(mutex_);
             continue;
         }
-        Scheduled next = queue_.top();
-
-        // Dropped group? Discard without rescheduling.
-        const auto removed_it =
-            std::find(removed_.begin(), removed_.end(), next.group);
-        if (removed_it != removed_.end()) {
-            queue_.pop();
-            removed_.erase(removed_it);
-            continue;
-        }
-
+        Scheduled next = queue_.front();
         const TimestampNs now = now_ns();
         if (next.deadline > now) {
             // Sleep until due (or until a new earlier group arrives).
@@ -84,7 +82,9 @@ void Sampler::worker_loop() {
                          std::chrono::nanoseconds(next.deadline - now));
             continue;
         }
-        queue_.pop();
+        std::pop_heap(queue_.begin(), queue_.end(), std::greater<>{});
+        queue_.pop_back();
+        reading_.push_back(next.group);
         mutex_.unlock();
 
         const TimestampNs read_start = steady_ns();
@@ -109,11 +109,17 @@ void Sampler::worker_loop() {
         }
 
         mutex_.lock();
+        std::erase(reading_, next.group);
+        if (std::ranges::count(removed_, next.group) != 0) {
+            read_done_.notify_all();  // remove_groups() waits for it
+            continue;
+        }
         // Reschedule at the next aligned boundary, skipping any deadlines
         // we are too late for (overload shedding rather than backlog).
-        queue_.push({next_aligned(std::max(now_ns(), next.deadline),
-                                  next.group->interval_ns()),
-                     next.group});
+        queue_.push_back({next_aligned(std::max(now_ns(), next.deadline),
+                                       next.group->interval_ns()),
+                          next.group});
+        std::push_heap(queue_.begin(), queue_.end(), std::greater<>{});
     }
     mutex_.unlock();
 }

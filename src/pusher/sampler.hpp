@@ -10,11 +10,10 @@
 // threads; a worker pops the earliest deadline, sleeps until it is due,
 // samples the group, and reschedules it. A group that is being sampled
 // is not in the heap, so no group is ever sampled concurrently with
-// itself.
+// itself, and remove_groups() waits for such a read to end.
 #pragma once
 
 #include <atomic>
-#include <queue>
 #include <thread>
 #include <vector>
 
@@ -45,11 +44,13 @@ class Sampler {
     Sampler& operator=(const Sampler&) = delete;
 
     /// Register a group; first deadline is the next aligned boundary.
-    /// The group's full pending rings count their overwrites in
+    /// The group's pending readings dropped at a full slot count in
     /// pusher.push.dropped from now on.
     void add_group(SensorGroup* group) DCDB_EXCLUDES(mutex_);
 
-    /// Remove all groups belonging to a reconfigured plugin.
+    /// Remove all groups belonging to a reconfigured plugin. Returns once
+    /// none of them is being read or will be again, so the caller may
+    /// free them.
     void remove_groups(const std::vector<SensorGroup*>& groups)
         DCDB_EXCLUDES(mutex_);
 
@@ -58,7 +59,7 @@ class Sampler {
     bool running() const { return running_.load(std::memory_order_relaxed); }
 
     std::uint64_t samples_taken() const { return samples_.value(); }
-    /// Readings the groups' full pending rings overwrote.
+    /// Pending readings the groups' full slots dropped.
     std::uint64_t readings_dropped() const { return dropped_.value(); }
 
   private:
@@ -82,9 +83,13 @@ class Sampler {
     telemetry::Counter& dropped_;
     Mutex mutex_;
     CondVar cv_;
-    std::priority_queue<Scheduled, std::vector<Scheduled>, std::greater<>>
-        queue_ DCDB_GUARDED_BY(mutex_);
+    // A min-heap on the deadline (std::greater).
+    std::vector<Scheduled> queue_ DCDB_GUARDED_BY(mutex_);
+    // Groups a worker is reading now, and groups remove_groups() is
+    // waiting for: a worker does not reschedule those.
+    std::vector<SensorGroup*> reading_ DCDB_GUARDED_BY(mutex_);
     std::vector<SensorGroup*> removed_ DCDB_GUARDED_BY(mutex_);
+    CondVar read_done_;  // a read of a removed group ended
     // Only the control thread that calls start()/stop() touches threads_;
     // workers never do, so it needs no lock.
     std::vector<std::thread> threads_;

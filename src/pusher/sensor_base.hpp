@@ -2,18 +2,20 @@
 // represents a single data source that cannot be divided any further"
 // (paper, Section 4.1). A sensor always belongs to a group.
 //
-// Each sensor owns a pending ring (readings not yet delivered to the
-// Collect Agent) and mirrors every reading into the Pusher-wide sensor
-// cache that backs the REST API. A push round peeks the ring and
-// releases what a payload carried only once that payload is published,
-// so the ring is the Pusher's only buffer of undelivered readings.
+// A sensor holds its description, its delta state and a handle to its
+// slot in the Pusher's sensor cache. The slot's ring is the sensor's only
+// buffer: it backs the REST API and keeps the readings not yet delivered
+// to the Collect Agent, which a push round peeks and releases once the
+// payload that carried them is published. The slot outlives the sensor,
+// so a sensor rebuilt under the same topic by a plugin reload continues
+// its predecessor's ring, history and undelivered readings alike.
 #pragma once
 
+#include <atomic>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "common/mutex.hpp"
 #include "common/types.hpp"
 #include "core/sensor_cache.hpp"
 
@@ -38,69 +40,46 @@ class SensorBase {
     void set_delta(bool delta) { delta_ = delta; }
     bool delta() const { return delta_; }
 
-    /// Record one reading (called from sampler threads). Applies delta
-    /// conversion if enabled and mirrors the reading into `cache` (may be
-    /// null in unit tests). The sensor resolves its slot in `cache` once
-    /// and pushes through it afterwards. With `keep_pending` false the
-    /// reading skips the pending ring (nothing would publish it).
-    /// Returns true when a full ring overwrote its oldest reading.
-    bool store_reading(Reading r, CacheSet* cache,
-                       TimestampNs interval_hint_ns, bool keep_pending = true)
-        DCDB_EXCLUDES(mutex_);
+    /// Record one reading, from the thread reading the sensor's group
+    /// (never two at once). Applies delta conversion if enabled and
+    /// pushes the reading into this sensor's slot of `cache`: the first
+    /// call resolves it, and the sensor's ring lives in that first set,
+    /// which must outlive the sensor. With `pending` the reading waits
+    /// for a push round. Returns true when the slot's pending cap dropped
+    /// its oldest pending reading.
+    bool store_reading(Reading r, CacheSet& cache,
+                       TimestampNs interval_hint_ns, bool pending = true);
 
-    /// Copy the pending readings, oldest first, onto the end of `out`
-    /// under one lock acquisition; returns how many. `end` receives the
-    /// sequence number one past the newest copied, for release_pending.
-    /// The ring keeps its storage, so a steady sampling rate peeks
-    /// without allocating on either side.
+    /// This sensor's slot (its cached and pending readings), or nullptr
+    /// before its first reading. Safe from any thread.
+    CacheSet::Slot* slot() const {
+        return slot_.load(std::memory_order_acquire);
+    }
+
+    /// Copy the slot's pending readings, oldest first, onto the end of
+    /// `out` under its lock; returns how many (none before the first
+    /// reading). `end` receives the sequence number one past the newest
+    /// copied, for release_pending. The ring keeps its storage, so a
+    /// steady sampling rate peeks without allocating on either side.
     std::size_t peek_pending_into(std::vector<Reading>& out,
-                                  std::uint64_t& end) DCDB_EXCLUDES(mutex_);
+                                  std::uint64_t& end) const;
 
-    /// Forget the readings before sequence number `end` that are still
-    /// pending (one the cap overwrote since the peek is already gone);
-    /// returns how many.
-    std::size_t release_pending(std::uint64_t end) DCDB_EXCLUDES(mutex_);
-
-    /// Peek into a fresh vector and release it all (tests and callers
-    /// that consume the readings themselves).
-    std::vector<Reading> drain_pending() DCDB_EXCLUDES(mutex_);
-
-    /// Pending readings are capped so a dead Collect Agent cannot grow a
-    /// Pusher without bound; the oldest readings are dropped first (the
-    /// sensor cache still covers its window, and the storage layer will
-    /// simply have a gap — DCDB favours fresh data over total recall).
-    /// The ring grows on demand up to the cap and drops in O(1) there.
-    static constexpr std::size_t kMaxPending = 4096;
-
-    std::uint64_t dropped_readings() const DCDB_EXCLUDES(mutex_);
-
-    std::optional<Reading> latest() const DCDB_EXCLUDES(mutex_);
-    std::size_t pending_count() const DCDB_EXCLUDES(mutex_);
+    /// Release the readings before sequence number `end` that are still
+    /// pending in the slot; returns how many.
+    std::size_t release_pending(std::uint64_t end) const;
 
   private:
-    void grow_pending() DCDB_REQUIRES(mutex_);
-
     std::string name_;
     std::string topic_;
     std::string unit_;
     double scale_{1.0};
     bool delta_{false};
-
-    mutable Mutex mutex_;
-    // Pending readings: a ring over pending_ (its size is the ring's
-    // capacity), oldest at pending_head_, whose sequence number is
-    // head_seq_. A release and an overwrite at the cap move the head.
-    std::vector<Reading> pending_ DCDB_GUARDED_BY(mutex_);
-    std::size_t pending_head_ DCDB_GUARDED_BY(mutex_){0};
-    std::uint64_t head_seq_ DCDB_GUARDED_BY(mutex_){0};
-    std::size_t pending_count_ DCDB_GUARDED_BY(mutex_){0};
-    std::optional<Reading> latest_ DCDB_GUARDED_BY(mutex_);
-    // last_raw_ feeds delta conversion
-    std::optional<Value> last_raw_ DCDB_GUARDED_BY(mutex_);
-    std::uint64_t dropped_ DCDB_GUARDED_BY(mutex_){0};
-    // This sensor's slot in the cache set with id cache_id_ (0 = none).
-    std::uint64_t cache_id_ DCDB_GUARDED_BY(mutex_){0};
-    CacheSet::Slot* cache_slot_ DCDB_GUARDED_BY(mutex_){nullptr};
+    // Delta conversion's previous raw value; only the reading thread
+    // touches it.
+    std::optional<Value> last_raw_;
+    // Set once by the reading thread, read by push rounds.
+    // dcdblint: allow-atomic(a published pointer, not a stat counter)
+    std::atomic<CacheSet::Slot*> slot_{nullptr};
 };
 
 }  // namespace dcdb::pusher

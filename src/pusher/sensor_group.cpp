@@ -26,12 +26,12 @@ void SensorGroup::read_all(TimestampNs ts, CacheSet* cache) {
         return;
     }
     if (!ok) return;
-    std::uint64_t overwritten = 0;
+    std::uint64_t dropped = 0;
     for (std::size_t i = 0; i < sensors_.size(); ++i) {
-        overwritten += sensors_[i]->store_reading(
-            {ts, scratch_[i]}, cache, interval_ns_, keep_pending_);
+        dropped += sensors_[i]->store_reading({ts, scratch_[i]}, *cache,
+                                              interval_ns_, keep_pending_);
     }
-    if (overwritten != 0 && dropped_) dropped_->add(overwritten);
+    if (dropped != 0 && dropped_) dropped_->add(dropped);
     reads_.add(1);
 }
 

@@ -43,14 +43,15 @@ class SensorGroup {
 
     /// Sample every sensor of the group with the shared timestamp `ts`
     /// (the aligned deadline, so readings correlate across nodes without
-    /// interpolation). Called from sampler threads; must not block for
-    /// long. Readings go through store_reading() into `cache`.
+    /// interpolation). Called from sampler threads, never two at once for
+    /// one group; must not block for long. Readings go through
+    /// store_reading() into the sensors' slots of `cache` (not null).
     void read_all(TimestampNs ts, CacheSet* cache);
 
     /// Set by the Pusher's sampler before the group is first read: each
-    /// reading a full pending ring overwrites adds 1 to `dropped`, and
-    /// with `keep` false the sensors keep no pending readings (a Pusher
-    /// with no publisher). A standalone group keeps them.
+    /// pending reading a full slot drops adds 1 to `dropped`, and with
+    /// `keep` false the sensors keep no pending readings (a Pusher with
+    /// no publisher). A standalone group keeps them.
     void set_pending(telemetry::Counter* dropped, bool keep) {
         dropped_ = dropped;
         keep_pending_ = keep;

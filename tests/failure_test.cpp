@@ -175,17 +175,21 @@ TEST(Failure, PusherReconnectsAfterAgentRestart) {
 }
 
 TEST(Failure, PendingBufferIsBounded) {
+    CacheSet cache(60 * kNsPerSec);
     pusher::SensorBase sensor("s", "/t/s");
-    for (std::uint64_t i = 0;
-         i < pusher::SensorBase::kMaxPending + 500; ++i)
-        sensor.store_reading({i + 1, static_cast<Value>(i)}, nullptr,
-                             kNsPerSec);
-    EXPECT_EQ(sensor.pending_count(), pusher::SensorBase::kMaxPending);
-    EXPECT_EQ(sensor.dropped_readings(), 500u);
-    const auto drained = sensor.drain_pending();
+    std::uint64_t dropped = 0;
+    for (std::uint64_t i = 0; i < SensorCache::kMaxPending + 500; ++i)
+        dropped += sensor.store_reading({i + 1, static_cast<Value>(i)}, cache,
+                                        kNsPerSec);
+    CacheSet::Slot& slot = *sensor.slot();
+    EXPECT_EQ(slot.pending(), SensorCache::kMaxPending);
+    EXPECT_EQ(dropped, 500u);
+    std::vector<Reading> drained;
+    std::uint64_t end = 0;
+    slot.peek_pending(drained, end);
     // Oldest were dropped: the buffer holds the freshest readings.
     EXPECT_EQ(drained.front().ts, 501u);
-    EXPECT_EQ(drained.back().ts, pusher::SensorBase::kMaxPending + 500);
+    EXPECT_EQ(drained.back().ts, SensorCache::kMaxPending + 500);
 }
 
 // -------------------------------------------------------- HTTP failures
@@ -674,7 +678,7 @@ TEST(Failure, DeadLetteredFirstSightingIsIndexedOnlyOnceStored) {
 
 TEST(Failure, PusherPendingRingBoundsLossAndDrainsOnRecovery) {
     constexpr std::uint64_t kReads = 5000;
-    constexpr std::uint64_t kCap = pusher::SensorBase::kMaxPending;
+    constexpr std::uint64_t kCap = SensorCache::kMaxPending;
     std::atomic<std::uint64_t> received{0};
     mqtt::MqttBroker broker(
         mqtt::BrokerMode::kReduced, [&](const mqtt::Publish& p) {
@@ -694,7 +698,7 @@ TEST(Failure, PusherPendingRingBoundsLossAndDrainsOnRecovery) {
         // never silent).
         ScopedFault fault(FaultPoint::kMqttSend, FaultSpec{.error_prob = 1.0});
         for (TimestampNs i = 1; i <= kReads; ++i) {
-            group.read_all(i * kNsPerSec, nullptr);
+            group.read_all(i * kNsPerSec, &pusher.cache());
             if (i % 500 == 0) pusher.push_now();
         }
         const auto mid = pusher.stats();
@@ -707,7 +711,7 @@ TEST(Failure, PusherPendingRingBoundsLossAndDrainsOnRecovery) {
     pusher.push_now();
     const auto s = pusher.stats();
     EXPECT_EQ(s.readings_pushed, kCap);
-    EXPECT_EQ(group.sensors().front()->pending_count(), 0u);
+    EXPECT_EQ(group.sensors().front()->slot()->pending(), 0u);
     // Zero-loss ledger: every sampled reading was either delivered to
     // the broker or counted as dropped at the ring's cap. (QoS 1 means
     // the broker sink ran before each publish returned.)
@@ -786,9 +790,7 @@ TEST(Failure, EndToEndNoLossThroughAgentRestartAndStoreFaults) {
     EXPECT_GE(ps.reconnects, 1u);
     EXPECT_GE(ps.reconnect_failures, 1u);
     EXPECT_EQ(ps.readings_dropped, 0u);
-    for (const auto& sensor :
-         pusher.plugins().front()->groups().front()->sensors())
-        EXPECT_EQ(sensor->pending_count(), 0u) << sensor->topic();
+    EXPECT_EQ(ps.readings_pending, 0u);
 
     const auto as = agent2->stats();
     EXPECT_GT(as.store_errors, 0u) << "fault injection never fired";

@@ -45,17 +45,16 @@ class PluginsTest : public ::testing::Test {
     }
 
     /// Configure a plugin and sample all its groups once at t=ts.
-    static void sample_all(pusher::Plugin& plugin, TimestampNs ts) {
-        for (const auto& group : plugin.groups())
-            group->read_all(ts, nullptr);
+    void sample_all(pusher::Plugin& plugin, TimestampNs ts) {
+        for (const auto& group : plugin.groups()) group->read_all(ts, &cache_);
     }
 
-    static Value latest_value(const pusher::Plugin& plugin,
-                              const std::string& sensor_name) {
+    Value latest_value(const pusher::Plugin& plugin,
+                       const std::string& sensor_name) const {
         for (const auto& group : plugin.groups()) {
             for (const auto& sensor : group->sensors()) {
                 if (sensor->name() == sensor_name) {
-                    const auto r = sensor->latest();
+                    const auto r = cache_.latest(sensor->topic());
                     EXPECT_TRUE(r.has_value()) << sensor_name;
                     return r ? r->value : -1;
                 }
@@ -67,6 +66,7 @@ class PluginsTest : public ::testing::Test {
 
     fs::path dir_;
     pusher::PluginContext ctx_;
+    CacheSet cache_;
 };
 
 // ---------------------------------------------------------------- tester
@@ -279,7 +279,7 @@ TEST_F(PluginsTest, SnmpWrongCommunitySkipsCycle) {
     sample_all(*plugin, kNsPerSec);
     // Group read fails -> no reading stored, no crash.
     EXPECT_FALSE(
-        plugin->groups()[0]->sensors()[0]->latest().has_value());
+        cache_.latest(plugin->groups()[0]->sensors()[0]->topic()).has_value());
 }
 
 // ---------------------------------------------------------------- bacnet

@@ -3,6 +3,8 @@
 // These hunt for invariant violations that example-based tests miss.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
 #include <filesystem>
 #include <map>
 
@@ -241,34 +243,104 @@ INSTANTIATE_TEST_SUITE_P(Seeds, MqttCodecProperty,
 
 class CacheProperty : public Seeded {};
 
+// Random pushes (pending or not), peeks, releases (some with stale
+// ends), cap overflows and timestamp jumps across the window, against two
+// references: every reading ever pushed (the window), and a deque of the
+// pending readings capped at kMaxPending.
 TEST_P(CacheProperty, MatchesReferenceDequeSemantics) {
+    constexpr TimestampNs kWindow = 50 * kNsPerSec;
+    constexpr std::size_t kCap = SensorCache::kMaxPending;
     Rng rng(seed());
-    SensorCache cache(50 * kNsPerSec, kNsPerSec);
-    std::vector<Reading> reference;  // all readings ever pushed, in order
+    SensorCache cache(kWindow, kNsPerSec);
+    std::vector<Reading> reference;   // all readings ever pushed, in order
+    std::deque<Reading> pending_ref;  // the pending readings
+    std::uint64_t head_seq = 0;       // sequence number of its front
+    std::vector<std::uint64_t> ends;  // the ends of earlier peeks
+    std::uint64_t in = 0, pushed = 0, dropped = 0;
 
     TimestampNs ts = 0;
-    for (int i = 0; i < 3000; ++i) {
-        ts += 1 + rng.below(3 * kNsPerSec);
-        const Reading r{ts, static_cast<Value>(rng.next_u64() % 100000)};
-        cache.push(r);
-        reference.push_back(r);
-
-        ASSERT_TRUE(cache.latest().has_value());
-        EXPECT_EQ(*cache.latest(), reference.back());
-
-        if (i % 53 == 0) {
-            // Every reading within the window must be present.
-            const TimestampNs cutoff =
-                ts >= 50 * kNsPerSec ? ts - 50 * kNsPerSec : 0;
-            const auto view = cache.view(cutoff, ts);
-            std::vector<Reading> expect;
-            for (const auto& x : reference) {
-                if (x.ts >= cutoff) expect.push_back(x);
+    for (int phase = 0; phase < 12; ++phase) {
+        // Phase 0 is an outage that overflows the cap; later phases mix
+        // pending and cache-only pushes with more or fewer releases.
+        // Some phases sample 30x faster than the ring's hint, so the
+        // window alone outgrows it.
+        const std::uint64_t pending_pct = phase == 0 ? 100 : rng.below(3) * 50;
+        const std::uint64_t release_pct = phase == 0 ? 0 : rng.below(3) * 10;
+        const TimestampNs step = rng.below(3) == 0 ? 100 * kNsPerMs
+                                                   : 3 * kNsPerSec;
+        const int steps = phase == 0 ? static_cast<int>(kCap) + 700 : 1000;
+        for (int i = 0; i < steps; ++i) {
+            ts += 1 + rng.below(step);
+            if (rng.below(500) == 0) ts += kWindow * (1 + rng.below(3));
+            const Reading r{ts, static_cast<Value>(rng.next_u64() % 100000)};
+            const bool pending = rng.below(100) < pending_pct;
+            bool ref_dropped = false;
+            if (pending || !pending_ref.empty()) {
+                ++in;
+                if (pending_ref.size() == kCap) {
+                    pending_ref.pop_front();
+                    ++head_seq;
+                    ref_dropped = true;
+                }
+                pending_ref.push_back(r);
             }
-            ASSERT_EQ(view.size(), expect.size()) << "at push " << i;
-            EXPECT_EQ(view, expect);
+            const bool cap_dropped = cache.push(r, pending);
+            ASSERT_EQ(cap_dropped, ref_dropped) << "at push " << i;
+            dropped += cap_dropped ? 1 : 0;
+            reference.push_back(r);
+
+            ASSERT_TRUE(cache.latest().has_value());
+            EXPECT_EQ(*cache.latest(), reference.back());
+            ASSERT_EQ(cache.pending(), pending_ref.size());
+
+            if (rng.below(100) < 10) {
+                std::vector<Reading> peeked = {{1, 1}};
+                std::uint64_t end = 0;
+                ASSERT_EQ(cache.peek_pending(peeked, end), pending_ref.size());
+                ASSERT_EQ(end, head_seq + pending_ref.size());
+                ASSERT_TRUE(std::equal(peeked.begin() + 1, peeked.end(),
+                                       pending_ref.begin(), pending_ref.end()))
+                    << "peek at push " << i;
+                ends.push_back(end);
+            }
+            if (!ends.empty() && rng.below(100) < release_pct) {
+                // The newest peek's end, or a stale one.
+                const std::uint64_t end =
+                    rng.below(4) == 0 ? ends[rng.below(ends.size())]
+                                      : ends.back();
+                const std::uint64_t ahead = end > head_seq ? end - head_seq : 0;
+                const auto n = static_cast<std::size_t>(
+                    std::min<std::uint64_t>(ahead, pending_ref.size()));
+                pending_ref.erase(pending_ref.begin(),
+                                  pending_ref.begin() +
+                                      static_cast<std::ptrdiff_t>(n));
+                head_seq += n;
+                ASSERT_EQ(cache.release_pending(end), n) << "at push " << i;
+                pushed += n;
+                if (ends.size() > 16) ends.erase(ends.begin());
+            }
+            ASSERT_EQ(in, pushed + dropped + cache.pending());
+
+            if (i % 53 == 0) {
+                // Every reading within the window must be present.
+                const TimestampNs cutoff = ts >= kWindow ? ts - kWindow : 0;
+                const auto view = cache.view(cutoff, ts);
+                std::vector<Reading> expect;
+                double sum = 0;
+                for (const auto& x : reference) {
+                    if (x.ts < cutoff) continue;
+                    expect.push_back(x);
+                    sum += static_cast<double>(x.value);
+                }
+                ASSERT_EQ(view.size(), expect.size()) << "at push " << i;
+                EXPECT_EQ(view, expect);
+                EXPECT_DOUBLE_EQ(*cache.average(kWindow),
+                                 sum / static_cast<double>(expect.size()));
+            }
         }
     }
+    EXPECT_GT(dropped, 0u) << "the cap never overflowed";
+    EXPECT_GT(pushed, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CacheProperty,

@@ -30,26 +30,45 @@ TEST(SensorBase, TopicIsNormalized) {
     EXPECT_EQ(s.topic(), "/node0/power");
 }
 
+/// Peek a sensor's pending readings and release them all.
+std::vector<Reading> drain(const SensorBase& s) {
+    std::vector<Reading> out;
+    std::uint64_t end = 0;
+    if (CacheSet::Slot* slot = s.slot()) {
+        slot->peek_pending(out, end);
+        slot->release_pending(end);
+    }
+    return out;
+}
+
+std::size_t pending(const SensorBase& s) {
+    return s.slot() ? s.slot()->pending() : 0;
+}
+
 TEST(SensorBase, PendingAccumulatesAndDrains) {
+    CacheSet cache(60 * kNsPerSec);
     SensorBase s("x", "/t/x");
-    s.store_reading({1, 10}, nullptr, kNsPerSec);
-    s.store_reading({2, 20}, nullptr, kNsPerSec);
-    EXPECT_EQ(s.pending_count(), 2u);
-    const auto drained = s.drain_pending();
+    s.store_reading({1, 10}, cache, kNsPerSec);
+    s.store_reading({2, 20}, cache, kNsPerSec);
+    EXPECT_EQ(pending(s), 2u);
+    const auto drained = drain(s);
     ASSERT_EQ(drained.size(), 2u);
     EXPECT_EQ(drained[1].value, 20);
-    EXPECT_EQ(s.pending_count(), 0u);
-    ASSERT_TRUE(s.latest().has_value());
-    EXPECT_EQ(s.latest()->value, 20);
+    EXPECT_EQ(pending(s), 0u);
+    // Released readings stay cached while inside the window.
+    ASSERT_TRUE(s.slot()->latest().has_value());
+    EXPECT_EQ(s.slot()->latest()->value, 20);
+    EXPECT_EQ(cache.view("/t/x", 0, kTimestampMax).size(), 2u);
 }
 
 TEST(SensorBase, DeltaModePublishesDifferences) {
+    CacheSet cache(60 * kNsPerSec);
     SensorBase s("ctr", "/t/ctr");
     s.set_delta(true);
-    s.store_reading({1, 1000}, nullptr, kNsPerSec);  // baseline, swallowed
-    s.store_reading({2, 1500}, nullptr, kNsPerSec);
-    s.store_reading({3, 1800}, nullptr, kNsPerSec);
-    const auto drained = s.drain_pending();
+    s.store_reading({1, 1000}, cache, kNsPerSec);  // baseline, swallowed
+    s.store_reading({2, 1500}, cache, kNsPerSec);
+    s.store_reading({3, 1800}, cache, kNsPerSec);
+    const auto drained = drain(s);
     ASSERT_EQ(drained.size(), 2u);
     EXPECT_EQ(drained[0].value, 500);
     EXPECT_EQ(drained[1].value, 300);
@@ -58,78 +77,89 @@ TEST(SensorBase, DeltaModePublishesDifferences) {
 TEST(SensorBase, ReadingsMirroredIntoCache) {
     CacheSet cache(60 * kNsPerSec);
     SensorBase s("x", "/t/x");
-    s.store_reading({5, 55}, &cache, kNsPerSec);
+    s.store_reading({5, 55}, cache, kNsPerSec);
     ASSERT_TRUE(cache.latest("/t/x").has_value());
     EXPECT_EQ(cache.latest("/t/x")->value, 55);
+    EXPECT_EQ(s.slot(), &cache.slot("/t/x"));
 }
 
-TEST(SensorBase, CachedSlotIsNeverReusedForAnotherSet) {
-    SensorBase s("x", "/t/x");
-    auto first = std::make_unique<CacheSet>(60 * kNsPerSec);
-    s.store_reading({1, 10}, first.get(), kNsPerSec);
-    // A set built where the first one lived must get its own slot.
-    first.reset();
+TEST(SensorBase, RingLivesInTheFirstSetItIsReadInto) {
+    CacheSet first(60 * kNsPerSec);
     CacheSet second(60 * kNsPerSec);
-    s.store_reading({2, 20}, &second, kNsPerSec);
-    CacheSet third(60 * kNsPerSec);
-    s.store_reading({3, 30}, &third, kNsPerSec);
-    s.store_reading({4, 40}, &second, kNsPerSec);
-    EXPECT_EQ(second.view("/t/x", 0, kTimestampMax).size(), 2u);
-    EXPECT_EQ(second.latest("/t/x")->value, 40);
-    EXPECT_EQ(third.view("/t/x", 0, kTimestampMax).size(), 1u);
-    EXPECT_EQ(third.latest("/t/x")->value, 30);
+    SensorBase s("x", "/t/x");
+    EXPECT_EQ(s.slot(), nullptr) << "resolved on the first reading";
+    s.store_reading({1, 10}, first, kNsPerSec);
+    s.store_reading({2, 20}, second, kNsPerSec);
+    EXPECT_EQ(s.slot(), &first.slot("/t/x"));
+    EXPECT_EQ(first.view("/t/x", 0, kTimestampMax).size(), 2u);
+    EXPECT_EQ(first.pending(), 2u);
+    EXPECT_EQ(second.sensor_count(), 0u);
+    EXPECT_EQ(second.pending(), 0u);
+    // A sensor rebuilt under the same topic continues the same ring.
+    SensorBase rebuilt("x", "//t/x/");
+    rebuilt.store_reading({3, 30}, first, kNsPerSec);
+    EXPECT_EQ(rebuilt.slot(), s.slot());
+    const auto drained = drain(rebuilt);
+    ASSERT_EQ(drained.size(), 3u);
+    EXPECT_EQ(drained.front().value, 10);
+    EXPECT_EQ(drained.back().value, 30);
 }
 
 TEST(SensorBase, FullPendingRingDropsOldestInOrder) {
-    constexpr std::size_t kCap = SensorBase::kMaxPending;
+    constexpr std::size_t kCap = SensorCache::kMaxPending;
+    CacheSet cache(60 * kNsPerSec);
     SensorBase s("x", "/t/x");
+    std::size_t dropped = 0;
     for (std::size_t i = 1; i <= 3 * kCap; ++i)
-        s.store_reading({i, static_cast<Value>(i)}, nullptr, kNsPerSec);
-    EXPECT_EQ(s.pending_count(), kCap);
-    EXPECT_EQ(s.dropped_readings(), 2 * kCap);
-    const auto drained = s.drain_pending();
+        dropped += s.store_reading({i, static_cast<Value>(i)}, cache,
+                                   kNsPerSec);
+    EXPECT_EQ(pending(s), kCap);
+    EXPECT_EQ(dropped, 2 * kCap);
+    const auto drained = drain(s);
     ASSERT_EQ(drained.size(), kCap);
     for (std::size_t i = 0; i < kCap; ++i)
         ASSERT_EQ(drained[i].ts, 2 * kCap + 1 + i) << "at " << i;
-    EXPECT_EQ(s.pending_count(), 0u);
+    EXPECT_EQ(pending(s), 0u);
 }
 
 TEST(SensorBase, DrainAppendsAndTheRingIsReused) {
+    CacheSet cache(60 * kNsPerSec);
     SensorBase s("x", "/t/x");
     std::vector<Reading> out = {{1, 1}};
     std::uint64_t end = 0;
+    std::size_t dropped = 0;
     for (TimestampNs round = 0; round < 5; ++round) {
-        // Wrap the ring: three readings per round into a ring of four.
+        // Wrap the ring: three readings per round.
         for (TimestampNs i = 0; i < 3; ++i)
-            s.store_reading({10 * round + i, 0}, nullptr, kNsPerSec);
+            dropped += s.store_reading({10 * round + i, 0}, cache, kNsPerSec);
         out.resize(1);
-        EXPECT_EQ(s.peek_pending_into(out, end), 3u);
+        EXPECT_EQ(s.slot()->peek_pending(out, end), 3u);
         ASSERT_EQ(out.size(), 4u);
         EXPECT_EQ(out[0].ts, 1u);
         for (TimestampNs i = 0; i < 3; ++i)
             EXPECT_EQ(out[1 + i].ts, 10 * round + i);
-        EXPECT_EQ(s.pending_count(), 3u) << "a peek keeps the readings";
-        EXPECT_EQ(s.release_pending(end), 3u);
-        EXPECT_EQ(s.release_pending(end), 0u) << "released once";
+        EXPECT_EQ(pending(s), 3u) << "a peek keeps the readings";
+        EXPECT_EQ(s.slot()->release_pending(end), 3u);
+        EXPECT_EQ(s.slot()->release_pending(end), 0u) << "released once";
     }
-    EXPECT_EQ(s.peek_pending_into(out, end), 0u);
-    EXPECT_EQ(s.dropped_readings(), 0u);
+    EXPECT_EQ(s.slot()->peek_pending(out, end), 0u);
+    EXPECT_EQ(dropped, 0u);
 }
 
 TEST(SensorBase, ReleaseSkipsWhatTheCapOverwroteSinceThePeek) {
-    constexpr std::size_t kCap = SensorBase::kMaxPending;
+    constexpr std::size_t kCap = SensorCache::kMaxPending;
+    CacheSet cache(60 * kNsPerSec);
     SensorBase s("x", "/t/x");
     for (std::size_t i = 1; i <= kCap; ++i)
-        s.store_reading({i, 0}, nullptr, kNsPerSec);
+        s.store_reading({i, 0}, cache, kNsPerSec);
     std::vector<Reading> peeked;
     std::uint64_t end = 0;
-    ASSERT_EQ(s.peek_pending_into(peeked, end), kCap);
+    ASSERT_EQ(s.slot()->peek_pending(peeked, end), kCap);
     // Ten fresher readings overwrite the ten oldest peeked ones.
     for (std::size_t i = kCap + 1; i <= kCap + 10; ++i)
-        EXPECT_TRUE(s.store_reading({i, 0}, nullptr, kNsPerSec));
-    EXPECT_EQ(s.dropped_readings(), 10u);
-    EXPECT_EQ(s.release_pending(end), kCap - 10);
-    const auto rest = s.drain_pending();
+        EXPECT_TRUE(s.store_reading({i, 0}, cache, kNsPerSec));
+    EXPECT_EQ(s.slot()->release_pending(end), kCap - 10);
+    const auto rest = drain(s);
     ASSERT_EQ(rest.size(), 10u);
     EXPECT_EQ(rest.front().ts, kCap + 1);
     EXPECT_EQ(rest.back().ts, kCap + 10);
@@ -165,29 +195,33 @@ class FailingGroup final : public SensorGroup {
 }  // namespace
 
 TEST(SensorGroup, ReadAllStampsAllSensorsIdentically) {
+    CacheSet cache(60 * kNsPerSec);
     CountingGroup group("g", kNsPerSec);
     group.add_sensor(std::make_unique<SensorBase>("a", "/t/a"));
     group.add_sensor(std::make_unique<SensorBase>("b", "/t/b"));
-    group.read_all(42, nullptr);
-    EXPECT_EQ(group.sensors()[0]->latest()->ts, 42u);
-    EXPECT_EQ(group.sensors()[1]->latest()->ts, 42u);
+    group.read_all(42, &cache);
+    EXPECT_EQ(cache.latest("/t/a")->ts, 42u);
+    EXPECT_EQ(cache.latest("/t/b")->ts, 42u);
     EXPECT_EQ(group.reads_performed(), 1u);
 }
 
 TEST(SensorGroup, DisabledGroupSkipsReads) {
+    CacheSet cache(60 * kNsPerSec);
     CountingGroup group("g", kNsPerSec);
     group.add_sensor(std::make_unique<SensorBase>("a", "/t/a"));
     group.set_enabled(false);
-    group.read_all(42, nullptr);
+    group.read_all(42, &cache);
     EXPECT_EQ(group.reads_performed(), 0u);
-    EXPECT_FALSE(group.sensors()[0]->latest().has_value());
+    EXPECT_FALSE(cache.latest("/t/a").has_value());
 }
 
 TEST(SensorGroup, ExceptionInReadIsContained) {
+    CacheSet cache(60 * kNsPerSec);
     FailingGroup group("g", kNsPerSec);
     group.add_sensor(std::make_unique<SensorBase>("a", "/t/a"));
-    EXPECT_NO_THROW(group.read_all(42, nullptr));
+    EXPECT_NO_THROW(group.read_all(42, &cache));
     EXPECT_EQ(group.reads_performed(), 0u);
+    EXPECT_EQ(cache.sensor_count(), 0u);
 }
 
 TEST(Sampler, SamplesAtAlignedTimestamps) {
@@ -211,7 +245,8 @@ TEST(Sampler, SamplesAtAlignedTimestamps) {
 }
 
 TEST(Sampler, MultipleGroupsWithDifferentIntervals) {
-    Sampler sampler(2, nullptr);
+    CacheSet cache(60 * kNsPerSec);
+    Sampler sampler(2, &cache);
     CountingGroup fast("fast", 50 * kNsPerMs);
     fast.add_sensor(std::make_unique<SensorBase>("a", "/t/fa"));
     CountingGroup slow("slow", 200 * kNsPerMs);
@@ -226,7 +261,8 @@ TEST(Sampler, MultipleGroupsWithDifferentIntervals) {
 }
 
 TEST(Sampler, RemovedGroupStopsFiring) {
-    Sampler sampler(1, nullptr);
+    CacheSet cache(60 * kNsPerSec);
+    Sampler sampler(1, &cache);
     CountingGroup group("g", 50 * kNsPerMs);
     group.add_sensor(std::make_unique<SensorBase>("a", "/t/a"));
     sampler.add_group(&group);
@@ -385,12 +421,12 @@ ConfigNode wide_config(std::size_t sensors) {
 
 /// Sum of the pending readings of every sensor of the Pusher.
 std::uint64_t pending_readings(const Pusher& pusher) {
-    std::uint64_t pending = 0;
+    std::uint64_t sum = 0;
     for (const auto& plugin : pusher.plugins())
         for (const auto& group : plugin->groups())
             for (const auto& sensor : group->sensors())
-                pending += sensor->pending_count();
-    return pending;
+                sum += pending(*sensor);
+    return sum;
 }
 
 TEST(Pusher, FailedPublishOfTenThousandSensorsIsRetriedAsOneMessage) {
@@ -400,7 +436,8 @@ TEST(Pusher, FailedPublishOfTenThousandSensorsIsRetriedAsOneMessage) {
         [&](const mqtt::Publish& p) { tally.add(p); }, 0,
         /*listen_tcp=*/false);
     Pusher pusher(wide_config(10000), broker.connect_inproc());
-    pusher.plugins().front()->groups().front()->read_all(kNsPerSec, nullptr);
+    pusher.plugins().front()->groups().front()->read_all(kNsPerSec,
+                                                         &pusher.cache());
     {
         ScopedFault fault(FaultPoint::kMqttSend,
                           {.error_prob = 1.0, .max_triggers = 1});
@@ -491,13 +528,12 @@ TEST(Pusher, PendingRingDropsAreCountedWhileTheAgentIsUnreachable) {
     for (TimestampNs i = 1; i <= kReads; ++i)
         group.read_all(i * kNsPerSec, &pusher.cache());
 
-    constexpr std::uint64_t kDropped = kReads - SensorBase::kMaxPending;
-    EXPECT_EQ(group.sensors().front()->dropped_readings(), kDropped);
-    EXPECT_EQ(pending_readings(pusher), SensorBase::kMaxPending);
+    constexpr std::uint64_t kDropped = kReads - SensorCache::kMaxPending;
+    EXPECT_EQ(pending_readings(pusher), SensorCache::kMaxPending);
     // The Pusher's half of the ledger balances from stats() alone.
     const PusherStats s = pusher.stats();
     EXPECT_EQ(s.readings_dropped, kDropped);
-    EXPECT_EQ(s.readings_pending, SensorBase::kMaxPending);
+    EXPECT_EQ(s.readings_pending, SensorCache::kMaxPending);
     EXPECT_EQ(s.readings_pushed + s.readings_dropped + s.readings_pending,
               kReads);
     const auto metrics = http_get("127.0.0.1", pusher.rest_port(), "/metrics");
@@ -507,7 +543,7 @@ TEST(Pusher, PendingRingDropsAreCountedWhileTheAgentIsUnreachable) {
               std::string::npos)
         << metrics.body;
     EXPECT_NE(metrics.body.find("\ndcdb_pusher_push_pending " +
-                                std::to_string(SensorBase::kMaxPending) +
+                                std::to_string(SensorCache::kMaxPending) +
                                 "\n"),
               std::string::npos)
         << metrics.body;
@@ -529,7 +565,7 @@ TEST(Pusher, CacheOnlyPusherKeepsNoPendingReadings) {
 
     EXPECT_EQ(pending_readings(pusher), 0u);
     EXPECT_EQ(pusher.stats().readings_dropped, 0u);
-    EXPECT_EQ(group.sensors().front()->dropped_readings(), 0u);
+    EXPECT_EQ(pusher.stats().readings_pending, 0u);
     EXPECT_EQ(pusher.cache().sensor_count(),
               static_cast<std::size_t>(kSensors));
     const auto latest = pusher.cache().latest(group.sensors().back()->topic());
@@ -550,7 +586,7 @@ TEST(Pusher, DrainOverThePacketCapIsSplitIntoPayloadsUnderIt) {
     Pusher pusher(wide_config(kSensors), broker.connect_inproc());
     SensorGroup& group = *pusher.plugins().front()->groups().front();
     for (TimestampNs i = 1; i <= kReads; ++i)
-        group.read_all(i * kNsPerSec, nullptr);
+        group.read_all(i * kNsPerSec, &pusher.cache());
     pusher.push_now();
 
     const auto s = pusher.stats();
@@ -723,6 +759,194 @@ TEST(Pusher, ReloadFromFilePicksUpChanges) {
     pusher->reload_plugin("tester");
     EXPECT_EQ(pusher->stats().sensors, 7u);
     fs::remove(path);
+}
+
+/// A gate that holds a group's reads, for the reload tests: the group's
+/// destructor records whether a read was still in flight.
+struct ReadGate {
+    std::mutex mutex;
+    std::condition_variable cv;
+    bool entered{false};
+    bool open{false};
+    std::atomic<bool> in_read{false};
+    std::atomic<bool> freed_mid_read{false};
+};
+
+ReadGate& read_gate() {
+    static ReadGate gate;
+    return gate;
+}
+
+class GatedGroup final : public SensorGroup {
+  public:
+    using SensorGroup::SensorGroup;
+    ~GatedGroup() override {
+        if (read_gate().in_read.load()) read_gate().freed_mid_read.store(true);
+    }
+
+  protected:
+    bool do_read(TimestampNs, std::vector<Value>& out) override {
+        ReadGate& gate = read_gate();
+        gate.in_read.store(true);
+        {
+            std::unique_lock lock(gate.mutex);
+            gate.entered = true;
+            gate.cv.notify_all();
+            gate.cv.wait(lock, [&] { return gate.open; });
+        }
+        for (auto& v : out) v = 1;
+        gate.in_read.store(false);
+        return true;
+    }
+};
+
+class GatedPlugin final : public Plugin {
+  public:
+    std::string name() const override { return "gated"; }
+    void configure(const ConfigNode&, const PluginContext& ctx) override {
+        auto& group =
+            add_group(std::make_unique<GatedGroup>("g", 10 * kNsPerMs));
+        group.add_sensor(std::make_unique<SensorBase>(
+            "s", ctx.topic_prefix + "/gated/g/s"));
+    }
+};
+
+TEST(Pusher, ReloadWaitsOutAReadInFlight) {
+    PluginRegistry::instance().register_plugin(
+        "gated", [] { return std::make_unique<GatedPlugin>(); });
+    Pusher pusher(parse_config("global { topicPrefix /gate ; threads 1 }\n"
+                               "plugins { gated { } }\n"));
+    pusher.start();
+    ReadGate& gate = read_gate();
+    {
+        std::unique_lock lock(gate.mutex);
+        ASSERT_TRUE(gate.cv.wait_for(lock, std::chrono::seconds(5),
+                                     [&] { return gate.entered; }));
+    }
+    // A sampler worker is now blocked inside the group's read: the
+    // reload must not free the group under it.
+    std::atomic<bool> reloaded{false};
+    std::thread reloader([&] {
+        pusher.reload_plugin("gated");
+        reloaded.store(true);
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    EXPECT_FALSE(reloaded.load()) << "reload returned during a read";
+    {
+        std::scoped_lock lock(gate.mutex);
+        gate.open = true;
+    }
+    gate.cv.notify_all();
+    reloader.join();
+    EXPECT_FALSE(gate.freed_mid_read.load()) << "group freed mid-read";
+    pusher.stop();
+}
+
+// The rings live in the cache, which a reload keeps: a sensor rebuilt
+// under the same topic continues its predecessor's undelivered readings,
+// and the ledger never loses them.
+TEST(Pusher, ReloadKeepsUndeliveredReadings) {
+    namespace fs = std::filesystem;
+    const fs::path dir =
+        fs::temp_directory_path() /
+        ("dcdb_pusher_reload_" + std::to_string(::getpid()));
+    fs::create_directories(dir);
+    {
+        store::ClusterConfig cc;
+        cc.base_dir = dir.string();
+        cc.commitlog_enabled = false;
+        store::StoreCluster cluster(cc);
+        store::MetaStore meta;
+        // Learn a free port, then leave the agent down.
+        std::string port;
+        {
+            collectagent::CollectAgent probe(
+                parse_config("global { listenTcp true ; mqttPort 0 }"),
+                &cluster, &meta);
+            port = std::to_string(probe.mqtt_port());
+        }
+        Pusher pusher(parse_config(
+            "global { topicPrefix /reload ; qos 1 ; mqttBroker 127.0.0.1:" +
+            port +
+            " ;\n  reconnectBackoffMin 1ms ; reconnectBackoffMax 1ms }\n"
+            "plugins { tester { group g { sensors 4 ; interval 1s } } }\n"));
+        const auto sample = [&pusher](TimestampNs ts) {
+            for (const auto& group : pusher.plugins().front()->groups())
+                group->read_all(ts, &pusher.cache());
+        };
+        const auto ledger = [&pusher] {
+            const PusherStats s = pusher.stats();
+            return s.readings_pushed + s.readings_dropped +
+                   s.readings_pending;
+        };
+        for (TimestampNs i = 1; i <= 10; ++i) sample(i * kNsPerSec);
+        pusher.push_now();  // the agent is unreachable
+        EXPECT_EQ(ledger(), 40u);
+        pusher.reload_plugin("tester");
+        EXPECT_EQ(ledger(), 40u) << "the reload lost undelivered readings";
+
+        // The agent comes back; the rebuilt sensors' next round carries
+        // the backlog with the fresh reading.
+        collectagent::CollectAgent agent(
+            parse_config("global { listenTcp true ; mqttPort " + port + " }"),
+            &cluster, &meta);
+        sample(11 * kNsPerSec);
+        const auto deadline = steady_ns() + 10 * kNsPerSec;
+        while (pusher.stats().readings_pushed < 44 && steady_ns() < deadline) {
+            pusher.push_now();
+            std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        }
+        const PusherStats s = pusher.stats();
+        EXPECT_EQ(s.readings_pushed, 44u);
+        EXPECT_EQ(s.readings_dropped, 0u);
+        EXPECT_EQ(s.readings_pending, 0u);
+        for (int k = 0; k < 4; ++k) {
+            const std::string topic = "/reload/tester/g/s" + std::to_string(k);
+            const auto stored = agent.query_stored(topic, 0, kTimestampMax);
+            ASSERT_EQ(stored.size(), 11u) << topic;
+            for (std::size_t i = 0; i < stored.size(); ++i)
+                EXPECT_EQ(stored[i].ts, (i + 1) * kNsPerSec) << topic;
+        }
+        pusher.stop();
+    }
+    fs::remove_all(dir);
+}
+
+// An agent outage grows a sensor's ring to the pending cap; once the
+// backlog is delivered and the rounds are small again, the cache is back
+// at its window-sized footprint.
+TEST(Pusher, OutageBacklogIsGivenBack) {
+    mqtt::MqttBroker broker(mqtt::BrokerMode::kReduced, nullptr, 0,
+                            /*listen_tcp=*/false);
+    Pusher pusher(parse_config("global { topicPrefix /backlog ; qos 1 ;\n"
+                               "  cacheWindow 60s }\n"
+                               "plugins { tester { group g { sensors 1 ; "
+                               "interval 1s } } }\n"),
+                  broker.connect_inproc());
+    SensorGroup& group = *pusher.plugins().front()->groups().front();
+    TimestampNs ts = 0;
+    const auto round = [&] {
+        ts += kNsPerSec;
+        group.read_all(ts, &pusher.cache());
+        pusher.push_now();
+    };
+    for (int i = 0; i < 100; ++i) round();
+    const std::size_t window_sized = pusher.cache().memory_bytes();
+    {
+        ScopedFault fault(FaultPoint::kMqttSend, {.error_prob = 1.0});
+        for (std::size_t i = 0; i < SensorCache::kMaxPending + 100; ++i)
+            round();
+    }
+    const PusherStats outage = pusher.stats();
+    EXPECT_EQ(outage.readings_pending, SensorCache::kMaxPending);
+    EXPECT_EQ(outage.readings_dropped, 100u);
+    EXPECT_GE(pusher.cache().memory_bytes(),
+              window_sized + (SensorCache::kMaxPending - 62) * sizeof(Reading));
+    pusher.push_now();  // the backlog goes out in one round...
+    EXPECT_EQ(pusher.stats().readings_pending, 0u);
+    round();  // ...and the next small one gives its memory back
+    EXPECT_EQ(pusher.stats().readings_pending, 0u);
+    EXPECT_EQ(pusher.cache().memory_bytes(), window_sized);
 }
 
 TEST(Pusher, BadBrokerAddressThrows) {

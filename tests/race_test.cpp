@@ -32,6 +32,7 @@
 #include "core/topic_table.hpp"
 #include "mqtt/broker.hpp"
 #include "mqtt/client.hpp"
+#include "net/http.hpp"
 #include "pusher/pusher.hpp"
 #include "pusher/sampler.hpp"
 #include "pusher/sensor_group.hpp"
@@ -708,10 +709,10 @@ class TickGroup final : public pusher::SensorGroup {
 
 // Sampler threads read their groups into one cache set (each sensor
 // resolving and then reusing its slot) while a push thread peeks each
-// group into one reused buffer and releases what it peeked, as a push
-// round does after a publish, and a REST-like reader walks the cache.
-// `release_at` is how many pending readings a sensor needs before the
-// push thread releases them; one round in three releases nothing, as
+// group's slots into one reused buffer and releases what it peeked, as a
+// push round does after a publish, and a REST-like reader walks the
+// cache. `release_at` is how many pending readings a sensor needs before
+// the push thread releases them; one round in three releases nothing, as
 // after a failed publish. Every reading must end up released, still
 // pending, or counted dropped, and no reading is released twice or out
 // of order.
@@ -722,10 +723,13 @@ void samplers_versus_peeks_and_cache_readers(int reads,
 
     CacheSet cache(/*window_ns=*/2 * static_cast<TimestampNs>(reads) *
                    kNsPerMs);
+    telemetry::MetricRegistry registry;
+    telemetry::Counter& dropped = registry.counter("race.dropped");
     std::vector<std::unique_ptr<TickGroup>> groups;
     for (int g = 0; g < kGroups; ++g) {
         groups.push_back(
             std::make_unique<TickGroup>("g" + std::to_string(g), kNsPerMs));
+        groups.back()->set_pending(&dropped, /*keep=*/true);
         for (int s = 0; s < kSensors; ++s) {
             groups.back()->add_sensor(std::make_unique<pusher::SensorBase>(
                 "s" + std::to_string(s), "/race/g" + std::to_string(g) +
@@ -802,21 +806,17 @@ void samplers_versus_peeks_and_cache_readers(int reads,
     reader.join();
 
     EXPECT_TRUE(in_order) << "a reading was released twice or out of order";
-    std::uint64_t pending = 0;
-    std::uint64_t dropped = 0;
     for (const auto& group : groups) {
         for (const auto& sensor : group->sensors()) {
-            pending += sensor->pending_count();
-            dropped += sensor->dropped_readings();
             EXPECT_EQ(cache.view(sensor->topic(), 0, kTimestampMax).size(),
                       static_cast<std::size_t>(reads));
         }
     }
-    EXPECT_EQ(released + pending + dropped,
+    EXPECT_EQ(released + cache.pending() + dropped.value(),
               static_cast<std::uint64_t>(kGroups) * kSensors *
                   static_cast<std::uint64_t>(reads));
-    if (static_cast<std::size_t>(reads) > pusher::SensorBase::kMaxPending) {
-        EXPECT_GT(dropped, 0u) << "releases never met the cap";
+    if (static_cast<std::size_t>(reads) > SensorCache::kMaxPending) {
+        EXPECT_GT(dropped.value(), 0u) << "releases never met the cap";
     }
     EXPECT_EQ(cache.sensor_count(), static_cast<std::size_t>(kGroups) *
                                         kSensors);
@@ -828,8 +828,8 @@ TEST(SensorBaseRace, SamplersVersusDrainsAndCacheReaders) {
     // Above it: each release meets a full ring that the samplers keep
     // overwriting between the peek and the release.
     samplers_versus_peeks_and_cache_readers(
-        3 * static_cast<int>(pusher::SensorBase::kMaxPending),
-        pusher::SensorBase::kMaxPending);
+        3 * static_cast<int>(SensorCache::kMaxPending),
+        SensorCache::kMaxPending);
 }
 
 // Two threads push while a third stops the Pusher, with half of all
@@ -867,19 +867,59 @@ TEST(PusherRace, PushNowVersusStopWithFlakySends) {
     for (auto& t : pushers) t.join();
 
     const auto s = pusher.stats();
-    std::uint64_t pending = 0;
-    for (const auto& plugin : pusher.plugins()) {
-        for (const auto& group : plugin->groups()) {
-            for (const auto& sensor : group->sensors()) {
-                pending += sensor->pending_count();
-                EXPECT_EQ(sensor->dropped_readings(), 0u);
-            }
-        }
-    }
     EXPECT_GT(s.samples_taken, 0u);
     EXPECT_GT(s.publish_failures, 0u);
-    EXPECT_EQ(s.readings_pushed + s.readings_dropped + pending,
+    EXPECT_EQ(s.readings_dropped, 0u);
+    EXPECT_EQ(s.readings_pushed + s.readings_dropped + s.readings_pending,
               s.samples_taken);
+}
+
+// Reloads run while the sampler reads a 1 ms group, push rounds publish
+// and REST clients poll /stats, /plugins and /config: a reload waits out
+// the reads and rounds in flight and keeps the walkers out, and the
+// rebuilt sensors continue their slots, so every sampled reading is still
+// pushed, dropped or pending.
+TEST(PusherRace, ReloadVersusSamplingPushingAndStats) {
+    mqtt::MqttBroker broker(mqtt::BrokerMode::kReduced, nullptr, 0,
+                            /*listen_tcp=*/false);
+    // One sensor per group, so one sample is one reading.
+    pusher::Pusher pusher(
+        parse_config("global { topicPrefix /race ; pushInterval 2ms ;\n"
+                     "  restApi true }\n"
+                     "plugins { tester {\n"
+                     "  group a { sensors 1 ; interval 1ms }\n"
+                     "  group b { sensors 1 ; interval 1ms } } }\n"),
+        broker.connect_inproc());
+    pusher.start();
+    const std::uint16_t port = pusher.rest_port();
+
+    std::atomic<bool> done{false};
+    std::thread pushing([&] {
+        while (!done.load()) pusher.push_now();
+    });
+    std::vector<std::thread> clients;
+    for (const char* path : {"/stats", "/plugins", "/config"}) {
+        clients.emplace_back([&, path] {
+            while (!done.load())
+                EXPECT_EQ(http_get("127.0.0.1", port, path).status, 200);
+        });
+    }
+    for (int i = 0; i < 50; ++i) {
+        pusher.reload_plugin("tester");
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    done.store(true);
+    pushing.join();
+    for (auto& t : clients) t.join();
+    pusher.stop();
+
+    const auto s = pusher.stats();
+    EXPECT_GT(s.samples_taken, 0u);
+    EXPECT_GT(s.readings_pushed, 0u);
+    EXPECT_EQ(s.readings_dropped, 0u);
+    EXPECT_EQ(s.readings_pushed + s.readings_dropped + s.readings_pending,
+              s.samples_taken);
+    EXPECT_EQ(pusher.cache().sensor_count(), 2u);
 }
 
 // Start/stop churn while an observer polls the lock-free running() probe
