@@ -147,6 +147,14 @@ void BM_StoreInsert(benchmark::State& state) {
 }
 BENCHMARK(BM_StoreInsert);
 
+/// Reports CPU time per row, for a query of `rows` rows per iteration.
+void count_rows(benchmark::State& state, std::int64_t rows) {
+    state.SetItemsProcessed(state.iterations() * rows);
+    state.counters["cpu_per_row"] = benchmark::Counter(
+        static_cast<double>(state.iterations() * rows),
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+
 void BM_StoreQueryHour(benchmark::State& state) {
     static bench::ScratchDir scratch("micro_query");
     static store::StoreCluster cluster(
@@ -164,8 +172,34 @@ void BM_StoreQueryHour(benchmark::State& state) {
         benchmark::DoNotOptimize(
             cluster.query(key, 0, 3600 * kNsPerSec));
     }
+    count_rows(state, 3600);
 }
 BENCHMARK(BM_StoreQueryHour);
+
+// Dashboard's query shape: an hour of one key's one-second rows, the
+// first 1,200 in one SSTable, the next 1,200 in a second and the last
+// 1,200 in the memtable, read as one window that merges all three.
+void BM_QueryWindow(benchmark::State& state) {
+    static bench::ScratchDir scratch("micro_window");
+    static store::StoreCluster cluster(
+        {scratch.str(), 1, 1, "hierarchy", 256u << 20, false});
+    static bool seeded = false;
+    store::Key key;
+    key.sid[0] = 3;
+    if (!seeded) {
+        for (TimestampNs ts = 0; ts < 3600; ++ts) {
+            cluster.insert(key, ts * kNsPerSec, 42);
+            if (ts == 1199 || ts == 2399) cluster.flush_all();
+        }
+        seeded = true;
+    }
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            cluster.query(key, 0, 3600 * kNsPerSec));
+    }
+    count_rows(state, 3600);
+}
+BENCHMARK(BM_QueryWindow);
 
 // ------------------------------------------------------- virtual sensor
 

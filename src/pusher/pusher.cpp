@@ -1,6 +1,7 @@
 #include "pusher/pusher.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/clock.hpp"
 #include "common/logging.hpp"
@@ -204,16 +205,35 @@ void Pusher::reload_plugin(const std::string& name) {
         throw ConfigError("plugin " + name + " not in configuration");
 
     std::vector<SensorGroup*> old_groups;
-    for (const auto& group : plugin->groups())
+    std::vector<CacheSet::Slot*> old_slots;
+    for (const auto& group : plugin->groups()) {
         old_groups.push_back(group.get());
+        for (const auto& sensor : group->sensors())
+            if (CacheSet::Slot* slot = sensor->slot())
+                old_slots.push_back(slot);
+    }
     sampler_->remove_groups(old_groups);  // waits out their reads
 
     plugin->clear();
     PluginContext ctx;
     ctx.topic_prefix = topic_prefix_;
     plugin->configure(*plugin_node, ctx);
-    for (const auto& group : plugin->groups())
-        sampler_->add_group(group.get());
+    for (const auto& group : plugin->groups()) {
+        sampler_->add_group(group.get());  // resolves the sensors' slots
+        for (const auto& sensor : group->sensors())
+            std::erase(old_slots, sensor->slot());
+    }
+    // A sensor the reload removed leaves its pending readings in a slot
+    // no sensor peeks again: they count as dropped.
+    std::uint64_t dropped = 0;
+    for (CacheSet::Slot* slot : old_slots)
+        dropped += slot->release_pending(
+            std::numeric_limits<std::uint64_t>::max());
+    if (dropped != 0) {
+        registry_.counter("pusher.push.dropped").add(dropped);
+        DCDB_WARN("pusher") << "reload of " << name << " dropped " << dropped
+                            << " pending readings of removed sensors";
+    }
 }
 
 mqtt::MqttClient* Pusher::client_for_push() {

@@ -24,6 +24,8 @@ Sampler::~Sampler() { stop(); }
 
 void Sampler::add_group(SensorGroup* group) {
     group->set_pending(&dropped_, keep_pending_);
+    for (const auto& sensor : group->sensors())
+        sensor->resolve_slot(*cache_, group->interval_ns());
     MutexLock lock(mutex_);
     queue_.push_back({next_aligned(now_ns(), group->interval_ns()), group});
     std::push_heap(queue_.begin(), queue_.end(), std::greater<>{});

@@ -44,7 +44,9 @@ class Sampler {
     Sampler& operator=(const Sampler&) = delete;
 
     /// Register a group; first deadline is the next aligned boundary.
-    /// The group's pending readings dropped at a full slot count in
+    /// Its sensors' slots are resolved here, so a push round finds a
+    /// rebuilt sensor's backlog before its first new reading. The group's
+    /// pending readings dropped at a full slot count in
     /// pusher.push.dropped from now on.
     void add_group(SensorGroup* group) DCDB_EXCLUDES(mutex_);
 

@@ -8,6 +8,16 @@ SensorBase::SensorBase(std::string name, std::string topic)
     : name_(std::move(name)),
       topic_(normalize_sensor_topic(topic)) {}
 
+CacheSet::Slot& SensorBase::resolve_slot(CacheSet& cache,
+                                         TimestampNs interval_hint_ns) {
+    CacheSet::Slot* slot = slot_.load(std::memory_order_relaxed);
+    if (!slot) {
+        slot = &cache.slot(topic_, interval_hint_ns);
+        slot_.store(slot, std::memory_order_release);
+    }
+    return *slot;
+}
+
 bool SensorBase::store_reading(Reading r, CacheSet& cache,
                                TimestampNs interval_hint_ns, bool pending) {
     if (delta_) {
@@ -19,12 +29,7 @@ bool SensorBase::store_reading(Reading r, CacheSet& cache,
         r.value = raw - *last_raw_;
         last_raw_ = raw;
     }
-    CacheSet::Slot* slot = slot_.load(std::memory_order_relaxed);
-    if (!slot) {
-        slot = &cache.slot(topic_, interval_hint_ns);
-        slot_.store(slot, std::memory_order_release);
-    }
-    return slot->push(r, pending);
+    return resolve_slot(cache, interval_hint_ns).push(r, pending);
 }
 
 std::size_t SensorBase::peek_pending_into(std::vector<Reading>& out,

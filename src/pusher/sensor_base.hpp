@@ -40,18 +40,24 @@ class SensorBase {
     void set_delta(bool delta) { delta_ = delta; }
     bool delta() const { return delta_; }
 
+    /// This sensor's slot of `cache`, resolved by the first call: the
+    /// Sampler's add_group, or else the first reading. The sensor's ring
+    /// lives in that first set, which must outlive the sensor. Not from
+    /// two threads at once.
+    CacheSet::Slot& resolve_slot(CacheSet& cache,
+                                 TimestampNs interval_hint_ns);
+
     /// Record one reading, from the thread reading the sensor's group
     /// (never two at once). Applies delta conversion if enabled and
-    /// pushes the reading into this sensor's slot of `cache`: the first
-    /// call resolves it, and the sensor's ring lives in that first set,
-    /// which must outlive the sensor. With `pending` the reading waits
-    /// for a push round. Returns true when the slot's pending cap dropped
-    /// its oldest pending reading.
+    /// pushes the reading into this sensor's slot of `cache`
+    /// (resolve_slot). With `pending` the reading waits for a push round.
+    /// Returns true when the slot's pending cap dropped its oldest
+    /// pending reading.
     bool store_reading(Reading r, CacheSet& cache,
                        TimestampNs interval_hint_ns, bool pending = true);
 
     /// This sensor's slot (its cached and pending readings), or nullptr
-    /// before its first reading. Safe from any thread.
+    /// before it is resolved. Safe from any thread.
     CacheSet::Slot* slot() const {
         return slot_.load(std::memory_order_acquire);
     }
@@ -77,7 +83,7 @@ class SensorBase {
     // Delta conversion's previous raw value; only the reading thread
     // touches it.
     std::optional<Value> last_raw_;
-    // Set once by the reading thread, read by push rounds.
+    // Set once by resolve_slot, read by push rounds.
     // dcdblint: allow-atomic(a published pointer, not a stat counter)
     std::atomic<CacheSet::Slot*> slot_{nullptr};
 };

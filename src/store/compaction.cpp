@@ -5,67 +5,6 @@
 
 namespace dcdb::store {
 
-namespace {
-
-/// Rows buffered per cursor: bounds merge memory at
-/// O(tables * kRowChunk * sizeof(Row)) regardless of table size.
-constexpr std::size_t kRowChunk = 4096;
-
-/// Streaming read position in one input table: walks partitions in key
-/// order and rows in timestamp order, fetching rows from disk in bounded
-/// chunks.
-class TableCursor {
-  public:
-    explicit TableCursor(const SsTable* table) : table_(table) {}
-
-    bool at_table_end() const {
-        return partition_ >= table_->partition_count();
-    }
-    const Key& key() const { return table_->partition_key(partition_); }
-
-    bool partition_exhausted() const {
-        return consumed_ >= table_->partition_row_count(partition_);
-    }
-
-    const Row& peek() {
-        if (chunk_pos_ == chunk_.size()) {
-            const std::uint64_t total = table_->partition_row_count(partition_);
-            const std::size_t n = static_cast<std::size_t>(
-                std::min<std::uint64_t>(kRowChunk, total - loaded_));
-            chunk_.clear();
-            chunk_pos_ = 0;
-            table_->read_partition_rows(partition_,
-                                        static_cast<std::size_t>(loaded_), n,
-                                        chunk_);
-            loaded_ += n;
-        }
-        return chunk_[chunk_pos_];
-    }
-
-    void advance() {
-        ++consumed_;
-        ++chunk_pos_;
-    }
-
-    void next_partition() {
-        ++partition_;
-        consumed_ = 0;
-        loaded_ = 0;
-        chunk_.clear();
-        chunk_pos_ = 0;
-    }
-
-  private:
-    const SsTable* table_;
-    std::size_t partition_{0};
-    std::uint64_t consumed_{0};  // rows handed out via advance()
-    std::uint64_t loaded_{0};    // rows fetched from disk into chunks
-    std::vector<Row> chunk_;
-    std::size_t chunk_pos_{0};
-};
-
-}  // namespace
-
 MergeResult merge_tables(const std::vector<const SsTable*>& tables,
                          const std::string& path, std::uint64_t generation,
                          const MergeOptions& options) {
@@ -78,61 +17,34 @@ MergeResult merge_tables(const std::vector<const SsTable*>& tables,
     }
 
     SsTableWriter writer(path, generation, expected_partitions);
-    std::vector<TableCursor> cursors;
-    cursors.reserve(tables.size());
-    for (const auto* table : tables) cursors.emplace_back(table);
-
-    std::vector<TableCursor*> parts;  // cursors sharing the current key
-    parts.reserve(tables.size());
+    const auto keep = [&](const Row& row) {
+        if (options.cutoff != 0 && row.ts < options.cutoff) return;
+        if (options.now != 0 && row.expired(options.now)) return;
+        writer.add_row(row);
+        ++stats.rows_out;
+    };
+    // Each input's next partition; every input lists its keys ascending.
+    std::vector<std::size_t> next(tables.size(), 0);
+    std::vector<RowCursor> sources;  // one key's partitions, newest first
+    sources.reserve(tables.size());
     for (;;) {
-        // Smallest key any cursor is parked on.
-        const Key* min_key = nullptr;
-        for (auto& cursor : cursors) {
-            if (cursor.at_table_end()) continue;
-            if (!min_key || cursor.key() < *min_key) min_key = &cursor.key();
+        const Key* key = nullptr;
+        for (std::size_t i = 0; i < tables.size(); ++i) {
+            if (next[i] == tables[i]->partition_count()) continue;
+            const Key& k = tables[i]->partition_key(next[i]);
+            if (!key || k < *key) key = &k;
         }
-        if (!min_key) break;
+        if (!key) break;
 
-        // Preserve input order (oldest to newest) so ties resolve to the
-        // newest table below.
-        parts.clear();
-        for (auto& cursor : cursors) {
-            if (!cursor.at_table_end() && cursor.key() == *min_key)
-                parts.push_back(&cursor);
+        sources.clear();
+        for (std::size_t i = tables.size(); i-- > 0;) {
+            if (next[i] < tables[i]->partition_count() &&
+                tables[i]->partition_key(next[i]) == *key)
+                sources.emplace_back(*tables[i], next[i]++, 0, kTimestampMax);
         }
-
-        writer.begin_partition(*min_key);
-        for (;;) {
-            bool any = false;
-            TimestampNs min_ts = 0;
-            for (auto* cursor : parts) {
-                if (cursor->partition_exhausted()) continue;
-                const TimestampNs ts = cursor->peek().ts;
-                if (!any || ts < min_ts) {
-                    min_ts = ts;
-                    any = true;
-                }
-            }
-            if (!any) break;
-
-            // Consume min_ts from every stream carrying it; the last
-            // (newest) participant's row survives the shadowing.
-            Row winner{};
-            for (auto* cursor : parts) {
-                if (cursor->partition_exhausted()) continue;
-                if (cursor->peek().ts == min_ts) {
-                    winner = cursor->peek();
-                    cursor->advance();
-                    ++stats.rows_in;
-                }
-            }
-            if (options.cutoff != 0 && winner.ts < options.cutoff) continue;
-            if (options.now != 0 && winner.expired(options.now)) continue;
-            writer.add_row(winner);
-            ++stats.rows_out;
-        }
+        writer.begin_partition(*key);
+        stats.rows_in += merge_newest_wins(sources, keep);
         writer.end_partition();
-        for (auto* cursor : parts) cursor->next_partition();
     }
 
     auto table = writer.finish();

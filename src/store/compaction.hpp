@@ -1,13 +1,12 @@
 // Streaming compaction for the storage backend (DESIGN.md §9).
 //
-// One merge engine serves three maintenance operations — full
-// compaction, TTL/cutoff purges (`truncate_before`) and background
-// size-tiered maintenance. The engine performs a single k-way streaming
-// pass over the per-table sorted indices and row runs: memory is bounded
-// by O(tables) cursors plus one bounded row chunk per table, independent
-// of total row volume, and each input row is read exactly once
-// (replacing the quadratic per-key std::map re-merge the node used to
-// run under its writer lock).
+// One merge serves three maintenance operations — full compaction,
+// TTL/cutoff purges (`truncate_before`) and background size-tiered
+// maintenance — and it is the query path's merge too: merge_tables walks
+// the inputs' partitions in key order and hands each key's partitions,
+// as RowCursors, to merge_newest_wins (store/merge.hpp). Merge memory is
+// one decoded block (at most kBlockRows rows) per input, independent of
+// row volume, and each input row is read exactly once.
 //
 // Shadowing model: inputs are passed oldest-to-newest and rows with
 // equal (key, timestamp) resolve to the newest input. Because shadowing
@@ -34,8 +33,14 @@ struct MergeOptions {
     /// Drop rows with ts < cutoff (0 = keep all): truncate_before's
     /// purge predicate.
     TimestampNs cutoff{0};
-    /// Expiry evaluation instant for the TTL purge (0 = skip the expiry
-    /// check; callers normally pass now_ns()).
+    /// Expiry evaluation instant for the TTL purge (0 = keep expired
+    /// rows). The purge rule: a merge drops expired rows only when its
+    /// inputs start at the node's oldest table. An expired row still
+    /// hides the older copies of its (key, ts) from queries, so a merge
+    /// that dropped it while an older table outside its inputs held such
+    /// a copy would bring that copy back. compact() and truncate_before()
+    /// merge every table, and so does a tier that starts at the oldest;
+    /// other tiers keep expired rows for a later merge to drop.
     TimestampNs now{0};
 };
 
@@ -56,8 +61,9 @@ struct MergeResult {
 
 /// Single streaming pass merging `tables` (oldest-to-newest shadowing
 /// order) into a new table at `path` with generation `generation`.
-/// Within a key, row streams merge by timestamp with newest-input-wins
-/// on ties; rows failing `options` (expired, before cutoff) are dropped.
+/// Each key's partitions go through merge_newest_wins, newest input
+/// first; winning rows failing `options` (expired, before cutoff) are
+/// dropped.
 /// The output is durably published (fsync -> rename -> dir fsync) before
 /// this returns. `path` may name an existing input table's file (the
 /// generation-inheritance scheme overwrites the newest input in place);

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "store/merge.hpp"
+
 namespace dcdb::store {
 
 void Memtable::insert(const Key& key, const Row& row) {
@@ -30,15 +32,16 @@ void Memtable::insert(const Key& key, const Row& row) {
     }
 }
 
+std::span<const Row> Memtable::rows(const Key& key) const {
+    const auto it = partitions_.find(key);
+    if (it == partitions_.end()) return {};
+    return it->second;
+}
+
 void Memtable::query(const Key& key, TimestampNs t0, TimestampNs t1,
                      std::vector<Row>& out) const {
-    const auto it = partitions_.find(key);
-    if (it == partitions_.end()) return;
-    const auto& rows = it->second;
-    const auto lo = std::lower_bound(
-        rows.begin(), rows.end(), t0,
-        [](const Row& r, TimestampNs t) { return r.ts < t; });
-    for (auto i = lo; i != rows.end() && i->ts <= t1; ++i) out.push_back(*i);
+    for (RowCursor c(rows(key), t0, t1); !c.done(); c.next())
+        out.push_back(c.row());
 }
 
 std::vector<Memtable::Partition> Memtable::sorted_partitions() const {

@@ -26,7 +26,13 @@ class Memtable {
 
     void insert(const Key& key, const Row& row);
 
-    /// Rows in [t0, t1] for `key`, appended to `out` in timestamp order.
+    /// `key`'s rows in timestamp order (empty when it has none): the
+    /// span a query's RowCursor walks. Valid until the next insert or
+    /// clear().
+    std::span<const Row> rows(const Key& key) const;
+
+    /// Rows in [t0, t1] for `key`, appended to `out` in timestamp order:
+    /// one cursor over rows(key), drained.
     void query(const Key& key, TimestampNs t0, TimestampNs t1,
                std::vector<Row>& out) const;
 

@@ -14,6 +14,7 @@
 #include "common/logging.hpp"
 #include "common/string_utils.hpp"
 #include "store/compaction.hpp"
+#include "store/merge.hpp"
 
 namespace dcdb::store {
 
@@ -202,20 +203,14 @@ std::vector<Row> StorageNode::query(const Key& key, TimestampNs t0,
     reads_.add(1);
     ReaderLock lock(mutex_);
 
-    // Gather per-source sorted runs, newest source first: the memtable,
-    // then SSTables newest-to-oldest. Each run is already sorted by
-    // timestamp, so the merged result falls out of one k-way pass with
-    // first-source-wins shadowing — no per-row map inserts.
-    std::vector<std::vector<Row>> sources;
+    // One cursor per source, newest first: the memtable, then SSTables
+    // newest-to-oldest, as merge_newest_wins takes them.
+    std::vector<RowCursor> sources;
     sources.reserve(sstables_.size() + 1);
-    {
-        std::vector<Row> rows;
-        memtable_.query(key, t0, t1, rows);
-        if (!rows.empty()) sources.push_back(std::move(rows));
-    }
+    sources.emplace_back(memtable_.rows(key), t0, t1);
     for (auto it = sstables_.rbegin(); it != sstables_.rend(); ++it) {
         // Bloom effectiveness: every negative is one SSTable probe the
-        // filter saved. The node probes once per table; SsTable::query
+        // filter saved. The node probes once per table; SsTable::cursor
         // deliberately does not re-check (the second probe would skew
         // these counters and cost a redundant hash).
         bloom_checks_.add(1);
@@ -223,46 +218,16 @@ std::vector<Row> StorageNode::query(const Key& key, TimestampNs t0,
             bloom_negatives_.add(1);
             continue;
         }
-        std::vector<Row> rows;
-        (*it)->query(key, t0, t1, rows);
-        if (!rows.empty()) sources.push_back(std::move(rows));
+        sources.push_back((*it)->cursor(key, t0, t1));
     }
 
+    // An expired winner is dropped, and still hides the older copies the
+    // merge consumed under it.
     const TimestampNs now = now_ns();
     std::vector<Row> out;
-    if (sources.empty()) return out;
-    if (sources.size() == 1) {  // common case: no cross-source shadowing
-        out.reserve(sources.front().size());
-        for (const auto& row : sources.front())
-            if (!row.expired(now)) out.push_back(row);
-        return out;
-    }
-
-    std::size_t total = 0;
-    for (const auto& source : sources) total += source.size();
-    out.reserve(total);
-    std::vector<std::size_t> pos(sources.size(), 0);
-    for (;;) {
-        bool any = false;
-        TimestampNs min_ts = 0;
-        std::size_t winner = 0;
-        for (std::size_t i = 0; i < sources.size(); ++i) {
-            if (pos[i] >= sources[i].size()) continue;
-            const TimestampNs ts = sources[i][pos[i]].ts;
-            if (!any || ts < min_ts) {  // strict: first (newest) source
-                min_ts = ts;            // keeps the win on equal ts
-                winner = i;
-                any = true;
-            }
-        }
-        if (!any) break;
-        const Row& row = sources[winner][pos[winner]];
+    merge_newest_wins(sources, [&](const Row& row) {
         if (!row.expired(now)) out.push_back(row);
-        for (std::size_t i = 0; i < sources.size(); ++i) {
-            if (pos[i] < sources[i].size() && sources[i][pos[i]].ts == min_ts)
-                ++pos[i];  // consume shadowed duplicates everywhere
-        }
-    }
+    });
     return out;
 }
 
@@ -319,6 +284,7 @@ bool StorageNode::run_maintenance(bool merge_all, TimestampNs cutoff) {
     // merge, pick the input run, inherit the output generation.
     std::vector<const SsTable*> inputs;
     std::uint64_t out_generation = 0;
+    bool from_oldest = true;  // the purge rule, store/compaction.hpp
     {
         const TimestampNs stall_start = steady_ns();
         WriterLock lock(mutex_);
@@ -346,6 +312,7 @@ bool StorageNode::run_maintenance(bool merge_all, TimestampNs cutoff) {
             }
             for (std::size_t i = tier.begin; i < tier.end; ++i)
                 inputs.push_back(sstables_[i].get());
+            from_oldest = tier.begin == 0;
         }
         // The merged table inherits its newest input's generation, so
         // the on-disk ordering matches the shadowing order after reopen.
@@ -373,7 +340,7 @@ bool StorageNode::run_maintenance(bool merge_all, TimestampNs cutoff) {
     }
     MergeOptions options;
     options.cutoff = cutoff;
-    options.now = now_ns();
+    options.now = from_oldest ? now_ns() : 0;
     MergeResult result =
         merge_tables(inputs, sstable_path(out_generation), out_generation,
                      options);
@@ -409,8 +376,9 @@ bool StorageNode::run_maintenance(bool merge_all, TimestampNs cutoff) {
 
     // Phase 4 — no locks: delete the replaced files. The merged output
     // reused the newest input's path; removing it here would delete the
-    // fresh table, so it is skipped. (Crash before this point leaves
-    // superseded files whose rows the merged table shadows on reopen.)
+    // fresh table, so it is skipped. (A crash before this point leaves
+    // superseded files: the merged table shadows the rows it kept, but
+    // rows the merge dropped, truncated or expired, come back on reopen.)
     for (const auto& path : doomed) {
         if (path == out_path) continue;
         std::error_code ec;

@@ -3,7 +3,7 @@
 //
 // Maintenance (compact / truncate_before / maintain) is non-blocking:
 // the writer lock is held only to snapshot the input table set and to
-// swap in the merged result; the streaming k-way merge itself (see
+// swap in the merged result; the streaming merge itself (see
 // store/compaction.hpp) runs with no locks held, so concurrent inserts
 // and queries proceed throughout. DESIGN.md §9 documents the
 // snapshot/merge/swap protocol and its durability ordering.
@@ -99,7 +99,8 @@ class StorageNode {
     bool writable() const;
 
     /// Merged view over memtable and SSTables, newest write wins per
-    /// timestamp; expired rows are filtered. Results sorted by timestamp.
+    /// timestamp (merge_newest_wins, store/merge.hpp); an expired winner
+    /// is filtered and still hides older copies. Sorted by timestamp.
     std::vector<Row> query(const Key& key, TimestampNs t0,
                            TimestampNs t1) const DCDB_EXCLUDES(mutex_);
 

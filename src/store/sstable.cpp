@@ -205,7 +205,7 @@ std::unique_ptr<SsTable> SsTable::open(const std::string& path) {
             e.offset > index_offset)
             throw StoreError("bad block directory in " + path);
         e.blocks.reserve(n_blocks);
-        std::uint64_t rel_offset = 0, first_row = 0;
+        std::uint64_t rel_offset = 0, rows = 0;
         for (std::uint32_t b = 0; b < n_blocks; ++b) {
             BlockRef block;
             block.format = static_cast<BlockFormat>(ir.u8());
@@ -214,15 +214,14 @@ std::unique_ptr<SsTable> SsTable::open(const std::string& path) {
             block.min_ts = ir.u64be();
             block.max_ts = ir.u64be();
             block.rel_offset = rel_offset;
-            block.first_row = first_row;
             rel_offset += block.bytes;
-            first_row += block.rows;
+            rows += block.rows;
             if (block.rows == 0 || block.rows > kBlockRows ||
                 rel_offset > index_offset - e.offset)
                 throw StoreError("bad block in " + path);
             e.blocks.push_back(block);
         }
-        if (first_row != e.rows)
+        if (rows != e.rows)
             throw StoreError("block directory row mismatch in " + path);
         table->index_.push_back(std::move(e));
     }
@@ -266,66 +265,77 @@ bool SsTable::may_contain(const Key& key) const {
 }
 
 void SsTable::read_block(const IndexEntry& entry, const BlockRef& block,
+                         std::vector<std::uint8_t>& raw,
                          std::vector<Row>& out) const {
-    std::vector<std::uint8_t> raw(block.bytes);
+    raw.resize(block.bytes);
     if (!raw.empty())
         pread_exact(fd_, raw.data(), raw.size(),
                     entry.offset + block.rel_offset, path_);
+    out.reserve(out.size() + block.rows);
     decode_rows(block.format, raw, static_cast<std::size_t>(block.rows),
                 out);
 }
 
-void SsTable::read_rows(const IndexEntry& entry, std::size_t first_row,
-                        std::size_t n, std::vector<Row>& out) const {
-    if (n == 0) return;
-    const std::uint64_t want_first = first_row;
-    const std::uint64_t want_end = first_row + n;
-
-    // First block whose row range reaches want_first.
-    auto it = std::upper_bound(
-        entry.blocks.begin(), entry.blocks.end(), want_first,
-        [](std::uint64_t row, const BlockRef& b) { return row < b.first_row; });
-    if (it != entry.blocks.begin()) --it;
-
-    std::vector<Row> scratch;
-    for (; it != entry.blocks.end() && it->first_row < want_end; ++it) {
-        const BlockRef& block = *it;
-        const std::uint64_t lo =
-            std::max<std::uint64_t>(want_first, block.first_row);
-        const std::uint64_t hi =
-            std::min<std::uint64_t>(want_end, block.first_row + block.rows);
-        if (lo >= hi) continue;
-        scratch.clear();
-        read_block(entry, block, scratch);
-        out.insert(out.end(),
-                   scratch.begin() +
-                       static_cast<std::ptrdiff_t>(lo - block.first_row),
-                   scratch.begin() +
-                       static_cast<std::ptrdiff_t>(hi - block.first_row));
-    }
-}
-
-void SsTable::read_partition_rows(std::size_t partition,
-                                  std::size_t first_row, std::size_t n,
-                                  std::vector<Row>& out) const {
-    read_rows(index_[partition], first_row, n, out);
+RowCursor SsTable::cursor(const Key& key, TimestampNs t0,
+                          TimestampNs t1) const {
+    const IndexEntry* entry = find_entry(key);
+    if (!entry) return RowCursor({}, t0, t1);
+    return RowCursor(*this, static_cast<std::size_t>(entry - index_.data()),
+                     t0, t1);
 }
 
 void SsTable::query(const Key& key, TimestampNs t0, TimestampNs t1,
                     std::vector<Row>& out) const {
-    const IndexEntry* entry = find_entry(key);
-    if (!entry || entry->min_ts > t1 || entry->max_ts < t0) return;
+    for (RowCursor c = cursor(key, t0, t1); !c.done(); c.next())
+        out.push_back(c.row());
+}
 
-    std::vector<Row> scratch;
-    for (const auto& block : entry->blocks) {
-        if (block.min_ts > t1) break;  // blocks ascend in ts
-        if (block.max_ts < t0) continue;
-        scratch.clear();
-        read_block(*entry, block, scratch);
-        for (const auto& row : scratch) {
-            if (row.ts > t1) break;
-            if (row.ts >= t0) out.push_back(row);
-        }
+// ---------------------------------------------------------------- cursor
+
+namespace {
+
+/// The rows of sorted `rows` in [t0, t1].
+std::span<const Row> window(std::span<const Row> rows, TimestampNs t0,
+                            TimestampNs t1) {
+    const auto lo = std::partition_point(
+        rows.begin(), rows.end(), [t0](const Row& r) { return r.ts < t0; });
+    const auto hi = std::partition_point(
+        lo, rows.end(), [t1](const Row& r) { return r.ts <= t1; });
+    return {lo, hi};
+}
+
+}  // namespace
+
+RowCursor::RowCursor(std::span<const Row> rows, TimestampNs t0,
+                     TimestampNs t1)
+    : run_(window(rows, t0, t1)), t0_(t0), t1_(t1) {}
+
+RowCursor::RowCursor(const SsTable& table, std::size_t partition,
+                     TimestampNs t0, TimestampNs t1)
+    : t0_(t0), t1_(t1), table_(&table), partition_(partition) {
+    // Blocks ascend in ts: the window is the blocks from the first that
+    // ends at or after t0 up to the first that starts after t1.
+    const auto& blocks = table.index_[partition].blocks;
+    const auto first = std::partition_point(
+        blocks.begin(), blocks.end(),
+        [t0](const SsTable::BlockRef& b) { return b.max_ts < t0; });
+    const auto last = std::partition_point(
+        first, blocks.end(),
+        [t1](const SsTable::BlockRef& b) { return b.min_ts <= t1; });
+    block_ = static_cast<std::size_t>(first - blocks.begin());
+    end_block_ = static_cast<std::size_t>(last - blocks.begin());
+    load_block();
+}
+
+void RowCursor::load_block() {
+    run_ = {};
+    pos_ = 0;
+    while (block_ < end_block_) {
+        const SsTable::IndexEntry& entry = table_->index_[partition_];
+        scratch_.clear();
+        table_->read_block(entry, entry.blocks[block_++], raw_, scratch_);
+        run_ = window(scratch_, t0_, t1_);
+        if (!run_.empty()) return;
     }
 }
 

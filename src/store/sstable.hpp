@@ -18,9 +18,9 @@
 //
 // The index and bloom filter are loaded at open, which checks every
 // count and block range against the file and throws StoreError on a
-// malformed table. Row data is served with pread one whole block at a
-// time, whatever its encoding, so a table costs O(partitions + blocks)
-// memory regardless of row volume.
+// malformed table. Row data is served to RowCursors (store/merge.hpp)
+// with one pread per whole block, whatever its encoding, so a table costs
+// O(partitions + blocks) memory regardless of row volume.
 //
 // Durability ordering (DESIGN.md §9): tables are written to `path.tmp`,
 // fsynced, renamed into place, and the parent directory is fsynced —
@@ -36,6 +36,7 @@
 
 #include "store/bloom.hpp"
 #include "store/key.hpp"
+#include "store/merge.hpp"
 #include "store/row.hpp"
 #include "store/tsblock.hpp"
 
@@ -63,29 +64,24 @@ class SsTable {
     SsTable(const SsTable&) = delete;
     SsTable& operator=(const SsTable&) = delete;
 
-    /// Rows in [t0, t1] for `key`, appended to `out` in timestamp order.
-    /// Does NOT consult the bloom filter: StorageNode::query probes it
-    /// once via may_contain() before calling here, and a second probe
-    /// would double-count bloom effectiveness stats. Missing keys are
-    /// handled by the index lookup.
+    /// A cursor over `key`'s rows in [t0, t1] (store/merge.hpp); an
+    /// empty one when the table lacks the key. Does NOT consult the bloom
+    /// filter: StorageNode::query probes it once via may_contain() first,
+    /// and a second probe would double-count bloom effectiveness stats.
+    RowCursor cursor(const Key& key, TimestampNs t0, TimestampNs t1) const;
+
+    /// Rows in [t0, t1] for `key`, appended to `out` in timestamp order:
+    /// one cursor, drained.
     void query(const Key& key, TimestampNs t0, TimestampNs t1,
                std::vector<Row>& out) const;
 
     bool may_contain(const Key& key) const;
 
-    // Positional partition access, the streaming-compaction read path:
-    // partitions are addressed by index in key order and their rows read
-    // in bounded chunks (see store/compaction.cpp).
+    /// Partitions in key order, by index: what compaction walks, one
+    /// RowCursor per partition.
     const Key& partition_key(std::size_t partition) const {
         return index_[partition].key;
     }
-    std::uint64_t partition_row_count(std::size_t partition) const {
-        return index_[partition].rows;
-    }
-    /// Rows [first_row, first_row + n) of the partition, appended to
-    /// `out` in timestamp order.
-    void read_partition_rows(std::size_t partition, std::size_t first_row,
-                             std::size_t n, std::vector<Row>& out) const;
 
     std::uint64_t generation() const { return generation_; }
     std::size_t partition_count() const { return index_.size(); }
@@ -97,12 +93,13 @@ class SsTable {
     std::uint64_t data_bytes() const { return data_bytes_; }
 
   private:
+    friend class RowCursor;  // walks index_ and reads blocks
+
     struct BlockRef {
         BlockFormat format{BlockFormat::kRaw};
         std::uint64_t rows{0};
         std::uint64_t bytes{0};       // payload bytes on disk
         std::uint64_t rel_offset{0};  // from the partition's data offset
-        std::uint64_t first_row{0};   // cumulative row index
         TimestampNs min_ts{0};
         TimestampNs max_ts{0};
     };
@@ -117,10 +114,10 @@ class SsTable {
     };
 
     SsTable() = default;
-    void read_rows(const IndexEntry& entry, std::size_t first_row,
-                   std::size_t n, std::vector<Row>& out) const;
-    /// Decode one whole block of `entry` into `out`.
+    /// Decode one whole block of `entry` into `out`, reading its bytes
+    /// into `raw`.
     void read_block(const IndexEntry& entry, const BlockRef& block,
+                    std::vector<std::uint8_t>& raw,
                     std::vector<Row>& out) const;
     const IndexEntry* find_entry(const Key& key) const;
 

@@ -38,8 +38,10 @@ class Seeded : public ::testing::TestWithParam<std::uint64_t> {
 class StoreProperty : public Seeded {};
 
 // The storage node must behave exactly like a map<ts, value> per key,
-// regardless of how inserts interleave with flushes, compactions and
-// restarts.
+// regardless of how inserts interleave with flushes, compactions, tier
+// merges, purges and restarts. An insert whose TTL has already passed
+// deletes its (key, ts) in the model: it hides every older copy, and a
+// merge may drop it only together with them.
 TEST_P(StoreProperty, RandomWorkloadMatchesReferenceModel) {
     const auto dir = fs::temp_directory_path() /
                      ("dcdb_prop_store_" + std::to_string(::getpid()) + "_" +
@@ -58,27 +60,40 @@ TEST_P(StoreProperty, RandomWorkloadMatchesReferenceModel) {
         return k;
     };
 
-    auto node = std::make_unique<store::StorageNode>(
-        store::NodeConfig{dir.string(), 16u << 10, true});
+    store::NodeConfig config{dir.string(), 16u << 10, true};
+    config.compaction_min_tables = 2;
+    auto node = std::make_unique<store::StorageNode>(config);
 
     for (int op = 0; op < 2000; ++op) {
         const double dice = rng.uniform();
-        if (dice < 0.80) {
+        if (dice < 0.70) {
             const store::Key key = random_key();
             const TimestampNs ts = 1 + rng.below(500);
             const Value value = static_cast<Value>(rng.next_u64() % 1000);
             node->insert(key, ts, value);
             model[key][ts] = value;
-        } else if (dice < 0.88) {
+        } else if (dice < 0.78) {
+            // ttl_s 1 at these nanosecond timestamps expired in 1970.
+            const store::Key key = random_key();
+            const TimestampNs ts = 1 + rng.below(500);
+            node->insert(key, ts, static_cast<Value>(op), /*ttl_s=*/1);
+            model[key].erase(ts);
+        } else if (dice < 0.85) {
             node->flush();
-        } else if (dice < 0.93) {
+        } else if (dice < 0.88) {
             node->compact();
+        } else if (dice < 0.94) {
+            node->maintain();
+        } else if (dice < 0.95) {
+            const TimestampNs cutoff = 1 + rng.below(250);
+            node->truncate_before(cutoff);
+            for (auto& [key, rows] : model)
+                rows.erase(rows.begin(), rows.lower_bound(cutoff));
         } else {
             // Crash-free restart: everything must survive via commit log
             // and SSTables.
             node.reset();
-            node = std::make_unique<store::StorageNode>(
-                store::NodeConfig{dir.string(), 16u << 10, true});
+            node = std::make_unique<store::StorageNode>(config);
         }
 
         // Spot-check a random range query against the model.

@@ -912,6 +912,68 @@ TEST(Pusher, ReloadKeepsUndeliveredReadings) {
     fs::remove_all(dir);
 }
 
+// A reload that removes sensors leaves their pending readings with no
+// sensor to peek them: they count as dropped, so the ledger still closes
+// and nothing stays pending for good.
+TEST(Pusher, ReloadCountsARemovedSensorsPendingReadingsAsDropped) {
+    namespace fs = std::filesystem;
+    const std::string path =
+        (fs::temp_directory_path() /
+         ("dcdb_pusher_shrink_" + std::to_string(::getpid()) + ".conf"))
+            .string();
+    const auto write_config = [&path](int sensors) {
+        std::ofstream out(path);
+        out << "global { topicPrefix /shrink ; qos 1 }\n"
+            << "plugins { tester { group g { sensors " << sensors
+            << " ; interval 1s } } }\n";
+    };
+    write_config(4);
+    mqtt::MqttBroker broker(mqtt::BrokerMode::kReduced, nullptr, 0,
+                            /*listen_tcp=*/false);
+    auto pusher = Pusher::from_file(path, broker.connect_inproc());
+    const auto sample = [&pusher](TimestampNs ts) {
+        for (const auto& group : pusher->plugins().front()->groups())
+            group->read_all(ts, &pusher->cache());
+    };
+    for (TimestampNs i = 1; i <= 10; ++i) sample(i * kNsPerSec);
+    write_config(2);
+    pusher->reload_plugin("tester");
+    sample(11 * kNsPerSec);
+    for (int i = 0; i < 3; ++i) pusher->push_now();
+
+    const PusherStats s = pusher->stats();
+    EXPECT_EQ(s.readings_pushed, 22u);
+    EXPECT_EQ(s.readings_dropped, 20u);
+    EXPECT_EQ(s.readings_pending, 0u);
+    EXPECT_EQ(s.readings_pushed + s.readings_dropped + s.readings_pending,
+              4u * 10 + 2u);
+    fs::remove(path);
+}
+
+// A sensor rebuilt by a reload continues its predecessor's backlog, and a
+// push round finds it before the sensor's first new reading: a stop()
+// right after the reload delivers it.
+TEST(Pusher, StopRightAfterAReloadDeliversTheRebuiltSensorsBacklog) {
+    mqtt::MqttBroker broker(mqtt::BrokerMode::kReduced, nullptr, 0,
+                            /*listen_tcp=*/false);
+    // An hour's interval: the sampler does not read before stop().
+    Pusher pusher(parse_config("global { topicPrefix /restop ; qos 1 }\n"
+                               "plugins { tester { group g { sensors 2 ; "
+                               "interval 1h } } }\n"),
+                  broker.connect_inproc());
+    for (TimestampNs i = 1; i <= 3; ++i) {
+        for (const auto& group : pusher.plugins().front()->groups())
+            group->read_all(i * kNsPerSec, &pusher.cache());
+    }
+    pusher.reload_plugin("tester");
+    pusher.start();
+    pusher.stop();
+
+    const PusherStats s = pusher.stats();
+    EXPECT_EQ(s.readings_pushed, 6u);
+    EXPECT_EQ(s.readings_pending, 0u);
+}
+
 // An agent outage grows a sensor's ring to the pending cap; once the
 // backlog is delivered and the rounds are small again, the cache is back
 // at its window-sized footprint.

@@ -353,9 +353,12 @@ TEST(SsTable, QueriesAndRowReadsCrossCompressedBlockBoundaries) {
             EXPECT_EQ(out[i].expiry_s, rows[500 + i].expiry_s);
         }
 
-        // Positional reads (the compaction cursor path) across blocks.
+        // A cursor walk over partition 0 (the compaction read path)
+        // across blocks.
         out.clear();
-        table->read_partition_rows(0, 510, 520, out);
+        for (RowCursor c(*table, 0, rows[510].ts, rows[1029].ts); !c.done();
+             c.next())
+            out.push_back(c.row());
         ASSERT_EQ(out.size(), 520u);
         EXPECT_EQ(out.front().ts, rows[510].ts);
         EXPECT_EQ(out.back().ts, rows[1029].ts);
@@ -1092,6 +1095,40 @@ TEST(StorageNode, MidSequenceMergePreservesShadowingAcrossReopen) {
     const auto rows = reopened.query(k, 100, 100);
     ASSERT_EQ(rows.size(), 1u);
     EXPECT_EQ(rows[0].value, 99);
+}
+
+// An expired write still hides the older copies of its (key, ts). A tier
+// merge whose inputs do not start at the oldest table must keep it, or
+// an older table's copy comes back.
+TEST(StorageNode, TierMergeKeepsAnExpiredRowThatHidesAnOlderCopy) {
+    TempDir dir;
+    NodeConfig config;
+    config.data_dir = dir.str();
+    config.memtable_flush_bytes = 1u << 20;
+    config.commitlog_enabled = false;
+    config.compaction_min_tables = 2;
+    StorageNode node(config);
+    const Key k = make_key(1);
+    node.insert(k, 5, 1);  // table 1, large: no TTL
+    for (TimestampNs ts = 1000; ts < 3000; ++ts)
+        node.insert(k, ts, static_cast<Value>(ts * 2654435761u));
+    node.flush();
+    node.insert(k, 5, 2, /*ttl_s=*/1);  // table 2: expired since 1970
+    node.flush();
+    node.insert(k, 50, 3);  // table 3: filler
+    node.flush();
+    ASSERT_TRUE(node.query(k, 0, 10).empty());
+
+    ASSERT_TRUE(node.maintain());
+    ASSERT_EQ(node.stats().compaction_tables, 2u);  // tables 2 and 3 only
+    EXPECT_TRUE(node.query(k, 0, 10).empty())
+        << "the tier merge brought back the older copy";
+
+    // A merge from the oldest table drops the expired row and its copy.
+    node.compact();
+    EXPECT_EQ(node.stats().sstables, 1u);
+    EXPECT_TRUE(node.query(k, 0, 10).empty());
+    EXPECT_EQ(node.query(k, 0, kTimestampMax).size(), 2001u);
 }
 
 TEST(StorageNode, ReopenSweepsLeftoverTemporaries) {
