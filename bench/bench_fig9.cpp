@@ -83,7 +83,7 @@ int main() {
     for (int r = 0; r < loop.racks(); ++r) {
         sensors_block += "  sensor rack" + std::to_string(r) +
                          " { oid 1.3.6.1.4.1.2019.1." +
-                         std::to_string(r + 1) + " ; unit W }\n";
+                         std::to_string(r + 1) + " }\n";
     }
     auto config = parse_config(
         "global { topicPrefix /fac/cooling ; threads 2 ; "
@@ -98,9 +98,9 @@ int main() {
         "  entity loop { host 127.0.0.1 ; port " +
         std::to_string(rest_device.port()) + " }\n"
         "  group loop { entity loop ; interval 200ms\n"
-        "   sensor inlet_temp  { path /inlet_temp ; unit mC }\n"
-        "   sensor outlet_temp { path /outlet_temp ; unit mC }\n"
-        "   sensor flow        { path /flow ; unit \"l/s\" }\n"
+        "   sensor inlet_temp  { path /inlet_temp }\n"
+        "   sensor outlet_temp { path /outlet_temp }\n"
+        "   sensor flow        { path /flow }\n"
         "  }\n }\n}\n");
     pusher::Pusher pusher(std::move(config), agent.connect_inproc());
     pusher.start();

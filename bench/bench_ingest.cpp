@@ -17,7 +17,7 @@
 //      per-reading allocation there is the first thing batching wins.
 //   3. Per-section bookkeeping on KNOWN sensors performs ZERO heap
 //      allocations: the agent's SensorIndex::resolve and the push
-//      through the resolved entry's cache slot (also for an
+//      through the resolved cache slot (also for an
 //      unnormalized spelling of a known topic), and the Pusher's
 //      SensorGroup::read_all plus the per-sensor peek and release that
 //      push_once does around a publish.
@@ -422,8 +422,8 @@ int smoke() {
     // 3. Zero allocations per section on known sensors, agent and
     // Pusher side. Readings are a second apart so the 120 s caches
     // evict instead of growing. The agent also sees one unnormalized
-    // spelling of a known sensor, which must resolve to the same entry
-    // (SID and slot) without allocating.
+    // spelling of a known sensor, which must resolve to the same slot
+    // (and SID) without allocating.
     {
         store::MetaStore meta;
         SensorIndex index(meta, 120 * kNsPerSec);
@@ -445,8 +445,8 @@ int smoke() {
         const auto round = [&](TimestampNs ts) {
             for (const auto& topic : agent_topics) {
                 const SensorIndex::Handle sensor = index.resolve(topic);
-                resolved += sensor.entry != nullptr ? 1 : 0;
-                index.publish(topic, sensor).slot().push({ts, 1});
+                resolved += sensor.slot != nullptr ? 1 : 0;
+                index.publish(topic, sensor).push({ts, 1});
             }
             group.read_all(ts, &pusher_cache);
             drain.clear();
@@ -480,9 +480,9 @@ int smoke() {
             released != kBookkeepRounds * topics.size() ||
             drain.size() != topics.size() ||
             index.mapper().known_topics() != topics.size() ||
-            index.sensor_count() != topics.size() ||
+            index.cache().sensor_count() != topics.size() ||
             index.hierarchy().sensor_count() != topics.size() ||
-            index.view(topics[0], 0, kTimestampMax).empty()) {
+            index.cache().view(topics[0], 0, kTimestampMax).empty()) {
             std::fprintf(stderr, "ingest smoke: bookkeeping lost or "
                                  "duplicated a sensor, or lost a "
                                  "reading\n");

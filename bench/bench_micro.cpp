@@ -66,9 +66,9 @@ BENCHMARK(BM_TopicToSidCached);
 // The Collect Agent's per-section work on a known sensor, in the
 // pipeline benchmark's wide_fanin shape (4 sessions x 8 groups x 250
 // sensors, one reading per section): SensorIndex::resolve before the
-// store insert, and the push through the resolved entry's cache slot
-// after it. Each benchmark thread is one broker session walking its own
-// 2,000 topics, so Threads(4) shows what the sessions cost each other.
+// store insert, and the push through the resolved cache slot after it.
+// Each benchmark thread is one broker session walking its own 2,000
+// topics, so Threads(4) shows what the sessions cost each other.
 // cpu_per_section is the CPU time of all threads per section.
 struct KnownSensors {
     static constexpr int kSessions = 4;
@@ -81,9 +81,7 @@ struct KnownSensors {
                                      "/tester/g" + std::to_string(g) +
                                      "/s" + std::to_string(k));
         for (const auto& topic : topics)
-            index.publish(topic, index.resolve(topic))
-                .slot()
-                .push({kNsPerSec, 0});
+            index.publish(topic, index.resolve(topic)).push({kNsPerSec, 0});
     }
 
     store::MetaStore meta;
@@ -106,7 +104,7 @@ void BM_KnownSectionBookkeeping(benchmark::State& state) {
         for (auto it = first; it != last; ++it) {
             const SensorIndex::Handle sensor = known.index.resolve(*it);
             benchmark::DoNotOptimize(sensor.sid);
-            known.index.publish(*it, sensor).slot().push({ts, 1});
+            known.index.publish(*it, sensor).push({ts, 1});
         }
     }
     const auto sections =

@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
         "    entity psu { host 127.0.0.1 ; port " +
         std::to_string(psu.port()) + " }\n"
         "    group psu { entity psu ; interval 200ms\n"
-        "      sensor power { path /power ; unit mW }\n"
+        "      sensor power { path /power }\n"
         "    }\n"
         "  }\n"
         "}\n");

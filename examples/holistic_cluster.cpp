@@ -109,10 +109,10 @@ int main(int argc, char** argv) {
             "    entity pdu0 { port " + std::to_string(snmp_agent.port()) +
             " ; community public }\n"
             "    group outlets { entity pdu0 ; interval 1s\n"
-            "      sensor outlet0 { oid 1.3.6.1.4.1.318.1.1 ; unit W }\n"
-            "      sensor outlet1 { oid 1.3.6.1.4.1.318.1.2 ; unit W }\n"
-            "      sensor outlet2 { oid 1.3.6.1.4.1.318.1.3 ; unit W }\n"
-            "      sensor outlet3 { oid 1.3.6.1.4.1.318.1.4 ; unit W }\n"
+            "      sensor outlet0 { oid 1.3.6.1.4.1.318.1.1 }\n"
+            "      sensor outlet1 { oid 1.3.6.1.4.1.318.1.2 }\n"
+            "      sensor outlet2 { oid 1.3.6.1.4.1.318.1.3 }\n"
+            "      sensor outlet3 { oid 1.3.6.1.4.1.318.1.4 }\n"
             "    }\n"
             "  }\n"
             "}\n");

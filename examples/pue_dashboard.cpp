@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
             });
         outlet_sensors += "      sensor outlet" + std::to_string(outlet) +
                           " { oid 1.3.6.1.4.1.318.2." +
-                          std::to_string(outlet + 1) + " ; unit W }\n";
+                          std::to_string(outlet + 1) + " }\n";
     }
 
     // Overhead loads: pumps and a chiller behind the building-management
@@ -89,9 +89,9 @@ int main(int argc, char** argv) {
         "  bacnet {\n"
         "    entity bms { device bms }\n"
         "    group cooling { entity bms ; interval 500ms\n"
-        "      sensor pump_a  { instance 201 ; unit mW }\n"
-        "      sensor pump_b  { instance 202 ; unit mW }\n"
-        "      sensor chiller { instance 203 ; unit mW }\n"
+        "      sensor pump_a  { instance 201 }\n"
+        "      sensor pump_b  { instance 202 }\n"
+        "      sensor chiller { instance 203 }\n"
         "    }\n"
         "  }\n"
         "}\n");

@@ -49,11 +49,6 @@ CollectAgent::CollectAgent(const ConfigNode& config,
       dead_letters_(registry_.counter("collectagent.dead.letters")),
       store_latency_(registry_.histogram("collectagent.store.latency")),
       tracer_(agent_tracer_config(&registry_)) {
-    // The REST /sensors counters, registered here rather than on the
-    // first request so that /metrics shows them from the start.
-    registry_.counter("collectagent.cache.hits");
-    registry_.counter("collectagent.cache.misses");
-
     const bool listen_tcp = config.get_bool_or("global.listenTcp", true);
     const auto port = static_cast<std::uint16_t>(
         config.get_i64_or("global.mqttPort", 0));
@@ -250,7 +245,7 @@ void CollectAgent::store_sections(std::span<const PendingSection> sections,
     readings_.add(batch.size());
 
     // Cache the newest persisted reading per sensor through its handle
-    // (a first sighting joins the hierarchy and the index here) and
+    // (a first sighting joins the hierarchy and the cache here) and
     // notify the live listener, which may re-enter through ingest: that
     // uses its own batch, and `batch` is not read again below.
     thread_local std::string topic_scratch;
@@ -261,7 +256,6 @@ void CollectAgent::store_sections(std::span<const PendingSection> sections,
                 live_listener_(topic_scratch, pending.readings[i]);
         }
         index_.publish(pending.topic, pending.sensor)
-            .slot()
             .push(pending.readings[pending.readings.size() - 1]);
     }
 }
@@ -285,7 +279,7 @@ std::vector<Reading> CollectAgent::query_stored(const std::string& topic,
     return query_series(index_.mapper(), *cluster_, topic, t0, t1);
 }
 
-CollectAgent::Readiness CollectAgent::readiness() const {
+Readiness CollectAgent::readiness() const {
     if (!cluster_->writable()) return {false, "store not writable"};
     if (owns_maintenance_ && !cluster_->maintenance_running())
         return {false, "maintenance thread not running"};
@@ -301,7 +295,7 @@ CollectAgentStats CollectAgent::stats() const {
     s.store_errors = store_errors_.value();
     s.store_retries = store_retries_.value();
     s.dead_letters = dead_letters_.value();
-    s.known_sensors = index_.sensor_count();
+    s.known_sensors = index_.cache().sensor_count();
     return s;
 }
 

@@ -26,6 +26,7 @@
 #include <span>
 
 #include "common/config.hpp"
+#include "core/daemon_api.hpp"
 #include "core/payload.hpp"
 #include "core/sensor_index.hpp"
 #include "mqtt/broker.hpp"
@@ -80,8 +81,8 @@ class CollectAgent {
 
     std::uint16_t rest_port() const;
 
-    /// The sensor cache (REST /sensors), read through the index.
-    const SensorIndex& cache() const { return index_; }
+    /// The sensor cache (REST /sensors): one slot per known sensor.
+    const CacheSet& cache() const { return index_.cache(); }
     const SensorTree& hierarchy() const { return index_.hierarchy(); }
     TopicMapper& mapper() { return index_.mapper(); }
 
@@ -99,11 +100,7 @@ class CollectAgent {
 
     /// Readiness probe (the REST /readyz endpoint): the store accepts
     /// writes and, when this agent owns the maintenance thread, that
-    /// thread is alive. `reason` explains a false verdict.
-    struct Readiness {
-        bool ready{false};
-        std::string reason;
-    };
+    /// thread is alive.
     Readiness readiness() const;
 
     /// Register a listener invoked (from broker session threads) for

@@ -1,78 +1,18 @@
 // Collect Agent RESTful API: "Collect Agents provide a sensor cache that
 // can be queried via the same RESTful API [as Pushers] and that gives
 // access to the most recent readings of all Pushers connected to them"
-// (paper, Section 5.3). Additionally exposes the sensor hierarchy for
+// (paper, Section 5.3). The shared routes come from DaemonApi; the agent
+// adds its statistics, the stored series and the sensor hierarchy for
 // Grafana-style level-by-level browsing.
 #include <sstream>
 
 #include "collectagent/collect_agent.hpp"
 #include "common/string_utils.hpp"
-#include "telemetry/export.hpp"
-#include "telemetry/trace.hpp"
+#include "core/daemon_api.hpp"
 
 namespace dcdb::collectagent {
 
 namespace {
-
-/// The real route set, in help order. `/` and the 404 fallback both
-/// enumerate THIS table, so the help text cannot drift from the
-/// dispatcher again — adding a route means adding it here.
-constexpr const char* kRoutes[] = {
-    "/sensors", "/hierarchy", "/query",  "/stats",        "/healthz",
-    "/readyz",  "/traces",    "/traces.json", "/metrics", "/metrics.json",
-};
-
-std::string route_list() {
-    std::string out;
-    for (const char* route : kRoutes) {
-        out += ' ';
-        out += route;
-    }
-    return out;
-}
-
-HttpResponse handle_readyz(CollectAgent& agent) {
-    const auto readiness = agent.readiness();
-    if (readiness.ready)
-        return HttpResponse::json("{\"ready\":true,\"reason\":\"ok\"}\n");
-    return {503, "application/json",
-            "{\"ready\":false,\"reason\":\"" + readiness.reason + "\"}\n"};
-}
-
-HttpResponse handle_sensors(CollectAgent& agent, const HttpRequest& req) {
-    const std::string topic = req.path.substr(std::string("/sensors").size());
-    if (topic.empty() || topic == "/") {
-        std::ostringstream os;
-        for (const auto& t : agent.cache().topics()) os << t << "\n";
-        return HttpResponse::ok(os.str());
-    }
-    telemetry::Counter& hits =
-        agent.telemetry().counter("collectagent.cache.hits");
-    telemetry::Counter& misses =
-        agent.telemetry().counter("collectagent.cache.misses");
-    const auto avg_param = req.query.find("avg");
-    if (avg_param != req.query.end()) {
-        const auto secs = parse_double(avg_param->second);
-        if (!secs) return HttpResponse::bad_request("bad avg parameter\n");
-        const auto avg = agent.cache().average(
-            topic, static_cast<TimestampNs>(*secs * 1e9));
-        if (!avg) {
-            misses.add(1);
-            return HttpResponse::not_found("no data for " + topic + "\n");
-        }
-        hits.add(1);
-        return HttpResponse::ok(strfmt("%.6f\n", *avg));
-    }
-    const auto latest = agent.cache().latest(topic);
-    if (!latest) {
-        misses.add(1);
-        return HttpResponse::not_found("no data for " + topic + "\n");
-    }
-    hits.add(1);
-    return HttpResponse::ok(strfmt("%llu %lld\n",
-                                   static_cast<unsigned long long>(latest->ts),
-                                   static_cast<long long>(latest->value)));
-}
 
 // The Grafana data-source path (paper, Section 5.4): select a sensor at
 // some hierarchy level (via /hierarchy) and fetch its stored series.
@@ -100,54 +40,36 @@ HttpResponse handle_hierarchy(CollectAgent& agent, const HttpRequest& req) {
     return HttpResponse::ok(os.str());
 }
 
+HttpResponse handle_stats(CollectAgent& agent) {
+    const auto s = agent.stats();
+    return HttpResponse::ok(strfmt(
+        "messages %llu\nreadings %llu\ndecode_errors %llu\n"
+        "decode_salvaged %llu\nstore_errors %llu\n"
+        "store_retries %llu\ndead_letters %llu\nsensors %zu\n",
+        static_cast<unsigned long long>(s.messages),
+        static_cast<unsigned long long>(s.readings),
+        static_cast<unsigned long long>(s.decode_errors),
+        static_cast<unsigned long long>(s.salvaged),
+        static_cast<unsigned long long>(s.store_errors),
+        static_cast<unsigned long long>(s.store_retries),
+        static_cast<unsigned long long>(s.dead_letters), s.known_sensors));
+}
+
 }  // namespace
 
 std::unique_ptr<HttpServer> make_agent_rest_server(CollectAgent& agent) {
+    const DaemonApi api({"collect agent", "agent", "collectagent",
+                         agent.cache(), agent.telemetry(), agent.tracer(),
+                         [&agent] { return agent.readiness(); }},
+                        {"/hierarchy", "/query", "/stats"});
     return std::make_unique<HttpServer>(
         0,
-        [&agent](const HttpRequest& req) -> HttpResponse {
-            if (starts_with(req.path, "/sensors"))
-                return handle_sensors(agent, req);
+        [&agent, api](const HttpRequest& req) -> HttpResponse {
             if (req.path == "/hierarchy")
                 return handle_hierarchy(agent, req);
             if (req.path == "/query") return handle_query(agent, req);
-            if (req.path == "/stats") {
-                const auto s = agent.stats();
-                return HttpResponse::ok(strfmt(
-                    "messages %llu\nreadings %llu\ndecode_errors %llu\n"
-                    "decode_salvaged %llu\nstore_errors %llu\n"
-                    "store_retries %llu\ndead_letters %llu\nsensors %zu\n",
-                    static_cast<unsigned long long>(s.messages),
-                    static_cast<unsigned long long>(s.readings),
-                    static_cast<unsigned long long>(s.decode_errors),
-                    static_cast<unsigned long long>(s.salvaged),
-                    static_cast<unsigned long long>(s.store_errors),
-                    static_cast<unsigned long long>(s.store_retries),
-                    static_cast<unsigned long long>(s.dead_letters),
-                    s.known_sensors));
-            }
-            if (req.path == "/healthz")
-                return HttpResponse::json("{\"status\":\"ok\"}\n");
-            if (req.path == "/readyz") return handle_readyz(agent);
-            if (req.path == "/traces")
-                return HttpResponse::ok(
-                    telemetry::trace::to_text(agent.tracer(), "agent"));
-            if (req.path == "/traces.json")
-                return HttpResponse::json(
-                    telemetry::trace::to_json(agent.tracer(), "agent"));
-            if (req.path == "/metrics")
-                return HttpResponse::ok(
-                    telemetry::to_prometheus(agent.telemetry()),
-                    "text/plain; version=0.0.4");
-            if (req.path == "/metrics.json")
-                return HttpResponse::ok(
-                    telemetry::to_json(agent.telemetry()),
-                    "application/json");
-            if (req.path == "/")
-                return HttpResponse::ok("dcdb collect agent:" +
-                                        route_list() + "\n");
-            return HttpResponse::not_found("not found; routes:" +
-                                           route_list() + "\n");
+            if (req.path == "/stats") return handle_stats(agent);
+            return api.serve(req);
         },
         &agent.telemetry());
 }

@@ -1,5 +1,8 @@
 #include "common/fault.hpp"
 
+#include <chrono>
+#include <thread>
+
 namespace dcdb {
 
 FaultInjector& FaultInjector::instance() {
@@ -52,6 +55,14 @@ FaultAction FaultInjector::roll(FaultPoint point) {
             s.armed.store(false, std::memory_order_release);
     }
     return action;
+}
+
+FaultAction FaultInjector::apply(FaultPoint point) {
+    const FaultAction action = roll(point);
+    if (action != FaultAction::kDelay) return action;
+    // dcdblint: allow-sleep (an injected delay simulates a slow link/disk)
+    std::this_thread::sleep_for(std::chrono::nanoseconds(delay_ns(point)));
+    return FaultAction::kNone;
 }
 
 TimestampNs FaultInjector::delay_ns(FaultPoint point) const {

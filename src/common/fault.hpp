@@ -1,11 +1,12 @@
 // Deterministic fault injection for reliability testing.
 //
 // A process-wide injector with one slot per instrumented code site
-// ("fault point"). Production code asks `roll()` before the real
-// operation; the injector answers with an action (error / drop / delay)
-// drawn from a seeded RNG. Always compiled in, disarmed by default: a
-// disarmed roll is a single relaxed atomic load, so the hooks cost
-// nothing on the hot paths (see bench_reliability).
+// ("fault point"). Production code asks `apply()` before the real
+// operation; the injector draws an action (error / drop / delay) from a
+// seeded RNG, serves a delay itself and leaves errors and drops to the
+// site. Always compiled in, disarmed by default: a disarmed roll is a
+// single atomic load, so the hooks cost nothing on the hot paths (see
+// bench_reliability).
 //
 // Tests arm points via ScopedFault so a failing test can never leak an
 // armed fault into its neighbors.
@@ -64,8 +65,9 @@ class FaultInjector {
     /// Decide the fate of one operation at `point`. Thread-safe.
     FaultAction roll(FaultPoint point);
 
-    /// Delay to apply when roll() returned kDelay.
-    TimestampNs delay_ns(FaultPoint point) const;
+    /// roll(), serving a kDelay here: sleeps the armed delay and returns
+    /// kNone. So the site sees only kNone, kError or kDrop. Thread-safe.
+    FaultAction apply(FaultPoint point);
 
     bool armed(FaultPoint point) const;
     std::uint64_t injected(FaultPoint point) const;
@@ -73,6 +75,8 @@ class FaultInjector {
 
   private:
     FaultInjector() = default;
+
+    TimestampNs delay_ns(FaultPoint point) const;
 
     struct Slot {
         std::atomic<bool> armed{false};

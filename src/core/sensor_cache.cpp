@@ -167,10 +167,12 @@ std::size_t CacheSet::Slot::memory_bytes() const {
 CacheSet::CacheSet(TimestampNs window_ns) : window_ns_(window_ns) {}
 
 CacheSet::Slot& CacheSet::slot(std::string_view topic,
-                               TimestampNs interval_hint_ns) {
-    if (Slot* s = slots_.find(topic)) return *s;
+                               TimestampNs interval_hint_ns,
+                               const SensorId& sid) {
+    if (Slot* s = find(topic)) return *s;
     // try_emplace keeps a slot another thread created meanwhile.
-    return *slots_.try_emplace(topic, window_ns_, interval_hint_ns).first;
+    return *slots_.try_emplace(topic, window_ns_, interval_hint_ns, sid)
+                .first;
 }
 
 void CacheSet::push(std::string_view topic, const Reading& r,
@@ -179,19 +181,19 @@ void CacheSet::push(std::string_view topic, const Reading& r,
 }
 
 std::optional<Reading> CacheSet::latest(std::string_view topic) const {
-    const Slot* s = slots_.find(topic);
+    const Slot* s = find(topic);
     return s ? s->latest() : std::nullopt;
 }
 
 std::vector<Reading> CacheSet::view(std::string_view topic, TimestampNs t0,
                                     TimestampNs t1) const {
-    const Slot* s = slots_.find(topic);
+    const Slot* s = find(topic);
     return s ? s->view(t0, t1) : std::vector<Reading>{};
 }
 
 std::optional<double> CacheSet::average(std::string_view topic,
                                         TimestampNs horizon_ns) const {
-    const Slot* s = slots_.find(topic);
+    const Slot* s = find(topic);
     return s ? s->average(horizon_ns) : std::nullopt;
 }
 

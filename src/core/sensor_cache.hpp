@@ -12,7 +12,8 @@
 // a ring's newest readings stay pending until a push round releases
 // them, and the ring keeps a reading while it is inside the window or
 // still pending. A Collect Agent never marks a reading pending, so its
-// rings are plain window caches under the same rule.
+// rings are plain window caches under the same rule; its cache is also
+// its index of known sensors, each slot carrying its sensor's SID.
 #pragma once
 
 #include <cstdint>
@@ -24,6 +25,7 @@
 
 #include "common/mutex.hpp"
 #include "common/types.hpp"
+#include "core/sensor_id.hpp"
 #include "core/topic_table.hpp"
 
 namespace dcdb {
@@ -105,20 +107,24 @@ class SensorCache {
 /// Thread-safe set of named sensor caches (one per sensor topic), shared
 /// by the sampler threads, the push thread and the REST server.
 ///
-/// Each topic owns a Slot: its cache plus a leaf mutex. Slots are keyed
-/// by the normalized topic, so every spelling of a sensor shares one. A
-/// slot is created on first sight and lives as long as the set, at a
-/// stable address, so a known topic costs one lock-free probe, a caller
-/// that always feeds one sensor can resolve its Slot once, and a sensor
+/// Each topic owns a Slot: its cache, a leaf mutex and the SID it was
+/// created with (all zero in a Pusher). Slots are keyed by the
+/// normalized topic, so every spelling of a sensor shares one. A slot is
+/// created on first sight and lives as long as the set, at a stable
+/// address, so a known topic costs one lock-free probe, a caller that
+/// always feeds one sensor can resolve its Slot once, and a sensor
 /// rebuilt under the same topic finds its predecessor's readings.
 class CacheSet {
   public:
     class Slot {
       public:
-        Slot(TimestampNs window_ns, TimestampNs interval_hint_ns)
-            : cache_(window_ns, interval_hint_ns) {}
+        Slot(TimestampNs window_ns, TimestampNs interval_hint_ns,
+             const SensorId& sid)
+            : cache_(window_ns, interval_hint_ns), sid_(sid) {}
         Slot(const Slot&) = delete;
         Slot& operator=(const Slot&) = delete;
+
+        const SensorId& sid() const { return sid_; }
 
         // SensorCache's operations, each under the slot's lock.
         bool push(const Reading& r, bool pending = false)
@@ -138,14 +144,24 @@ class CacheSet {
       private:
         mutable Mutex mutex_;
         SensorCache cache_ DCDB_GUARDED_BY(mutex_);
+        // Last, so a push touches the same cache lines as without it.
+        const SensorId sid_;
     };
 
     explicit CacheSet(TimestampNs window_ns = 120 * kNsPerSec);
 
     /// The slot for `topic`, created on first sight (sized with
-    /// `interval_hint_ns`). Valid for the set's lifetime.
+    /// `interval_hint_ns`, carrying `sid`). Valid for the set's lifetime.
     Slot& slot(std::string_view topic,
-               TimestampNs interval_hint_ns = kNsPerSec);
+               TimestampNs interval_hint_ns = kNsPerSec,
+               const SensorId& sid = {});
+
+    /// The slot for `topic` in any spelling, or nullptr: one lock-free
+    /// probe that creates nothing.
+    Slot* find(std::string_view topic) { return slots_.find(topic); }
+    const Slot* find(std::string_view topic) const {
+        return slots_.find(topic);
+    }
 
     /// Insert a reading for `topic`, creating the cache on first sight.
     void push(std::string_view topic, const Reading& r,

@@ -1,9 +1,7 @@
 #include "mqtt/transport.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstring>
-#include <thread>
 #include <vector>
 
 #include "common/fault.hpp"
@@ -18,41 +16,24 @@ namespace {
 // live connection); a drop closes the transport first, so the whole
 // connection dies as it would under a broker crash or network partition.
 void apply_send_fault(Transport& transport) {
-    auto& injector = FaultInjector::instance();
-    switch (injector.roll(FaultPoint::kMqttSend)) {
-        case FaultAction::kNone:
-            return;
-        case FaultAction::kError:
-            throw NetError("injected mqtt send fault");
-        case FaultAction::kDrop:
-            transport.close();
-            throw NetError("injected mqtt connection drop");
-        case FaultAction::kDelay:
-            // dcdblint: allow-sleep (fault injection simulates a slow link)
-            std::this_thread::sleep_for(std::chrono::nanoseconds(
-                injector.delay_ns(FaultPoint::kMqttSend)));
-            return;
+    const FaultAction fault =
+        FaultInjector::instance().apply(FaultPoint::kMqttSend);
+    if (fault == FaultAction::kError)
+        throw NetError("injected mqtt send fault");
+    if (fault == FaultAction::kDrop) {
+        transport.close();
+        throw NetError("injected mqtt connection drop");
     }
 }
 
 /// Returns true when the recv should report EOF (connection dropped).
 bool apply_recv_fault(Transport& transport) {
-    auto& injector = FaultInjector::instance();
-    switch (injector.roll(FaultPoint::kMqttRecv)) {
-        case FaultAction::kNone:
-            return false;
-        case FaultAction::kError:
-            throw NetError("injected mqtt recv fault");
-        case FaultAction::kDrop:
-            transport.close();
-            return true;
-        case FaultAction::kDelay:
-            // dcdblint: allow-sleep (fault injection simulates a slow link)
-            std::this_thread::sleep_for(std::chrono::nanoseconds(
-                injector.delay_ns(FaultPoint::kMqttRecv)));
-            return false;
-    }
-    return false;
+    const FaultAction fault =
+        FaultInjector::instance().apply(FaultPoint::kMqttRecv);
+    if (fault == FaultAction::kError)
+        throw NetError("injected mqtt recv fault");
+    if (fault == FaultAction::kDrop) transport.close();
+    return fault == FaultAction::kDrop;
 }
 
 }  // namespace

@@ -26,9 +26,7 @@ class BacnetGroup final : public pusher::SensorGroup {
   public:
     BacnetGroup(std::string name, TimestampNs interval_ns,
                 BacnetEntity* bms)
-        : SensorGroup(std::move(name), interval_ns), bms_(bms) {
-        set_entity(bms);
-    }
+        : SensorGroup(std::move(name), interval_ns), bms_(bms) {}
 
     void add_instance(std::uint32_t instance) {
         instances_.push_back(instance);
@@ -75,12 +73,9 @@ void BacnetPlugin::configure(const ConfigNode& config,
                                                    device_it->second);
         for (const auto* sensor_node : group_node->children_named("sensor")) {
             const std::string sensor_name = sensor_node->value();
-            auto& sensor =
-                group->add_sensor(std::make_unique<pusher::SensorBase>(
-                    sensor_name, ctx.topic_prefix + "/bacnet/" + group_name +
-                                     "/" + sensor_name));
-            sensor.set_unit(sensor_node->get_string_or("unit", ""));
-            sensor.set_scale(0.001);  // milli-unit publication
+            group->add_sensor(std::make_unique<pusher::SensorBase>(
+                sensor_name, ctx.topic_prefix + "/bacnet/" + group_name +
+                                 "/" + sensor_name));
             group->add_instance(static_cast<std::uint32_t>(
                 sensor_node->get_i64("instance")));
         }

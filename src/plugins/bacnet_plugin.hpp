@@ -8,7 +8,7 @@
 //       group chillers {
 //           entity bms
 //           interval 10s
-//           sensor inlet_temp { instance 101 ; unit mC }
+//           sensor inlet_temp { instance 101 }
 //       }
 //   }
 #pragma once

@@ -53,8 +53,6 @@ void GpfsPlugin::configure(const ConfigNode& config,
                     sensor_name, ctx.topic_prefix + "/gpfs/" + group_name +
                                      "/" + sensor_name));
             sensor.set_delta(true);
-            if (std::string(sensor_name).find("bytes") != std::string::npos)
-                sensor.set_unit("B");
         }
         add_group(std::move(group));
     }

@@ -14,16 +14,15 @@ enum class GpuMetric { kUtil, kMemory, kPower, kTemp, kClock };
 struct MetricDef {
     GpuMetric metric;
     const char* name;
-    const char* unit;
-    double scale;  // published = physical * factor; metadata scale
 };
 
+// Published in %, MB, mW, mC and MHz.
 constexpr MetricDef kMetrics[] = {
-    {GpuMetric::kUtil, "utilization", "%", 1.0},
-    {GpuMetric::kMemory, "memory_used", "MB", 1.0},
-    {GpuMetric::kPower, "power", "mW", 0.001},
-    {GpuMetric::kTemp, "temperature", "mC", 0.001},
-    {GpuMetric::kClock, "sm_clock", "MHz", 1.0},
+    {GpuMetric::kUtil, "utilization"},
+    {GpuMetric::kMemory, "memory_used"},
+    {GpuMetric::kPower, "power"},
+    {GpuMetric::kTemp, "temperature"},
+    {GpuMetric::kClock, "sm_clock"},
 };
 
 class GpuGroup final : public pusher::SensorGroup {
@@ -87,13 +86,9 @@ void GpuPlugin::configure(const ConfigNode& config,
         auto group = std::make_unique<GpuGroup>(group_name, interval, gpus);
         for (int device = 0; device < gpus->device_count(); ++device) {
             for (const auto& def : kMetrics) {
-                auto& sensor =
-                    group->add_sensor(std::make_unique<pusher::SensorBase>(
-                        def.name, ctx.topic_prefix + "/gpu" +
-                                      std::to_string(device) + "/" +
-                                      def.name));
-                sensor.set_unit(def.unit);
-                sensor.set_scale(def.scale);
+                group->add_sensor(std::make_unique<pusher::SensorBase>(
+                    def.name, ctx.topic_prefix + "/gpu" +
+                                  std::to_string(device) + "/" + def.name));
                 group->add_slot(device, def.metric);
             }
         }

@@ -39,9 +39,7 @@ class BmcEntity final : public pusher::Entity {
 class IpmiGroup final : public pusher::SensorGroup {
   public:
     IpmiGroup(std::string name, TimestampNs interval_ns, BmcEntity* host)
-        : SensorGroup(std::move(name), interval_ns), host_(host) {
-        set_entity(host);
-    }
+        : SensorGroup(std::move(name), interval_ns), host_(host) {}
 
     void add_slot(const sim::IpmiSdr& sdr) { slots_.push_back(sdr); }
 
@@ -96,12 +94,9 @@ void IpmiPlugin::configure(const ConfigNode& config,
 
         const auto sdrs = host->bmc().sdr_repository();
         auto add_ipmi_sensor = [&](const sim::IpmiSdr& sdr) {
-            auto& sensor =
-                group->add_sensor(std::make_unique<pusher::SensorBase>(
-                    sdr.name, ctx.topic_prefix + "/ipmi/" + host->name() +
-                                  "/" + sdr.name));
-            sensor.set_unit("m" + sdr.unit);  // published in milli-units
-            sensor.set_scale(0.001);
+            group->add_sensor(std::make_unique<pusher::SensorBase>(
+                sdr.name,
+                ctx.topic_prefix + "/ipmi/" + host->name() + "/" + sdr.name));
             group->add_slot(sdr);
         };
 

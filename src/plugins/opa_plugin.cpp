@@ -52,8 +52,6 @@ void OpaPlugin::configure(const ConfigNode& config,
                     sensor_name, ctx.topic_prefix + "/opa/" + group_name +
                                      "/" + sensor_name));
             sensor.set_delta(true);
-            if (std::string(sensor_name).find("data") != std::string::npos)
-                sensor.set_unit("B");
         }
         add_group(std::move(group));
     }

@@ -107,12 +107,8 @@ void PerfeventsPlugin::configure(const ConfigNode& config,
                         counter_name,
                         ctx.topic_prefix + "/perf/cpu" +
                             std::to_string(core) + "/" + counter_name));
-                if (counter == Counter::kPower) {
-                    sensor.set_unit("mW");
-                    sensor.set_scale(0.001);
-                } else {
-                    sensor.set_delta(true);  // monotonic PMU counters
-                }
+                // Monotonic PMU counters; power (mW) is a gauge.
+                if (counter != Counter::kPower) sensor.set_delta(true);
                 group->add_slot(core, counter);
             }
         }

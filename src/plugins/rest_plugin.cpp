@@ -27,9 +27,7 @@ class RestEntity final : public pusher::Entity {
 class RestGroup final : public pusher::SensorGroup {
   public:
     RestGroup(std::string name, TimestampNs interval_ns, RestEntity* server)
-        : SensorGroup(std::move(name), interval_ns), server_(server) {
-        set_entity(server);
-    }
+        : SensorGroup(std::move(name), interval_ns), server_(server) {}
 
     void add_path(std::string path) { paths_.push_back(std::move(path)); }
 
@@ -82,12 +80,9 @@ void RestPlugin::configure(const ConfigNode& config,
                                                  server_it->second);
         for (const auto* sensor_node : group_node->children_named("sensor")) {
             const std::string sensor_name = sensor_node->value();
-            auto& sensor =
-                group->add_sensor(std::make_unique<pusher::SensorBase>(
-                    sensor_name, ctx.topic_prefix + "/rest/" + group_name +
-                                     "/" + sensor_name));
-            sensor.set_unit(sensor_node->get_string_or("unit", ""));
-            sensor.set_scale(sensor_node->get_double_or("scale", 0.001));
+            group->add_sensor(std::make_unique<pusher::SensorBase>(
+                sensor_name, ctx.topic_prefix + "/rest/" + group_name + "/" +
+                                 sensor_name));
             group->add_path(sensor_node->get_string("path"));
         }
         add_group(std::move(group));

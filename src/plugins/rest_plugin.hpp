@@ -8,7 +8,7 @@
 //       group loop {
 //           entity cooling
 //           interval 1s
-//           sensor inlet_temp { path /inlet_temp ; scale 0.001 ; unit mC }
+//           sensor inlet_temp { path /inlet_temp }
 //       }
 //   }
 //

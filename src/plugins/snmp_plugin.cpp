@@ -29,9 +29,7 @@ class SnmpGroup final : public pusher::SensorGroup {
   public:
     SnmpGroup(std::string name, TimestampNs interval_ns,
               SnmpAgentEntity* agent)
-        : SensorGroup(std::move(name), interval_ns), agent_(agent) {
-        set_entity(agent);
-    }
+        : SensorGroup(std::move(name), interval_ns), agent_(agent) {}
 
     void add_oid(std::string oid) { oids_.push_back(std::move(oid)); }
 
@@ -81,8 +79,6 @@ void SnmpPlugin::configure(const ConfigNode& config,
                 group->add_sensor(std::make_unique<pusher::SensorBase>(
                     sensor_name, ctx.topic_prefix + "/snmp/" + group_name +
                                      "/" + sensor_name));
-            sensor.set_unit(sensor_node->get_string_or("unit", ""));
-            sensor.set_scale(sensor_node->get_double_or("scale", 1.0));
             sensor.set_delta(sensor_node->get_bool_or("delta", false));
             group->add_oid(sensor_node->get_string("oid"));
         }

@@ -7,7 +7,7 @@
 //       group pdu {
 //           entity agent0
 //           interval 1s
-//           sensor outlet0 { oid 1.3.6.1.4.1.1000.1 ; scale 0.001 ; unit W }
+//           sensor outlet0 { oid 1.3.6.1.4.1.1000.1 }
 //       }
 //   }
 #pragma once

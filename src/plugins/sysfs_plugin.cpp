@@ -54,8 +54,6 @@ void SysfsPlugin::configure(const ConfigNode& config,
                 group->add_sensor(std::make_unique<pusher::SensorBase>(
                     sensor_name, ctx.topic_prefix + "/sysfs/" + group_name +
                                      "/" + sensor_name));
-            sensor.set_unit(sensor_node->get_string_or("unit", ""));
-            sensor.set_scale(sensor_node->get_double_or("scale", 1.0));
             sensor.set_delta(sensor_node->get_bool_or("delta", false));
             group->add_path(sensor_node->get_string("path"));
         }

@@ -7,8 +7,6 @@
 //           interval 1s
 //           sensor cpu_temp {
 //               path  /sys/class/thermal/thermal_zone0/temp
-//               unit  mC          ; optional
-//               scale 0.001       ; optional
 //               delta false       ; optional (for energy counters)
 //           }
 //       }

@@ -41,9 +41,6 @@ class Plugin {
     const std::vector<std::unique_ptr<SensorGroup>>& groups() const {
         return groups_;
     }
-    const std::vector<std::unique_ptr<Entity>>& entities() const {
-        return entities_;
-    }
 
     /// Start/stop sampling of all groups (REST: PUT /plugins/<p>/...).
     void start();

@@ -3,77 +3,12 @@
 #include <sstream>
 
 #include "common/string_utils.hpp"
+#include "core/daemon_api.hpp"
 #include "pusher/pusher.hpp"
-#include "telemetry/export.hpp"
-#include "telemetry/trace.hpp"
 
 namespace dcdb::pusher {
 
 namespace {
-
-/// The real route set, in help order. `/` and the 404 fallback both
-/// enumerate THIS table, so the help text cannot drift from the
-/// dispatcher again — adding a route means adding it here.
-constexpr const char* kRoutes[] = {
-    "/sensors", "/plugins", "/config",  "/stats",        "/healthz",
-    "/readyz",  "/traces",  "/traces.json", "/metrics", "/metrics.json",
-};
-
-std::string route_list() {
-    std::string out;
-    for (const char* route : kRoutes) {
-        out += ' ';
-        out += route;
-    }
-    return out;
-}
-
-HttpResponse handle_readyz(Pusher& pusher) {
-    // Ready = the path to the Collect Agent is up (an unconfigured
-    // broker means cache-only operation, which is as ready as it gets).
-    const bool ready = !pusher.mqtt_configured() || pusher.mqtt_connected();
-    if (ready)
-        return HttpResponse::json("{\"ready\":true,\"reason\":\"ok\"}\n");
-    return {503, "application/json",
-            "{\"ready\":false,\"reason\":\"mqtt session down\"}\n"};
-}
-
-HttpResponse handle_sensors(Pusher& pusher, const HttpRequest& req) {
-    const std::string topic = req.path.substr(std::string("/sensors").size());
-    if (topic.empty() || topic == "/") {
-        std::ostringstream os;
-        for (const auto& t : pusher.cache().topics()) os << t << "\n";
-        return HttpResponse::ok(os.str());
-    }
-
-    telemetry::Counter& hits = pusher.telemetry().counter("pusher.cache.hits");
-    telemetry::Counter& misses =
-        pusher.telemetry().counter("pusher.cache.misses");
-
-    const auto avg_param = req.query.find("avg");
-    if (avg_param != req.query.end()) {
-        const auto secs = parse_double(avg_param->second);
-        if (!secs) return HttpResponse::bad_request("bad avg parameter\n");
-        const auto avg = pusher.cache().average(
-            topic, static_cast<TimestampNs>(*secs * 1e9));
-        if (!avg) {
-            misses.add(1);
-            return HttpResponse::not_found("no data for " + topic + "\n");
-        }
-        hits.add(1);
-        return HttpResponse::ok(strfmt("%.6f\n", *avg));
-    }
-
-    const auto latest = pusher.cache().latest(topic);
-    if (!latest) {
-        misses.add(1);
-        return HttpResponse::not_found("no data for " + topic + "\n");
-    }
-    hits.add(1);
-    return HttpResponse::ok(strfmt("%llu %lld\n",
-                                   static_cast<unsigned long long>(latest->ts),
-                                   static_cast<long long>(latest->value)));
-}
 
 HttpResponse handle_plugins(Pusher& pusher, const HttpRequest& req) {
     const auto parts = split_nonempty(req.path, '/');
@@ -134,11 +69,19 @@ HttpResponse handle_stats(Pusher& pusher) {
 }  // namespace
 
 std::unique_ptr<HttpServer> make_pusher_rest_server(Pusher& pusher) {
+    // Ready = the path to the Collect Agent is up (an unconfigured
+    // broker means cache-only operation, which is as ready as it gets).
+    const auto readiness = [&pusher] {
+        if (!pusher.mqtt_configured() || pusher.mqtt_connected())
+            return Readiness{true, "ok"};
+        return Readiness{false, "mqtt session down"};
+    };
+    const DaemonApi api({"pusher", "pusher", "pusher", pusher.cache(),
+                         pusher.telemetry(), pusher.tracer(), readiness},
+                        {"/plugins", "/config", "/stats"});
     return std::make_unique<HttpServer>(
         0,
-        [&pusher](const HttpRequest& req) -> HttpResponse {
-            if (starts_with(req.path, "/sensors"))
-                return handle_sensors(pusher, req);
+        [&pusher, api](const HttpRequest& req) -> HttpResponse {
             if (starts_with(req.path, "/plugins"))
                 return handle_plugins(pusher, req);
             if (req.path == "/config") {
@@ -146,28 +89,7 @@ std::unique_ptr<HttpServer> make_pusher_rest_server(Pusher& pusher) {
                 return HttpResponse::ok(pusher.config().to_string());
             }
             if (req.path == "/stats") return handle_stats(pusher);
-            if (req.path == "/healthz")
-                return HttpResponse::json("{\"status\":\"ok\"}\n");
-            if (req.path == "/readyz") return handle_readyz(pusher);
-            if (req.path == "/traces")
-                return HttpResponse::ok(
-                    telemetry::trace::to_text(pusher.tracer(), "pusher"));
-            if (req.path == "/traces.json")
-                return HttpResponse::json(
-                    telemetry::trace::to_json(pusher.tracer(), "pusher"));
-            if (req.path == "/metrics")
-                return HttpResponse::ok(
-                    telemetry::to_prometheus(pusher.telemetry()),
-                    "text/plain; version=0.0.4");
-            if (req.path == "/metrics.json")
-                return HttpResponse::ok(
-                    telemetry::to_json(pusher.telemetry()),
-                    "application/json");
-            if (req.path == "/")
-                return HttpResponse::ok("dcdb pusher:" + route_list() +
-                                        "\n");
-            return HttpResponse::not_found("not found; routes:" +
-                                           route_list() + "\n");
+            return api.serve(req);
         },
         &pusher.telemetry());
 }

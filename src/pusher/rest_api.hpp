@@ -1,13 +1,13 @@
 // Pusher RESTful API (paper, Section 5.3): retrieve the configuration,
-// start/stop/reload individual plugins, and read the sensor cache.
+// start/stop/reload individual plugins, and read the sensor cache. The
+// cache, probe and telemetry routes are the ones every daemon serves
+// (core/daemon_api.hpp); the Pusher adds:
 //
-//   GET  /sensors                      list cached sensor topics
-//   GET  /sensors<topic>               latest reading of a sensor
-//   GET  /sensors<topic>?avg=<sec>     windowed average
 //   GET  /plugins                      plugin list with status
 //   PUT  /plugins/<name>/start|stop    control sampling
 //   PUT  /plugins/<name>/reload        re-read plugin configuration
 //   GET  /config                       running configuration
+//   GET  /stats                        sampling and push counters
 #pragma once
 
 #include <memory>

@@ -30,11 +30,6 @@ class SensorBase {
     const std::string& name() const { return name_; }
     const std::string& topic() const { return topic_; }
 
-    /// Metadata hints carried to the Collect Agent / storage layer.
-    void set_unit(std::string unit) { unit_ = std::move(unit); }
-    const std::string& unit() const { return unit_; }
-    void set_scale(double scale) { scale_ = scale; }
-    double scale() const { return scale_; }
     /// Delta mode: publish differences of a monotonic counter instead of
     /// raw values (DCDB's "delta" sensor attribute).
     void set_delta(bool delta) { delta_ = delta; }
@@ -77,8 +72,6 @@ class SensorBase {
   private:
     std::string name_;
     std::string topic_;
-    std::string unit_;
-    double scale_{1.0};
     bool delta_{false};
     // Delta conversion's previous raw value; only the reading thread
     // touches it.

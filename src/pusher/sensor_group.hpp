@@ -57,9 +57,6 @@ class SensorGroup {
         keep_pending_ = keep;
     }
 
-    void set_entity(Entity* entity) { entity_ = entity; }
-    Entity* entity() const { return entity_; }
-
     SensorBase& add_sensor(std::unique_ptr<SensorBase> sensor);
     const std::vector<std::unique_ptr<SensorBase>>& sensors() const {
         return sensors_;
@@ -85,7 +82,6 @@ class SensorGroup {
   private:
     std::string name_;
     TimestampNs interval_ns_;
-    Entity* entity_{nullptr};
     std::vector<std::unique_ptr<SensorBase>> sensors_;
     std::vector<Value> scratch_;  // reused across reads, no hot-path alloc
     std::atomic<bool> enabled_{true};

@@ -8,22 +8,6 @@
 
 namespace dcdb::pusher {
 
-namespace {
-
-std::unique_ptr<SensorBase> make_metric_sensor(const std::string& name,
-                                               const std::string& topic,
-                                               const std::string& unit) {
-    auto sensor = std::make_unique<SensorBase>(name, topic);
-    if (!unit.empty()) sensor->set_unit(unit);
-    return sensor;
-}
-
-bool looks_like_latency(const std::string& name) {
-    return name.find("latency") != std::string::npos;
-}
-
-}  // namespace
-
 TelemetryGroup::TelemetryGroup(const telemetry::MetricRegistry* registry,
                                const std::string& topic_prefix,
                                TimestampNs interval_ns, RefreshHook refresh)
@@ -42,28 +26,28 @@ TelemetryGroup::TelemetryGroup(const telemetry::MetricRegistry* registry,
         }
         switch (entry.kind) {
             case telemetry::MetricKind::kCounter:
-                add_sensor(make_metric_sensor(entry.name, base_topic, ""));
+                add_sensor(
+                    std::make_unique<SensorBase>(entry.name, base_topic));
                 sources_.push_back({entry.counter, nullptr, nullptr,
                                     Source::Stat::kValue});
                 break;
             case telemetry::MetricKind::kGauge:
-                add_sensor(make_metric_sensor(entry.name, base_topic, ""));
+                add_sensor(
+                    std::make_unique<SensorBase>(entry.name, base_topic));
                 sources_.push_back({nullptr, entry.gauge, nullptr,
                                     Source::Stat::kValue});
                 break;
             case telemetry::MetricKind::kHistogram: {
-                const std::string unit =
-                    looks_like_latency(entry.name) ? "ns" : "";
-                add_sensor(make_metric_sensor(entry.name + ".p50",
-                                              base_topic + "/p50", unit));
+                add_sensor(std::make_unique<SensorBase>(entry.name + ".p50",
+                                                        base_topic + "/p50"));
                 sources_.push_back({nullptr, nullptr, entry.histogram,
                                     Source::Stat::kP50});
-                add_sensor(make_metric_sensor(entry.name + ".p99",
-                                              base_topic + "/p99", unit));
+                add_sensor(std::make_unique<SensorBase>(entry.name + ".p99",
+                                                        base_topic + "/p99"));
                 sources_.push_back({nullptr, nullptr, entry.histogram,
                                     Source::Stat::kP99});
-                add_sensor(make_metric_sensor(entry.name + ".count",
-                                              base_topic + "/count", ""));
+                add_sensor(std::make_unique<SensorBase>(
+                    entry.name + ".count", base_topic + "/count"));
                 sources_.push_back({nullptr, nullptr, entry.histogram,
                                     Source::Stat::kCount});
                 break;

@@ -61,7 +61,7 @@ void CommitLog::encode_record(std::span<const BatchEntry> entries,
 void CommitLog::append(std::span<const std::uint8_t> record) {
     // An empty batch writes nothing: a zero length reads as a torn tail.
     if (record.size() <= RecordLog::kFrameBytes) return;
-    if (FaultInjector::instance().roll(FaultPoint::kCommitLogAppend) ==
+    if (FaultInjector::instance().apply(FaultPoint::kCommitLogAppend) ==
         FaultAction::kError)
         throw StoreError("injected commit log fault: " + log_.path());
     log_.append(record);

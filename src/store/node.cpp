@@ -3,9 +3,7 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <chrono>
 #include <filesystem>
-#include <thread>
 
 #include "common/bytebuf.hpp"
 #include "common/clock.hpp"
@@ -121,20 +119,11 @@ void StorageNode::insert_batch(std::span<const BatchEntry> entries,
     // (exists so loss-detection tests can prove they detect it). One
     // roll per batch: the batch fails or lands as a unit, mirroring the
     // crash atomicity of its single commit-log record.
-    auto& injector = FaultInjector::instance();
-    switch (injector.roll(FaultPoint::kStoreInsert)) {
-        case FaultAction::kNone:
-            break;
-        case FaultAction::kError:
-            throw StoreError("injected store insert fault");
-        case FaultAction::kDrop:
-            return;
-        case FaultAction::kDelay:
-            // dcdblint: allow-sleep (fault injection simulates a slow disk)
-            std::this_thread::sleep_for(std::chrono::nanoseconds(
-                injector.delay_ns(FaultPoint::kStoreInsert)));
-            break;
-    }
+    const FaultAction fault =
+        FaultInjector::instance().apply(FaultPoint::kStoreInsert);
+    if (fault == FaultAction::kError)
+        throw StoreError("injected store insert fault");
+    if (fault == FaultAction::kDrop) return;
 
     // The commit-log record and its CRC are encoded straight from the
     // entries before the writer lock is taken. The scratch is
@@ -248,20 +237,12 @@ void StorageNode::flush_locked() {
 
     // Fault hook sitting exactly in the crash-durability window: the new
     // SSTable is on disk, the commit log still holds the same rows.
-    auto& injector = FaultInjector::instance();
-    switch (injector.roll(FaultPoint::kStoreFlush)) {
-        case FaultAction::kNone:
-            break;
-        case FaultAction::kError:
-            throw StoreError("injected store flush fault");
-        case FaultAction::kDrop:
-            return;  // flush "crashed" before the commit-log reset
-        case FaultAction::kDelay:
-            // dcdblint: allow-sleep (fault injection simulates a slow disk)
-            std::this_thread::sleep_for(std::chrono::nanoseconds(
-                injector.delay_ns(FaultPoint::kStoreFlush)));
-            break;
-    }
+    const FaultAction fault =
+        FaultInjector::instance().apply(FaultPoint::kStoreFlush);
+    if (fault == FaultAction::kError)
+        throw StoreError("injected store flush fault");
+    if (fault == FaultAction::kDrop)
+        return;  // flush "crashed" before the commit-log reset
 
     memtable_.clear();
     if (commitlog_) {
@@ -321,23 +302,15 @@ bool StorageNode::run_maintenance(bool merge_all, TimestampNs cutoff) {
     }
 
     // Phase 2 — no locks held: the streaming merge. Inserts and queries
-    // proceed against the snapshot + any tables flushed meanwhile.
-    auto& injector = FaultInjector::instance();
-    switch (injector.roll(FaultPoint::kStoreCompact)) {
-        case FaultAction::kNone:
-            break;
-        case FaultAction::kError:
-            throw StoreError("injected store compact fault");
-        case FaultAction::kDrop:
-            return false;  // round abandoned, nothing swapped
-        case FaultAction::kDelay:
-            // Widens the unlocked merge window for insert-during-compaction
-            // tests.
-            // dcdblint: allow-sleep (injected fault delay)
-            std::this_thread::sleep_for(std::chrono::nanoseconds(
-                injector.delay_ns(FaultPoint::kStoreCompact)));
-            break;
-    }
+    // proceed against the snapshot + any tables flushed meanwhile; an
+    // injected delay widens that window for insert-during-compaction
+    // tests.
+    const FaultAction fault =
+        FaultInjector::instance().apply(FaultPoint::kStoreCompact);
+    if (fault == FaultAction::kError)
+        throw StoreError("injected store compact fault");
+    if (fault == FaultAction::kDrop)
+        return false;  // round abandoned, nothing swapped
     MergeOptions options;
     options.cutoff = cutoff;
     options.now = from_oldest ? now_ns() : 0;

@@ -7,6 +7,7 @@
 
 #include "collectagent/collect_agent.hpp"
 #include "common/clock.hpp"
+#include "common/string_utils.hpp"
 #include "core/payload.hpp"
 #include "mqtt/client.hpp"
 #include "pusher/pusher.hpp"
@@ -369,6 +370,53 @@ TEST_F(CollectAgentTest, RestHelpAndNotFoundEnumerateEveryServedRoute) {
             << route << " missing from the 404 fallback";
         EXPECT_NE(http_get("127.0.0.1", port, route).status, 404)
             << route << " advertised but not served";
+    }
+}
+
+// Both daemons serve the cache over "the same RESTful API" (paper,
+// Section 5.3): fed the same readings, a cache-only Pusher and an agent
+// answer the shared routes with the same bytes, and every route either
+// one lists on `/` is served.
+TEST_F(CollectAgentTest, PusherAndAgentAnswerTheSharedRoutesAlike) {
+    CollectAgent agent(
+        parse_config("global { listenTcp false ; restApi true }"),
+        cluster_.get(), meta_.get());
+    pusher::Pusher pusher(parse_config(
+        "global { topicPrefix /v ; mqttBroker none ; restApi true }\n"));
+    const std::string topic = "/v/tester/g/s0";
+    for (TimestampNs i = 1; i <= 5; ++i) {
+        const Reading reading{i * kNsPerSec, static_cast<Value>(10 * i)};
+        pusher.cache().push(topic, reading);
+        agent.ingest(topic, reading);
+    }
+
+    for (const std::string& path :
+         {"/sensors" + topic, "/sensors" + topic + "?avg=60",
+          "/sensors" + topic + "?avg=x", std::string("/sensors/v/nope"),
+          std::string("/healthz")}) {
+        const auto from_pusher =
+            http_get("127.0.0.1", pusher.rest_port(), path);
+        const auto from_agent = http_get("127.0.0.1", agent.rest_port(), path);
+        EXPECT_EQ(from_pusher.status, from_agent.status) << path;
+        EXPECT_EQ(from_pusher.body, from_agent.body) << path;
+    }
+    const auto agent_get = [&agent](const std::string& path) {
+        return http_get("127.0.0.1", agent.rest_port(), path).body;
+    };
+    EXPECT_EQ(agent_get("/sensors" + topic), "5000000000 50\n");
+    EXPECT_EQ(agent_get("/sensors" + topic + "?avg=60"), "30.000000\n");
+
+    for (const std::uint16_t port : {pusher.rest_port(), agent.rest_port()}) {
+        const auto help = http_get("127.0.0.1", port, "/");
+        ASSERT_EQ(help.status, 200);
+        std::string listed = help.body.substr(help.body.find(':') + 1);
+        if (!listed.empty() && listed.back() == '\n') listed.pop_back();
+        const auto routes = split_nonempty(listed, ' ');
+        EXPECT_EQ(routes.size(), 10u) << help.body;
+        for (const auto& route : routes) {
+            EXPECT_NE(http_get("127.0.0.1", port, route).status, 404)
+                << route << " listed on " << port << " but not served";
+        }
     }
 }
 

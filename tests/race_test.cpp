@@ -224,13 +224,13 @@ TEST(TopicMapperRace, NewTopicResolvedOnceWhileReadersProbe) {
 // ------------------------------------------------------------ SensorIndex
 
 // Four broker sessions resolve overlapping topic sets through the agent's
-// index, publish each entry as after a stored batch, and push readings.
+// index, publish each slot as after a stored batch, and push readings.
 // Every new topic is a first sighting for two sessions at once, in two
-// spellings; every session also resolves the topics indexed before the
+// spellings; every session also resolves the topics cached before the
 // start. One session owns each topic's pushes, so its last reading is
-// the newest, while a reader walks topics(), latest() and
-// memory_bytes(). Each
-// normalized topic must end with one entry and one SID of its own.
+// the newest, while a reader walks the cache's topics(), latest() and
+// memory_bytes(). Each normalized topic must end with one slot and one
+// SID of its own.
 TEST(SensorIndexRace, SessionsResolveFirstSightingsAndKnownTopics) {
     constexpr std::size_t kSessions = 4;
     constexpr std::size_t kNew = 64;
@@ -278,14 +278,14 @@ TEST(SensorIndexRace, SessionsResolveFirstSightingsAndKnownTopics) {
                     if (!resolves(s, t)) continue;
                     const SensorIndex::Handle sensor =
                         index.resolve(spellings[t]);
-                    SensorIndex::Entry& entry =
+                    CacheSet::Slot& slot =
                         index.publish(spellings[t], sensor);
                     SensorId& seen = sids[s][t];
                     if (round == 1) seen = sensor.sid;
-                    if (sensor.sid != seen || entry.sid() != seen)
+                    if (sensor.sid != seen || slot.sid() != seen)
                         mismatches.fetch_add(1);
                     if (owns(s, t))
-                        entry.slot().push({round, static_cast<Value>(t)});
+                        slot.push({round, static_cast<Value>(t)});
                 }
             }
         });
@@ -296,14 +296,14 @@ TEST(SensorIndexRace, SessionsResolveFirstSightingsAndKnownTopics) {
     std::thread reader([&] {
         std::map<std::string, TimestampNs> newest;
         while (!done.load()) {
-            for (const auto& topic : index.topics()) {
-                const auto latest = index.latest(topic);
+            for (const auto& topic : index.cache().topics()) {
+                const auto latest = index.cache().latest(topic);
                 if (!latest) continue;
                 TimestampNs& seen = newest[topic];
                 if (latest->ts < seen) mismatches.fetch_add(1);
                 seen = latest->ts;
             }
-            index.memory_bytes();
+            index.cache().memory_bytes();
         }
     });
 
@@ -313,13 +313,13 @@ TEST(SensorIndexRace, SessionsResolveFirstSightingsAndKnownTopics) {
     reader.join();
 
     EXPECT_EQ(mismatches.load(), 0u);
-    EXPECT_EQ(index.sensor_count(), kTopics);
+    EXPECT_EQ(index.cache().sensor_count(), kTopics);
     EXPECT_EQ(index.hierarchy().sensor_count(), kTopics);
     EXPECT_EQ(index.mapper().known_topics(), kTopics);
     EXPECT_EQ(meta.scan_prefix("topics/").size(), kTopics);
     std::vector<std::string> expected = canonical;
     std::sort(expected.begin(), expected.end());
-    EXPECT_EQ(index.topics(), expected);
+    EXPECT_EQ(index.cache().topics(), expected);
 
     std::set<std::string> distinct;
     for (std::size_t t = 0; t < kTopics; ++t) {
@@ -331,7 +331,7 @@ TEST(SensorIndexRace, SessionsResolveFirstSightingsAndKnownTopics) {
             }
         }
         for (const auto* spelling : {&canonical[t], &unnormalized[t]}) {
-            const auto latest = index.latest(*spelling);
+            const auto latest = index.cache().latest(*spelling);
             ASSERT_TRUE(latest.has_value()) << *spelling;
             EXPECT_EQ(latest->ts, kRounds) << *spelling;
             EXPECT_EQ(latest->value, static_cast<Value>(t)) << *spelling;

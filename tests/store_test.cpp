@@ -1345,6 +1345,14 @@ struct ClusterParam {
     const char* partitioner;
 };
 
+// Prints a shape as, e.g., n2_r1_murmur3. ctest names each case by this
+// value; by default it would be the parameter's bytes, the partitioner
+// pointer's among them, which change from build to build.
+void PrintTo(const ClusterParam& param, std::ostream* os) {
+    *os << 'n' << param.nodes << "_r" << param.replication << '_'
+        << param.partitioner;
+}
+
 class ClusterSweep : public ::testing::TestWithParam<ClusterParam> {};
 
 // Inserts must be retrievable from every replica under every supported

@@ -118,7 +118,9 @@ const std::map<std::string, std::set<std::string>>& layer_deps() {
         // maintenance must stay a pure storage concern — it may see
         // tables and metrics, never the broker or agent above it.
         {"store", {"store", "telemetry", "common"}},
-        {"core", {"core", "common", "mqtt", "store", "telemetry"}},
+        // "core" serves the REST routes both daemons share
+        // (core/daemon_api.*), so it reaches net directly.
+        {"core", {"core", "common", "mqtt", "net", "store", "telemetry"}},
         {"sim", {"sim", "net", "telemetry", "common"}},
         {"analysis", {"analysis", "telemetry", "common"}},
         {"pusher",
@@ -766,6 +768,10 @@ const Case kCases[] = {
      "#include \"collectagent/collect_agent.hpp\"\n", "cross-layer"},
     {"pusher including core clean", "src/pusher/good4.hpp",
      "#include \"core/sensor_cache.hpp\"\n", nullptr},
+    {"core including net clean", "src/core/good3.hpp",
+     "#include \"net/http.hpp\"\n", nullptr},
+    {"net including core fires", "src/net/bad.hpp",
+     "#include \"core/daemon_api.hpp\"\n", "cross-layer"},
     {"nine-level topic fires", "src/core/bad2.cpp",
      "const char* t = \"/a/b/c/d/e/f/g/h/i\";\n", "topic-literal"},
     {"empty level fires", "src/core/bad3.cpp",
