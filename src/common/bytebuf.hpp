@@ -158,7 +158,4 @@ class ByteReader {
     std::size_t pos_{0};
 };
 
-/// Hex dump for diagnostics ("0a 1b ...").
-std::string hex_dump(std::span<const std::uint8_t> data, std::size_t max = 64);
-
 }  // namespace dcdb

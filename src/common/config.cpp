@@ -76,14 +76,6 @@ std::uint64_t ConfigNode::get_u64_or(std::string_view path,
     return *v;
 }
 
-double ConfigNode::get_double_or(std::string_view path, double fallback) const {
-    const ConfigNode* n = find(path);
-    if (!n) return fallback;
-    const auto v = parse_double(n->value());
-    if (!v) throw ConfigError("not a number: " + std::string(path));
-    return *v;
-}
-
 bool ConfigNode::get_bool_or(std::string_view path, bool fallback) const {
     const ConfigNode* n = find(path);
     if (!n) return fallback;

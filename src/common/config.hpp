@@ -39,7 +39,6 @@ class ConfigNode {
 
     const std::string& name() const { return name_; }
     const std::string& value() const { return value_; }
-    void set_value(std::string v) { value_ = std::move(v); }
 
     /// Ordered list of direct children.
     const std::vector<ConfigNode>& children() const { return children_; }
@@ -65,7 +64,6 @@ class ConfigNode {
     std::int64_t get_i64_or(std::string_view path, std::int64_t fallback) const;
     std::uint64_t get_u64_or(std::string_view path,
                              std::uint64_t fallback) const;
-    double get_double_or(std::string_view path, double fallback) const;
     bool get_bool_or(std::string_view path, bool fallback) const;
     /// Duration with unit suffix; bare numbers are milliseconds.
     std::uint64_t get_duration_ns_or(std::string_view path,

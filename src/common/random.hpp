@@ -90,7 +90,6 @@ class OuProcess {
     }
 
     double value() const { return x_; }
-    void set_mean(double mu) { mu_ = mu; }
     double mean() const { return mu_; }
 
   private:

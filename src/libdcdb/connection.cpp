@@ -39,6 +39,22 @@ void Connection::insert(const std::string& topic, const Reading& reading,
                     ttl_s);
 }
 
+void Connection::insert(std::span<const TopicReading> readings,
+                        std::uint32_t ttl_s) {
+    constexpr std::size_t kBatchRows = 1024;
+    std::vector<store::BatchEntry> batch;
+    batch.reserve(std::min(readings.size(), kBatchRows));
+    for (const auto& [topic, reading] : readings) {
+        batch.push_back({sensor_key(mapper_.to_sid(topic), reading.ts),
+                         reading.ts, reading.value, ttl_s});
+        if (batch.size() == kBatchRows) {
+            cluster_.insert_batch(batch);
+            batch.clear();
+        }
+    }
+    cluster_.insert_batch(batch);
+}
+
 double Connection::integral(const std::string& topic, TimestampNs t0,
                             TimestampNs t1) {
     const auto series = query(topic, t0, t1);

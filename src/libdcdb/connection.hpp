@@ -9,6 +9,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -18,6 +19,12 @@
 #include "store/metastore.hpp"
 
 namespace dcdb::lib {
+
+/// One reading of a named sensor (a CSV row, a written-back sample).
+struct TopicReading {
+    std::string topic;
+    Reading reading;
+};
 
 /// One point of a physical-unit time series.
 struct Sample {
@@ -46,8 +53,14 @@ class Connection {
     std::vector<Sample> query(const std::string& topic, TimestampNs t0,
                               TimestampNs t1);
 
-    /// Insert one reading (csvimport path and virtual-sensor write-back).
+    /// Insert one reading.
     void insert(const std::string& topic, const Reading& reading,
+                std::uint32_t ttl_s = 0);
+
+    /// Insert readings in order, in store batches of up to 1,024: one
+    /// commit-log record per batch and node, not one per reading
+    /// (csvimport, virtual-sensor write-back).
+    void insert(std::span<const TopicReading> readings,
                 std::uint32_t ttl_s = 0);
 
     /// Trapezoidal integral of the physical series over [t0, t1]

@@ -23,8 +23,8 @@ std::string readings_to_csv(const std::string& topic,
     return os.str();
 }
 
-std::vector<CsvRow> parse_csv(const std::string& text) {
-    std::vector<CsvRow> out;
+std::vector<TopicReading> parse_csv(const std::string& text) {
+    std::vector<TopicReading> out;
     int line_no = 0;
     for (const auto& line : split(text, '\n')) {
         ++line_no;
@@ -47,7 +47,7 @@ std::vector<CsvRow> parse_csv(const std::string& text) {
 std::size_t import_csv(Connection& conn, const std::string& text,
                        std::uint32_t ttl_s) {
     const auto rows = parse_csv(text);
-    for (const auto& row : rows) conn.insert(row.topic, row.reading, ttl_s);
+    conn.insert(rows, ttl_s);
     return rows.size();
 }
 

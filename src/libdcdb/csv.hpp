@@ -12,11 +12,6 @@
 
 namespace dcdb::lib {
 
-struct CsvRow {
-    std::string topic;
-    Reading reading;
-};
-
 /// Serialize a physical-unit series for one sensor.
 std::string samples_to_csv(const std::string& topic,
                            const std::vector<Sample>& samples);
@@ -26,7 +21,7 @@ std::string readings_to_csv(const std::string& topic,
                             const std::vector<Reading>& readings);
 
 /// Parse CSV rows; throws QueryError with the offending line number.
-std::vector<CsvRow> parse_csv(const std::string& text);
+std::vector<TopicReading> parse_csv(const std::string& text);
 
 /// Import rows into the store; returns the number of readings inserted.
 std::size_t import_csv(Connection& conn, const std::string& text,

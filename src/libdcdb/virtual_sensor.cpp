@@ -124,19 +124,18 @@ std::vector<Sample> VirtualEvaluator::evaluate(const std::string& topic,
     }
 
     // Write back for reuse ("results of previous queries are written
-    // back to a Storage Backend").
+    // back to a Storage Backend"), and quantize the returned values
+    // identically, so a cached re-query returns bit-identical results.
     const double scale = md->scale != 0.0 ? md->scale : 1.0;
-    for (const auto& sample : result) {
-        conn_.insert(topic,
-                     {sample.ts,
-                      static_cast<Value>(std::llround(sample.value / scale))},
-                     md->ttl_s);
+    std::vector<TopicReading> stored;
+    stored.reserve(result.size());
+    for (auto& sample : result) {
+        const auto value =
+            static_cast<Value>(std::llround(sample.value / scale));
+        stored.push_back({topic, {sample.ts, value}});
+        sample.value = static_cast<double>(value) * scale;
     }
-    // Quantize the returned values identically, so a cached re-query
-    // returns bit-identical results.
-    for (auto& sample : result)
-        sample.value =
-            static_cast<double>(std::llround(sample.value / scale)) * scale;
+    conn_.insert(stored, md->ttl_s);
     return result;
 }
 

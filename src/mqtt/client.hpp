@@ -70,8 +70,6 @@ class MqttClient {
     bool connected() const { return connected_.load(); }
 
     /// Counters for footprint accounting.
-    std::uint64_t publishes_sent() const { return publishes_sent_.value(); }
-    std::uint64_t bytes_sent() const { return bytes_sent_.value(); }
     std::uint64_t acks_received() const { return acks_.value(); }
 
   private:

@@ -199,14 +199,13 @@ void HttpServer::stop() {
     listener_.shutdown();
     if (accept_thread_.joinable()) accept_thread_.join();
     listener_.close();
-    std::vector<std::thread> workers;
+    std::list<std::thread> workers;
     {
         std::scoped_lock lock(workers_mutex_);
         workers.swap(workers_);
+        workers.splice(workers.end(), finished_);
     }
-    for (auto& w : workers) {
-        if (w.joinable()) w.join();
-    }
+    for (auto& w : workers) w.join();
 }
 
 void HttpServer::accept_loop() {
@@ -214,12 +213,21 @@ void HttpServer::accept_loop() {
         auto stream = listener_.accept();
         if (!stream) continue;
         std::scoped_lock lock(workers_mutex_);
-        // Reap finished workers opportunistically so long-lived servers do
-        // not accumulate joinable threads.
-        workers_.emplace_back(
-            [this, s = std::move(*stream)]() mutable {
-                serve_connection(std::move(s));
-            });
+        // Join the workers that finished since the last connection, so a
+        // long-lived server keeps one thread (and one stack mapping) per
+        // open connection, not one per connection ever served.
+        for (auto& w : finished_) w.join();
+        finished_.clear();
+        // The worker moves its own node to finished_ when it is done; the
+        // lock held here keeps it from doing so before *self is assigned.
+        const auto self = workers_.emplace(workers_.end());
+        *self = std::thread([this, self, s = std::move(*stream)]() mutable {
+            serve_connection(std::move(s));
+            std::scoped_lock done(workers_mutex_);
+            // Once stop() has taken the lists, it joins this thread.
+            if (!stopping_.load())
+                finished_.splice(finished_.end(), workers_, self);
+        });
     }
 }
 

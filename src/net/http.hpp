@@ -8,6 +8,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -90,7 +91,8 @@ class HttpServer {
     std::atomic<bool> stopping_{false};
     std::thread accept_thread_;
     std::mutex workers_mutex_;
-    std::vector<std::thread> workers_;
+    std::list<std::thread> workers_;   // serving a connection
+    std::list<std::thread> finished_;  // done serving, not joined yet
 };
 
 /// Blocking single-request client. Throws NetError on transport errors.

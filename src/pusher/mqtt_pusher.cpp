@@ -14,6 +14,7 @@ namespace {
 /// The peek buffer is kept across rounds unless it is over 4x this or
 /// 4x the round's largest group peek.
 constexpr std::size_t kMinDrainBuffer = 1024;
+constexpr TimestampNs kBurstIntervalNs = 30 * kNsPerSec;
 
 }  // namespace
 
@@ -184,8 +185,7 @@ MqttPusherStats MqttPusher::stats() const {
 
 void MqttPusher::loop() {
     const TimestampNs interval =
-        config_.burst_mode ? config_.burst_interval_ns
-                           : config_.push_interval_ns;
+        config_.burst_mode ? kBurstIntervalNs : config_.push_interval_ns;
 
     // "Although the data collection intervals of multiple Pushers are
     // synchronized, these will send their data at different points in

@@ -40,8 +40,8 @@ namespace dcdb::pusher {
 
 struct MqttPusherConfig {
     TimestampNs push_interval_ns{kNsPerSec};
+    /// Burst mode pushes every 30 s instead of every push interval.
     bool burst_mode{false};
-    TimestampNs burst_interval_ns{30 * kNsPerSec};
     std::uint8_t qos{0};
     std::uint64_t stagger_seed{0};  // derives the random send stagger
     /// Registry for the pusher.push.* counters; nullptr keeps a private

@@ -43,7 +43,6 @@ class PerfCounterModel {
     double power_w() const { return last_power_w_; }
 
     std::size_t core_count() const { return cores_.size(); }
-    double current_time() const { return t_; }
 
     const ArchModel& arch() const { return arch_; }
     const AppModel& app() const { return app_; }

@@ -19,9 +19,6 @@ class NodePowerModel {
     /// Instantaneous node power draw in watts at run offset `t_s`.
     double power_w(double t_s);
 
-    double idle_w() const { return idle_w_; }
-    double peak_w() const { return peak_w_; }
-
   private:
     AppModel app_;
     double idle_w_;

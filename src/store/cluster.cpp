@@ -26,7 +26,6 @@ StoreCluster::StoreCluster(ClusterConfig config)
         nc.commitlog_enabled = config_.commitlog_enabled;
         nc.commitlog_sync_every = config_.commitlog_sync_every;
         nc.compaction_min_tables = config_.compaction_min_tables;
-        nc.compaction_size_ratio = config_.compaction_size_ratio;
         nc.registry = &registry;
         nc.metric_prefix = "store.node" + std::to_string(i);
         nodes_.push_back(std::make_unique<StorageNode>(std::move(nc)));

@@ -30,10 +30,9 @@ struct ClusterConfig {
     bool commitlog_enabled{true};
     /// Per-node commit-log fdatasync cadence (see NodeConfig).
     std::size_t commitlog_sync_every{256};
-    /// Size-tiered maintenance knobs passed through to every node (see
-    /// NodeConfig::compaction_min_tables / compaction_size_ratio).
+    /// Size-tiered maintenance knob passed through to every node (see
+    /// NodeConfig::compaction_min_tables).
     std::size_t compaction_min_tables{4};
-    double compaction_size_ratio{2.0};
     /// Shared metric registry; each node registers its metrics under a
     /// distinct store.node<i> prefix. nullptr keeps a private registry.
     telemetry::MetricRegistry* registry{nullptr};

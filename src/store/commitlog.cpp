@@ -32,8 +32,8 @@ CommitLog::CommitLog(std::string path, const Apply& apply)
            }) {}
 
 CommitLog::~CommitLog() {
-    // Best-effort durability on orderly shutdown; a crash relies on the
-    // periodic sync() cadence instead.
+    // Best-effort durability on orderly shutdown. A killed process loses
+    // no appended record; a machine crash relies on the sync() cadence.
     try {
         log_.sync();
     } catch (const StoreError& e) {

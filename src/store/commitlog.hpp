@@ -56,12 +56,13 @@ class CommitLog {
     static void encode_record(std::span<const BatchEntry> entries,
                               std::vector<std::uint8_t>& out);
 
-    /// Append one record from encode_record(): one write, crash-atomic.
+    /// Append one record from encode_record(): one write(2),
+    /// crash-atomic. It survives a killed process once this returns.
     void append(std::span<const std::uint8_t> record);
 
-    /// Durable flush: fflush to the OS, then fdatasync to the device.
-    /// This is the crash-durability point — Cassandra's "batch" sync
-    /// level; StorageNode calls it every commitlog_sync_every rows.
+    /// fdatasync: the appended records reach the device, and survive a
+    /// machine crash. StorageNode calls it every commitlog_sync_every
+    /// rows.
     void sync();
 
     /// Truncate to the header in place, after a memtable flush.

@@ -6,6 +6,7 @@
 #include <cerrno>
 #include <cstring>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/bytebuf.hpp"
@@ -24,6 +25,13 @@ struct FileCloser {
 };
 using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
 
+/// Closes a descriptor unless it is released, as FilePtr does a FILE*.
+struct FdOwner {
+    int fd;
+    ~FdOwner() { if (fd >= 0) ::close(fd); }
+    int release() { return std::exchange(fd, -1); }
+};
+
 /// The one EINTR policy for every open, sync and truncate: retry.
 template <typename Call>
 int retry_eintr(Call call) {
@@ -31,6 +39,18 @@ int retry_eintr(Call call) {
     do rc = call();
     while (rc < 0 && errno == EINTR);
     return rc;
+}
+
+/// One write(2) for all of `bytes`, continued after EINTR or a short
+/// write. False (errno set) if the kernel takes no more of them.
+bool write_all(int fd, std::span<const std::uint8_t> bytes) {
+    while (!bytes.empty()) {
+        const ssize_t n = ::write(fd, bytes.data(), bytes.size());
+        if (n < 0 && errno == EINTR) continue;
+        if (n <= 0) return false;
+        bytes = bytes.subspan(static_cast<std::size_t>(n));
+    }
+    return true;
 }
 
 std::uint32_t load_be32(const std::uint8_t* p) {
@@ -47,6 +67,19 @@ void sync_file(std::FILE* f, const std::string& path) {
     if (std::fflush(f) != 0) throw StoreError("cannot flush " + path);
     if (retry_eintr([&] { return ::fsync(::fileno(f)); }) != 0)
         throw StoreError("cannot fsync " + path);
+}
+
+void pread_exact(int fd, void* buf, std::size_t n, std::uint64_t offset,
+                 const std::string& path) {
+    std::size_t done = 0;
+    while (done < n) {
+        const ssize_t got =
+            ::pread(fd, static_cast<std::uint8_t*>(buf) + done, n - done,
+                    static_cast<off_t>(offset + done));
+        if (got < 0 && errno == EINTR) continue;  // interrupted, not short
+        if (got <= 0) throw StoreError("short read from " + path);
+        done += static_cast<std::size_t>(got);
+    }
 }
 
 void publish_file(std::FILE* f, const std::string& tmp_path,
@@ -72,33 +105,34 @@ void publish_file(std::FILE* f, const std::string& tmp_path,
 RecordLog::RecordLog(std::string path, std::uint32_t magic,
                      std::uint32_t version, const Replay& replay)
     : path_(std::move(path)) {
-    // "a+": reads start at offset 0, and every write appends.
-    FilePtr file(std::fopen(path_.c_str(), "ab+"));
-    if (!file) throw StoreError("cannot open " + path_);
-    std::FILE* f = file.get();
-    std::fseek(f, 0, SEEK_END);
-    const auto size = static_cast<std::uint64_t>(std::ftell(f));
-    std::rewind(f);
+    // O_APPEND: every write lands at the end of the file.
+    FdOwner file{retry_eintr([&] {
+        return ::open(path_.c_str(), O_RDWR | O_CREAT | O_APPEND | O_CLOEXEC,
+                      0666);
+    })};
+    if (file.fd < 0) throw StoreError("cannot open " + path_);
+    const off_t end = ::lseek(file.fd, 0, SEEK_END);
+    if (end < 0) throw StoreError("cannot size " + path_);
+    const auto size = static_cast<std::uint64_t>(end);
 
     std::uint64_t valid = 0;
     std::uint64_t records = 0;
     std::uint8_t head[kHeaderBytes];
     if (size >= kHeaderBytes) {
-        if (std::fread(head, 1, kHeaderBytes, f) != kHeaderBytes)
-            throw StoreError("cannot read " + path_);
+        pread_exact(file.fd, head, kHeaderBytes, 0, path_);
         if (load_be32(head) != magic || load_be32(head + 4) != version)
             throw StoreError(path_ + ": foreign header, refused untouched");
         valid = kHeaderBytes;
         // The length check bounds every record by the bytes left in the
-        // file, so replay never allocates more than the file holds.
+        // file, so replay never reads or allocates more than it holds.
         std::vector<std::uint8_t> record;
         while (size - valid >= kFrameBytes) {
             record.resize(4);
-            if (std::fread(record.data(), 1, 4, f) != 4) break;
+            pread_exact(file.fd, record.data(), 4, valid, path_);
             const std::uint32_t len = load_be32(record.data());
             if (len == 0 || len > size - valid - kFrameBytes) break;
             record.resize(kFrameBytes + len);
-            if (std::fread(&record[4], 1, len + 4ul, f) != len + 4ul) break;
+            pread_exact(file.fd, &record[4], len + 4ul, valid + 4, path_);
             const auto checked =
                 std::span<const std::uint8_t>(record).first(4 + len);
             if (record_crc(checked) != load_be32(record.data() + 4 + len) ||
@@ -113,22 +147,20 @@ RecordLog::RecordLog(std::string path, std::uint32_t magic,
                            << " torn tail bytes after " << records
                            << " intact records";
         if (retry_eintr([&] {
-                return ::ftruncate(::fileno(f), static_cast<off_t>(valid));
+                return ::ftruncate(file.fd, static_cast<off_t>(valid));
             }) != 0)
             throw StoreError("cannot truncate " + path_);
     }
-    std::fseek(f, 0, SEEK_END);  // from reading to appending
     if (valid == 0) {
         store_be32(head, magic);
         store_be32(head + 4, version);
-        if (std::fwrite(head, 1, kHeaderBytes, f) != kHeaderBytes ||
-            std::fflush(f) != 0)
+        if (!write_all(file.fd, head))
             throw StoreError("cannot write header of " + path_);
     }
-    file_ = file.release();
+    fd_ = file.release();
 }
 
-RecordLog::~RecordLog() { std::fclose(file_); }
+RecordLog::~RecordLog() { ::close(fd_); }
 
 void RecordLog::seal(std::span<std::uint8_t> record) {
     if (record.size() - kFrameBytes > UINT32_MAX)  // wraps when too short
@@ -152,32 +184,20 @@ void RecordLog::fail(const char* what) {
 void RecordLog::append(std::span<const std::uint8_t> record) {
     MutexLock lock(mutex_);
     check_usable();
-    if (std::fwrite(record.data(), 1, record.size(), file_) != record.size())
-        fail("append to");
-}
-
-void RecordLog::flush() {
-    MutexLock lock(mutex_);
-    check_usable();
-    if (std::fflush(file_) != 0) fail("flush");
+    if (!write_all(fd_, record)) fail("append to");
 }
 
 void RecordLog::sync() {
     MutexLock lock(mutex_);
     check_usable();
-    if (std::fflush(file_) != 0) fail("flush");
-    if (retry_eintr([&] { return ::fdatasync(::fileno(file_)); }) != 0)
-        fail("fdatasync");
+    if (retry_eintr([&] { return ::fdatasync(fd_); }) != 0) fail("fdatasync");
 }
 
 void RecordLog::reset() {
     MutexLock lock(mutex_);
     check_usable();
-    // Flushed first, or buffered records would land behind the header.
-    if (std::fflush(file_) != 0) fail("flush");
     if (retry_eintr([&] {
-            return ::ftruncate(::fileno(file_),
-                               static_cast<off_t>(kHeaderBytes));
+            return ::ftruncate(fd_, static_cast<off_t>(kHeaderBytes));
         }) != 0)
         fail("truncate");
 }

@@ -21,6 +21,12 @@ namespace dcdb::store {
 /// fflush `f` (written at `path`), then fsync it. Throws StoreError.
 void sync_file(std::FILE* f, const std::string& path);
 
+/// Read exactly `n` bytes at `offset` of `fd` (opened from `path`),
+/// retrying EINTR and short reads. Throws StoreError if the file ends
+/// first or the read fails.
+void pread_exact(int fd, void* buf, std::size_t n, std::uint64_t offset,
+                 const std::string& path);
+
 /// Durably publish a written temporary file: sync_file, close, rename
 /// `tmp_path` over `path`, then fsync the parent directory so the rename
 /// survives a crash. Takes ownership of `f`, closing it even on a throw.
@@ -56,9 +62,10 @@ class RecordLog {
     /// Each of these throws StoreError on failure. After a failed write
     /// the log refuses every later call until it is reopened: a partial
     /// record on disk would hide every append behind it from replay.
+    /// A returned append is in the kernel, so it survives a killed
+    /// process; only a machine crash can lose it before the next sync.
     void append(std::span<const std::uint8_t> record) DCDB_EXCLUDES(mutex_);
-    void flush() DCDB_EXCLUDES(mutex_);  // fflush: hand records to the OS
-    void sync() DCDB_EXCLUDES(mutex_);   // flush + fdatasync
+    void sync() DCDB_EXCLUDES(mutex_);   // fdatasync
     void reset() DCDB_EXCLUDES(mutex_);  // truncate to the header in place
 
     const std::string& path() const { return path_; }
@@ -69,7 +76,7 @@ class RecordLog {
 
     const std::string path_;
     dcdb::Mutex mutex_;
-    std::FILE* file_ DCDB_PT_GUARDED_BY(mutex_){nullptr};
+    int fd_ DCDB_GUARDED_BY(mutex_){-1};  // opened O_APPEND
     bool failed_ DCDB_GUARDED_BY(mutex_){false};
 };
 

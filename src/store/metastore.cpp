@@ -48,7 +48,6 @@ void MetaStore::write_record(char op, const std::string& key,
     std::copy(value.begin(), value.end(), p + kBodyHeadBytes + key.size());
     RecordLog::seal(record);
     log_->append(record);
-    log_->flush();
 }
 
 void MetaStore::put(const std::string& key, const std::string& value) {

@@ -29,8 +29,8 @@ class MetaStore {
     MetaStore& operator=(const MetaStore&) = delete;
 
     /// put and erase change the map only once their record is written
-    /// (flushed to the OS). A failed write throws StoreError, and every
-    /// later write then throws until the store is reopened.
+    /// (handed to the kernel). A failed write throws StoreError, and
+    /// every later write then throws until the store is reopened.
     void put(const std::string& key, const std::string& value)
         DCDB_EXCLUDES(mutex_);
     std::optional<std::string> get(const std::string& key) const

@@ -152,8 +152,9 @@ void StorageNode::insert_batch(std::span<const BatchEntry> entries,
             commitlog_->append(record);
             if (traced) append_dur = steady_ns() - append_start;
             // The sync cadence counts rows, not batches: the durability
-            // contract ("lose at most commitlog_sync_every readings")
-            // must not widen just because the writer batched.
+            // contract ("a machine crash loses at most
+            // commitlog_sync_every readings") must not widen just
+            // because the writer batched.
             appends_since_sync_ += entries.size();
             if (config_.commitlog_sync_every != 0 &&
                 appends_since_sync_ >= config_.commitlog_sync_every) {
@@ -284,9 +285,10 @@ bool StorageNode::run_maintenance(bool merge_all, TimestampNs cutoff) {
             sizes.reserve(sstables_.size());
             for (const auto& table : sstables_)
                 sizes.push_back(table->file_bytes());
+            // Tables within 2x of each other's size form a tier (the
+            // policy's default ratio).
             const TierRange tier = select_size_tier(
-                sizes, std::max<std::size_t>(config_.compaction_min_tables, 2),
-                config_.compaction_size_ratio);
+                sizes, std::max<std::size_t>(config_.compaction_min_tables, 2));
             if (tier.size() < 2) {
                 compaction_stall_.record(steady_ns() - stall_start);
                 return false;

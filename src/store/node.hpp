@@ -29,14 +29,12 @@ struct NodeConfig {
     std::size_t memtable_flush_bytes{8u << 20};
     bool commitlog_enabled{true};
     /// fdatasync the commit log every N rows (0 = only on close).
-    /// Bounds post-crash loss to at most N readings per node.
+    /// Bounds what a machine crash loses to at most N readings per node;
+    /// a killed process loses none.
     std::size_t commitlog_sync_every{256};
     /// Size-tiered maintenance: minimum adjacent similar-size tables
     /// before maintain() merges a tier.
     std::size_t compaction_min_tables{4};
-    /// Size-tiered maintenance: tables within this size ratio of each
-    /// other belong to the same tier.
-    double compaction_size_ratio{2.0};
     /// Shared metric registry for the node's counters and latency
     /// histograms; nullptr keeps a private one.
     telemetry::MetricRegistry* registry{nullptr};

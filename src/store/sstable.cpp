@@ -4,7 +4,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
 #include <utility>
 
@@ -22,19 +21,6 @@ constexpr std::size_t kFooterBytes = 8 + 8 + 8 + 8 + 4;
 constexpr std::size_t kEntryHeadBytes = Key::kBytes + 8 + 8 + 8 + 8 + 4;
 constexpr std::size_t kBlockDirBytes = 1 + 4 + 4 + 8 + 8;
 constexpr std::size_t kBloomHeadBytes = 4 + 8;
-
-void pread_exact(int fd, void* buf, std::size_t n, std::uint64_t offset,
-                 const std::string& path) {
-    std::size_t done = 0;
-    while (done < n) {
-        const ssize_t got =
-            ::pread(fd, static_cast<std::uint8_t*>(buf) + done, n - done,
-                    static_cast<off_t>(offset + done));
-        if (got < 0 && errno == EINTR) continue;  // interrupted, not short
-        if (got <= 0) throw StoreError("short read from " + path);
-        done += static_cast<std::size_t>(got);
-    }
-}
 
 }  // namespace
 
@@ -80,7 +66,6 @@ void SsTableWriter::add_row(const Row& row) {
     if (e.rows == 0) e.min_ts = row.ts;
     e.max_ts = row.ts;
     ++e.rows;
-    ++rows_written_;
     block_rows_.push_back(row);
     if (block_rows_.size() >= kBlockRows) flush_block();
 }

@@ -164,9 +164,6 @@ class SsTableWriter {
     /// empty table on disk remove it via its path().
     std::unique_ptr<SsTable> finish();
 
-    std::uint64_t rows_written() const { return rows_written_; }
-    std::uint64_t bytes_written() const { return offset_; }
-
   private:
     struct PendingBlock {
         BlockFormat format{BlockFormat::kRaw};
@@ -199,7 +196,6 @@ class SsTableWriter {
     std::vector<Row> block_rows_;            // current block buffer
     std::vector<std::uint8_t> block_bytes_;  // encode scratch
     bool in_partition_{false};
-    std::uint64_t rows_written_{0};
 };
 
 template <typename Partitions>

@@ -20,11 +20,6 @@ const char* kind_name(MetricKind kind) {
 
 }  // namespace
 
-MetricRegistry& MetricRegistry::instance() {
-    static MetricRegistry registry;
-    return registry;
-}
-
 bool MetricRegistry::valid_name(const std::string& name) {
     if (name.empty() || name.front() == '.' || name.back() == '.') {
         return false;

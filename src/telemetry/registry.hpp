@@ -35,11 +35,6 @@ class MetricRegistry {
     MetricRegistry(const MetricRegistry&) = delete;
     MetricRegistry& operator=(const MetricRegistry&) = delete;
 
-    /// Process-wide default registry for code with no natural owner.
-    /// Components that can be instantiated more than once per process
-    /// (Pusher, CollectAgent, StoreCluster) own their registries instead.
-    static MetricRegistry& instance();
-
     /// Get-or-create. Throws dcdb::Error on an invalid name or when the
     /// name is already registered with a different kind. The returned
     /// reference is valid for the registry's lifetime.

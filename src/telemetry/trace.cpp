@@ -75,11 +75,9 @@ TraceContext peek_trailer(std::span<const std::uint8_t> payload) noexcept {
 
 Tracer::Tracer(Config config)
     : seed_(config.seed),
-      ring_mask_(round_up_pow2(std::max<std::size_t>(config.ring_slots, 8)) -
-                 1),
       slowest_keep_(std::max<std::size_t>(config.slowest_keep, 1)),
       fixed_threshold_ns_(config.outlier_threshold_ns),
-      ring_(std::make_unique<Slot[]>(ring_mask_ + 1)),
+      ring_(std::make_unique<Slot[]>(kRingSlots)),
       minted_(resolve_registry(config.registry, owned_registry_)
                   .counter("trace.minted")),
       spans_(resolve_registry(config.registry, owned_registry_)
@@ -121,7 +119,7 @@ void Tracer::record_span(const TraceContext& ctx, Stage stage,
                          std::uint32_t readings) noexcept {
     if (!ctx.valid()) return;
     const std::uint64_t slot_index =
-        ring_head_.fetch_add(1, std::memory_order_relaxed) & ring_mask_;
+        ring_head_.fetch_add(1, std::memory_order_relaxed) & (kRingSlots - 1);
     Slot& slot = ring_[slot_index];
     // Seqlock write: odd seq marks the slot in-progress so readers skip
     // it. Two writers only meet here when one laps the entire ring while
@@ -214,8 +212,8 @@ void Tracer::retain(const TraceContext& ctx, std::uint64_t e2e_ns,
 
 std::vector<SpanRecord> Tracer::ring_snapshot() const {
     std::vector<SpanRecord> spans;
-    spans.reserve(ring_mask_ + 1);
-    for (std::size_t i = 0; i <= ring_mask_; ++i) {
+    spans.reserve(kRingSlots);
+    for (std::size_t i = 0; i < kRingSlots; ++i) {
         const Slot& slot = ring_[i];
         const std::uint64_t seq1 =
             slot.seq.load(std::memory_order_acquire);

@@ -162,8 +162,6 @@ class Tracer {
         /// to a power of two). 0 disables minting entirely; stages still
         /// record spans for contexts minted elsewhere.
         std::uint64_t sample_every{1024};
-        /// Ring capacity in spans (rounded up to a power of two).
-        std::size_t ring_slots{1024};
         /// Slowest-N completed traces retained beyond ring wrap.
         std::size_t slowest_keep{8};
         /// Fixed outlier threshold in ns; 0 derives it from the p99 of
@@ -250,7 +248,7 @@ class Tracer {
     bool minting_{false};
     std::uint64_t rate_mask_{0};
     std::uint64_t seed_;
-    std::size_t ring_mask_;
+    static constexpr std::size_t kRingSlots = 1024;  // a power of two
     std::size_t slowest_keep_;
     std::uint64_t fixed_threshold_ns_;
     std::atomic<std::uint64_t> mint_counter_{0};

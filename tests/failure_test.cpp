@@ -3,8 +3,11 @@
 // files are torn by crashes, data sources disappear.
 #include <gtest/gtest.h>
 #include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <csignal>
 #include <filesystem>
 #include <fstream>
@@ -513,7 +516,7 @@ TEST(Failure, FailedLogWriteRefusesLaterWritesUntilReopened) {
         log.append(record);
         {
             const FileSizeLimit full(fs::file_size(log_path));
-            EXPECT_THROW(log.sync(), StoreError);
+            EXPECT_THROW(log.append(record), StoreError);
         }
         EXPECT_THROW(log.append(record), StoreError);
         EXPECT_THROW(log.sync(), StoreError);
@@ -526,6 +529,89 @@ TEST(Failure, FailedLogWriteRefusesLaterWritesUntilReopened) {
     log.append(record);
     log.sync();
     EXPECT_EQ(log.records_appended(), replayed + 1);
+}
+
+/// The child of KilledWriterKeepsEveryReturnedAppend: `batches` inserts
+/// of `rows` rows into a StorageNode with the default sync cadence, each
+/// followed by one MetaStore put, and one byte on `report` per returned
+/// pair. Then it waits for its SIGKILL.
+[[noreturn]] void run_killed_writer(const std::string& dir,
+                                    std::size_t batches, std::size_t rows,
+                                    int report) {
+    try {
+        store::StorageNode node({dir});
+        store::MetaStore meta(dir + "/meta.log");
+        store::Key key;
+        key.sid[0] = 4;
+        std::vector<store::BatchEntry> batch(rows);
+        for (std::size_t b = 0; b < batches; ++b) {
+            for (std::size_t r = 0; r < rows; ++r) {
+                const TimestampNs ts = b * rows + r + 1;
+                batch[r] = {key, ts, static_cast<Value>(ts * 10), 0};
+            }
+            node.insert_batch(batch);
+            meta.put("k" + std::to_string(b), std::to_string(b));
+            const char returned = 1;
+            if (::write(report, &returned, 1) != 1) ::_exit(1);
+        }
+        for (;;) ::pause();
+    } catch (...) {
+        ::_exit(1);
+    }
+}
+
+// A killed process loses only what it still buffers itself. Every insert
+// and put that returned before the SIGKILL must replay: records smaller
+// than a stdio buffer (48 B) and larger (10 KB) alike, short of the sync
+// cadence (1, 50, 255 rows) and past it (300).
+TEST(Failure, KilledWriterKeepsEveryReturnedAppend) {
+    struct Case {
+        std::size_t batches;
+        std::size_t rows;
+    };
+    for (const Case c : {Case{1, 1}, Case{50, 1}, Case{255, 1}, Case{300, 1},
+                         Case{3, 250}}) {
+        SCOPED_TRACE(std::to_string(c.batches) + " batches of " +
+                     std::to_string(c.rows));
+        TempDir dir;
+        int report[2];
+        ASSERT_EQ(::pipe(report), 0);
+        const pid_t pid = ::fork();
+        ASSERT_GE(pid, 0);
+        if (pid == 0) {
+            ::close(report[0]);
+            run_killed_writer(dir.str(), c.batches, c.rows, report[1]);
+        }
+        ::close(report[1]);
+        std::size_t returned = 0;
+        char byte = 0;
+        while (returned < c.batches) {
+            const ssize_t n = ::read(report[0], &byte, 1);
+            if (n < 0 && errno == EINTR) continue;
+            if (n != 1) break;  // the writer failed
+            ++returned;
+        }
+        ::kill(pid, SIGKILL);
+        int status = 0;
+        ::waitpid(pid, &status, 0);
+        ::close(report[0]);
+        ASSERT_EQ(returned, c.batches) << "the writer failed";
+        ASSERT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL);
+
+        store::StorageNode node({dir.str()});
+        store::Key key;
+        key.sid[0] = 4;
+        const auto rows = node.query(key, 0, kTimestampMax);
+        EXPECT_EQ(rows.size(), c.batches * c.rows);
+        for (std::size_t i = 0; i < rows.size(); ++i) {
+            EXPECT_EQ(rows[i].ts, i + 1);
+            EXPECT_EQ(rows[i].value, static_cast<Value>((i + 1) * 10));
+        }
+        store::MetaStore meta(dir.str() + "/meta.log");
+        EXPECT_EQ(meta.size(), c.batches);
+        for (std::size_t b = 0; b < c.batches; ++b)
+            EXPECT_EQ(meta.get("k" + std::to_string(b)), std::to_string(b));
+    }
 }
 
 // ------------------------------------------------- collect agent inputs

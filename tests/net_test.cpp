@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <fstream>
+#include <string>
 #include <thread>
 
 #include "net/http.hpp"
@@ -164,6 +166,32 @@ TEST(Http, StopUnblocksCleanly) {
     server->stop();
     server.reset();  // must not hang
     SUCCEED();
+}
+
+/// This process's memory mappings: one line each in /proc/self/maps.
+std::size_t mapping_count() {
+    std::ifstream maps("/proc/self/maps");
+    std::size_t lines = 0;
+    for (std::string line; std::getline(maps, line);) ++lines;
+    return lines;
+}
+
+// A served connection's thread is joined, not kept until stop(): each
+// kept thread holds its stack and guard page mapped, and a long-lived
+// daemon would run out of mappings.
+TEST(Http, ServerJoinsFinishedConnectionThreads) {
+    HttpServer server(0, [](const HttpRequest&) {
+        return HttpResponse::ok("ok");
+    });
+    // Warm-up: the allocator's and a sanitizer's own per-thread mappings
+    // level off within the first connections.
+    constexpr std::size_t kConnections = 300;
+    for (std::size_t i = 0; i < kConnections; ++i)
+        ASSERT_EQ(http_get("127.0.0.1", server.port(), "/").status, 200);
+    const std::size_t before = mapping_count();
+    for (std::size_t i = 0; i < kConnections; ++i)
+        ASSERT_EQ(http_get("127.0.0.1", server.port(), "/").status, 200);
+    EXPECT_LT(mapping_count(), before + kConnections / 10);
 }
 
 }  // namespace

@@ -709,8 +709,10 @@ TEST_P(PayloadProperty, TruncatedBatchSalvagesExactPrefix) {
             EXPECT_EQ(got[i].ts, all[i].ts);
             EXPECT_EQ(got[i].value, all[i].value);
         }
-        if (cut < payload.size())
-            EXPECT_LT(got.size() + 0u, all.size() + 1u);  // salvage bounded
+        if (cut < payload.size()) {
+            // No trailer and no empty section: every cut loses a reading.
+            EXPECT_LT(got.size(), all.size());
+        }
         if (cut == payload.size()) {
             EXPECT_EQ(got.size(), all.size());
             EXPECT_EQ(view.torn_bytes, 0u);

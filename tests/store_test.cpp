@@ -1043,7 +1043,7 @@ TEST(StorageNode, MaintainMergesSizeTierAndKeepsOutliers) {
     const Key k = make_key(1);
     for (TimestampNs ts = 1; ts <= 2000; ++ts) node.insert(k, ts, 1);
     node.flush();
-    for (int t = 0; t < 3; ++t) {
+    for (TimestampNs t = 0; t < 3; ++t) {
         for (TimestampNs ts = 3000 + t * 10; ts < 3005 + t * 10; ++ts)
             node.insert(k, ts, 2);
         node.flush();
