@@ -52,8 +52,16 @@ void AnalyticsPipeline::on_reading(const std::string& topic,
             if (event_handler_)
                 event_handler_({topic, out->reading, out->detail});
         } else {
-            agent_.ingest(topic + "/" + stage.op->name(), out->reading);
-            derived_.add(1);
+            const std::string derived = topic + "/" + stage.op->name();
+            try {
+                agent_.ingest(derived, out->reading);
+                derived_.add(1);
+            } catch (const std::exception& e) {
+                // The live reading is stored already: a refused
+                // write-back must not refuse its publish.
+                DCDB_WARN("analytics") << "write-back to " << derived
+                                       << " failed: " << e.what();
+            }
         }
     }
 }

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <thread>
 
 #include "common/clock.hpp"
+#include "common/error.hpp"
 #include "common/logging.hpp"
 #include "core/payload.hpp"
 
@@ -29,24 +29,18 @@ CollectAgent::CollectAgent(const ConfigNode& config,
                            store::MetaStore* meta,
                            telemetry::MetricRegistry* registry)
     : cluster_(cluster),
+      meta_(*meta),
       registry_(telemetry::resolve_registry(registry, owned_registry_)),
       index_(*meta, config.get_duration_ns_or("global.cacheWindow",
                                               120 * kNsPerSec)),
       ttl_s_(static_cast<std::uint32_t>(
           config.get_i64_or("global.ttl", 0))),
-      store_node_hint_(static_cast<int>(
-          config.get_i64_or("global.storeNodeHint", -1))),
-      store_retry_max_(static_cast<std::uint32_t>(std::max<std::int64_t>(
-          config.get_i64_or("global.storeRetryMax", 4), 1))),
-      store_retry_backoff_ns_(
-          config.get_duration_ns_or("global.storeRetryBackoff", kNsPerMs)),
       messages_(registry_.counter("collectagent.messages")),
       readings_(registry_.counter("collectagent.readings")),
       decode_errors_(registry_.counter("collectagent.decode.errors")),
       decode_salvaged_(registry_.counter("collectagent.decode.salvaged")),
       store_errors_(registry_.counter("collectagent.store.errors")),
-      store_retries_(registry_.counter("collectagent.store.retries")),
-      dead_letters_(registry_.counter("collectagent.dead.letters")),
+      refused_(registry_.counter("collectagent.store.refused")),
       store_latency_(registry_.histogram("collectagent.store.latency")),
       tracer_(agent_tracer_config(&registry_)) {
     const bool listen_tcp = config.get_bool_or("global.listenTcp", true);
@@ -93,48 +87,6 @@ std::uint16_t CollectAgent::rest_port() const {
     return rest_server_ ? rest_server_->port() : 0;
 }
 
-bool CollectAgent::insert_batch_with_retry(
-    std::span<const store::BatchEntry> batch,
-    const telemetry::trace::TraceContext* trace) {
-    for (std::uint32_t attempt = 0;; ++attempt) {
-        try {
-            const TimestampNs insert_wall = trace ? now_ns() : 0;
-            const TimestampNs insert_start = steady_ns();
-            cluster_->insert_batch(batch, store_node_hint_, trace);
-            const std::uint64_t insert_dur = steady_ns() - insert_start;
-            if (trace) {
-                // Exemplar: the slowest buckets of the store-latency
-                // histogram carry a trace ID to pivot into /traces.
-                store_latency_.record(insert_dur, trace->trace_id);
-                tracer_.record_span(*trace, telemetry::trace::Stage::kInsert,
-                                    insert_wall, insert_dur,
-                                    static_cast<std::uint32_t>(batch.size()));
-                // The reading is durable on the primary: the trace is
-                // complete end-to-end (sample deadline -> store insert).
-                tracer_.complete(*trace, now_ns());
-            } else {
-                store_latency_.record(insert_dur);
-            }
-            return true;
-        } catch (const std::exception& e) {
-            store_errors_.add(1);
-            if (attempt + 1 >= store_retry_max_) {
-                dead_letters_.add(batch.size());
-                DCDB_WARN("collectagent")
-                    << "dead-lettering batch of " << batch.size()
-                    << " readings after " << store_retry_max_
-                    << " attempts: " << e.what();
-                return false;
-            }
-            store_retries_.add(1);
-            // dcdblint: allow-sleep (bounded retry backoff, worker thread)
-            std::this_thread::sleep_for(std::chrono::nanoseconds(
-                store_retry_backoff_ns_
-                << std::min<std::uint32_t>(attempt, 10)));
-        }
-    }
-}
-
 /// Views point into the publish payload, which outlives the whole
 /// on_publish call.
 struct CollectAgent::PendingSection {
@@ -143,13 +95,12 @@ struct CollectAgent::PendingSection {
     ReadingsView readings;
 };
 
-/// ingest's derived readings are untraced, whole and kept from the live
+/// ingest's derived readings are untraced and kept from the live
 /// listener.
 struct CollectAgent::Arrival {
     telemetry::trace::TraceContext trace;  // invalid: untraced
     TimestampNs decode_wall{0};
     TimestampNs decode_start{0};
-    bool torn{false};  // its readings count as salvaged
     bool live{false};  // the live listener sees its readings
 };
 
@@ -160,6 +111,8 @@ std::size_t CollectAgent::resolve_section(std::string_view topic,
         const SensorIndex::Handle sensor = index_.resolve(topic);
         if (!readings.empty()) out.push_back({topic, sensor, readings});
         return 0;
+    } catch (const StoreError&) {
+        throw;  // the dictionary refused the write: refuse the publish
     } catch (const std::exception& e) {
         DCDB_WARN("collectagent")
             << "dropping section on " << topic << ": " << e.what();
@@ -172,9 +125,11 @@ void CollectAgent::on_publish(const mqtt::Publish& message) {
 
     // Decode failures are terminal (there is nothing to retry): a torn
     // payload tail loses exactly the tail, the valid prefix is salvaged;
-    // readings on an unmappable topic are discarded individually. All
-    // discarded readings count as decode_errors. Store failures are
-    // transient and retried batch-at-a-time.
+    // readings on a malformed topic are discarded individually. All
+    // discarded readings count as decode_errors once the rest is stored.
+    // A store failure refuses the whole publish: the StoreError reaches
+    // the broker, which ends the session without a PUBACK, and the
+    // publisher sends it again.
     //
     // on_publish runs on concurrent broker session threads; thread_local
     // scratch keeps the steady-state decode path allocation-free.
@@ -184,7 +139,9 @@ void CollectAgent::on_publish(const mqtt::Publish& message) {
     sections.clear();
 
     const std::span<const std::uint8_t> payload(message.payload);
-    std::size_t discarded = 0;
+    std::size_t decoded = 0;    // whole readings in the payload
+    std::size_t discarded = 0;  // of those, on a malformed topic
+    bool torn = false;
     Arrival arrival;
     arrival.live = true;
 
@@ -196,25 +153,37 @@ void CollectAgent::on_publish(const mqtt::Publish& message) {
         arrival.decode_start = steady_ns();
     }
 
-    if (is_batch_payload(payload)) {
-        decode_batch(payload, view);  // cannot throw: header was checked
-        arrival.torn = view.torn_bytes > 0;
-        arrival.trace = view.trace;
-        for (const auto& section : view.sections)
-            discarded +=
-                resolve_section(section.topic, section.readings, sections);
-    } else {
-        const SalvagedReadings salvage = decode_readings_view(payload);
-        arrival.torn = salvage.torn_bytes > 0;
-        if (!salvage.readings.empty())
-            discarded +=
-                resolve_section(message.topic, salvage.readings, sections);
+    try {
+        if (is_batch_payload(payload)) {
+            decode_batch(payload, view);  // cannot throw: header was checked
+            torn = view.torn_bytes > 0;
+            arrival.trace = view.trace;
+            decoded = view.total_readings;
+            for (const auto& section : view.sections)
+                discarded +=
+                    resolve_section(section.topic, section.readings, sections);
+        } else {
+            const SalvagedReadings salvage = decode_readings_view(payload);
+            torn = salvage.torn_bytes > 0;
+            decoded = salvage.readings.size();
+            if (!salvage.readings.empty())
+                discarded +=
+                    resolve_section(message.topic, salvage.readings, sections);
+        }
+        store_sections(sections, batch, arrival);
+    } catch (const StoreError& e) {
+        store_errors_.add(1);
+        refused_.add(decoded - discarded);
+        DCDB_WARN("collectagent")
+            << "refusing publish of " << decoded - discarded
+            << " readings on " << message.topic << ", no PUBACK: "
+            << e.what();
+        throw;
     }
-    // The torn tail is at least one lost reading.
-    if (arrival.torn) ++discarded;
-    if (discarded > 0) decode_errors_.add(discarded);
-
-    store_sections(sections, batch, arrival);
+    // Counted once stored, so a resend of a refused publish does not
+    // count them again. The torn tail is at least one lost reading.
+    if (discarded > 0 || torn) decode_errors_.add(discarded + (torn ? 1 : 0));
+    if (torn) decode_salvaged_.add(decoded - discarded);
 }
 
 void CollectAgent::store_sections(std::span<const PendingSection> sections,
@@ -230,7 +199,6 @@ void CollectAgent::store_sections(std::span<const PendingSection> sections,
         }
     }
     if (batch.empty()) return;
-    if (arrival.torn) decode_salvaged_.add(batch.size());
 
     const telemetry::trace::TraceContext* trace =
         arrival.trace.valid() ? &arrival.trace : nullptr;
@@ -241,7 +209,23 @@ void CollectAgent::store_sections(std::span<const PendingSection> sections,
                             steady_ns() - arrival.decode_start,
                             static_cast<std::uint32_t>(batch.size()));
     }
-    if (!insert_batch_with_retry(batch, trace)) return;
+    const TimestampNs insert_wall = trace ? now_ns() : 0;
+    const TimestampNs insert_start = steady_ns();
+    cluster_->insert_batch(batch, -1, trace);
+    const std::uint64_t insert_dur = steady_ns() - insert_start;
+    if (trace) {
+        // Exemplar: the slowest buckets of the store-latency histogram
+        // carry a trace ID to pivot into /traces.
+        store_latency_.record(insert_dur, trace->trace_id);
+        tracer_.record_span(*trace, telemetry::trace::Stage::kInsert,
+                            insert_wall, insert_dur,
+                            static_cast<std::uint32_t>(batch.size()));
+        // The reading is durable on the primary: the trace is complete
+        // end-to-end (sample deadline -> store insert).
+        tracer_.complete(*trace, now_ns());
+    } else {
+        store_latency_.record(insert_dur);
+    }
     readings_.add(batch.size());
 
     // Cache the newest persisted reading per sensor through its handle
@@ -281,6 +265,7 @@ std::vector<Reading> CollectAgent::query_stored(const std::string& topic,
 
 Readiness CollectAgent::readiness() const {
     if (!cluster_->writable()) return {false, "store not writable"};
+    if (meta_.failed()) return {false, "topic dictionary not writable"};
     if (owns_maintenance_ && !cluster_->maintenance_running())
         return {false, "maintenance thread not running"};
     return {true, "ok"};
@@ -293,8 +278,7 @@ CollectAgentStats CollectAgent::stats() const {
     s.decode_errors = decode_errors_.value();
     s.salvaged = decode_salvaged_.value();
     s.store_errors = store_errors_.value();
-    s.store_retries = store_retries_.value();
-    s.dead_letters = dead_letters_.value();
+    s.refused = refused_.value();
     s.known_sensors = index_.cache().sensor_count();
     return s;
 }

@@ -14,11 +14,12 @@
 //       restApi    false
 //       cacheWindow 2m
 //       ttl        0        ; storage TTL seconds for ingested readings
-//       storeNodeHint -1    ; colocated store node (locality accounting)
-//       storeRetryMax 4     ; insert attempts before dead-lettering
-//       storeRetryBackoff 1ms ; base retry delay (doubles per attempt)
 //       storeMaintenance 0  ; background compaction interval (0 = off)
 //   }
+//
+// A publish the store refuses is not acknowledged: the agent ends its
+// session, and a QoS-1 Pusher keeps the readings pending and sends them
+// again after it reconnects.
 #pragma once
 
 #include <functional>
@@ -45,17 +46,18 @@ struct CollectAgentStats {
     /// retrying cannot fix a malformed message). A torn payload tail
     /// counts as one discarded reading, so a wholly unreadable message
     /// still registers; readings lost to an unmappable topic count
-    /// individually.
+    /// individually. Counted once the rest of the publish is stored.
     std::uint64_t decode_errors{0};
     /// Readings recovered from the intact prefix of a torn payload
-    /// (instead of discarding the whole message with its tail).
+    /// (instead of discarding the whole message with its tail), counted
+    /// once stored.
     std::uint64_t salvaged{0};
-    /// Transient store-insert failures observed (each failed attempt).
+    /// Publishes the store refused (each left unacknowledged).
     std::uint64_t store_errors{0};
-    /// Insert re-attempts after a transient store error.
-    std::uint64_t store_retries{0};
-    /// Readings abandoned after exhausting all insert attempts.
-    std::uint64_t dead_letters{0};
+    /// READINGS those publishes carried for the store (not the ones on a
+    /// malformed topic). A QoS-1 publisher still holds them, and each
+    /// refused resend counts them again.
+    std::uint64_t refused{0};
     std::size_t known_sensors{0};
 };
 
@@ -98,9 +100,9 @@ class CollectAgent {
     telemetry::trace::Tracer& tracer() { return tracer_; }
     const telemetry::trace::Tracer& tracer() const { return tracer_; }
 
-    /// Readiness probe (the REST /readyz endpoint): the store accepts
-    /// writes and, when this agent owns the maintenance thread, that
-    /// thread is alive.
+    /// Readiness probe (the REST /readyz endpoint): the store and the
+    /// topic dictionary accept writes and, when this agent owns the
+    /// maintenance thread, that thread is alive.
     Readiness readiness() const;
 
     /// Register a listener invoked (from broker session threads) for
@@ -114,6 +116,7 @@ class CollectAgent {
     /// Insert a derived reading through the same path as ingested MQTT
     /// data (SID mapping, storage, cache, hierarchy) without notifying
     /// the live listener — analytics output must not re-enter analytics.
+    /// Throws the store's error if it refuses the reading.
     void ingest(const std::string& topic, const Reading& reading);
 
     /// Read a stored time series back (the REST /query endpoint — the
@@ -129,38 +132,34 @@ class CollectAgent {
     /// How a batch of sections reached the agent.
     struct Arrival;
 
+    /// The broker's sink. A StoreError propagates, so the broker ends the
+    /// session and sends no PUBACK.
     void on_publish(const mqtt::Publish& message);
 
     /// Resolves a decoded section into `out` (empty sections are
-    /// resolved but not kept). An unmappable topic discards the
-    /// section; returns the number of readings it discarded.
+    /// resolved but not kept). A malformed topic discards the section;
+    /// returns the number of readings it discarded. A dictionary write
+    /// the store refuses throws StoreError.
     std::size_t resolve_section(std::string_view topic,
                                 ReadingsView readings,
                                 std::vector<PendingSection>& out);
 
     /// The path on_publish and ingest share once their sections are
-    /// resolved: builds the batch in `batch`, stores it and, once it is
-    /// stored, pushes each section's newest reading through its handle.
+    /// resolved: builds the batch in `batch`, stores it as one unit (one
+    /// commit-log record) and, once it is stored, pushes each section's
+    /// newest reading through its handle. If the store refuses the
+    /// batch, throws StoreError before caching any of it.
     void store_sections(std::span<const PendingSection> sections,
                         std::vector<store::BatchEntry>& batch,
                         const Arrival& arrival);
 
-    /// Insert a whole decoded batch with bounded retries (transient
-    /// store errors must not drop decoded data). The batch is the unit
-    /// of work: it lands atomically (one commit-log record) or, after
-    /// the last attempt fails, every reading in it is dead-lettered.
-    bool insert_batch_with_retry(std::span<const store::BatchEntry> batch,
-                                 const telemetry::trace::TraceContext* trace);
-
     store::StoreCluster* cluster_;
+    const store::MetaStore& meta_;
     // Declared before every member that registers metrics into it.
     std::unique_ptr<telemetry::MetricRegistry> owned_registry_;
     telemetry::MetricRegistry& registry_;
     SensorIndex index_;
     std::uint32_t ttl_s_;
-    int store_node_hint_;
-    std::uint32_t store_retry_max_;
-    TimestampNs store_retry_backoff_ns_;
     /// True when this agent owns the cluster's maintenance thread
     /// (global.storeMaintenance > 0) and must stop it on shutdown.
     bool owns_maintenance_{false};
@@ -174,8 +173,7 @@ class CollectAgent {
     telemetry::Counter& decode_errors_;
     telemetry::Counter& decode_salvaged_;
     telemetry::Counter& store_errors_;
-    telemetry::Counter& store_retries_;
-    telemetry::Counter& dead_letters_;
+    telemetry::Counter& refused_;
     telemetry::Histogram& store_latency_;
     /// Declared after the registry it registers trace.* metrics into.
     /// The broker (route spans) and the store cluster (log_append / sync

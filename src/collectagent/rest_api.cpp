@@ -44,15 +44,14 @@ HttpResponse handle_stats(CollectAgent& agent) {
     const auto s = agent.stats();
     return HttpResponse::ok(strfmt(
         "messages %llu\nreadings %llu\ndecode_errors %llu\n"
-        "decode_salvaged %llu\nstore_errors %llu\n"
-        "store_retries %llu\ndead_letters %llu\nsensors %zu\n",
+        "decode_salvaged %llu\nstore_errors %llu\nrefused %llu\n"
+        "sensors %zu\n",
         static_cast<unsigned long long>(s.messages),
         static_cast<unsigned long long>(s.readings),
         static_cast<unsigned long long>(s.decode_errors),
         static_cast<unsigned long long>(s.salvaged),
         static_cast<unsigned long long>(s.store_errors),
-        static_cast<unsigned long long>(s.store_retries),
-        static_cast<unsigned long long>(s.dead_letters), s.known_sensors));
+        static_cast<unsigned long long>(s.refused), s.known_sensors));
 }
 
 }  // namespace

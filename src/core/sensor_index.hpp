@@ -11,7 +11,7 @@
 // allocates the SID and persists its records before the insert; only
 // once the section is stored does the topic join the SensorTree and
 // then the cache. So every cached sensor has a browsable leaf, and a
-// dead-lettered first batch leaves no slot and serves no reading.
+// first batch the store refuses leaves no slot and serves no reading.
 #pragma once
 
 #include <string_view>

@@ -1,24 +1,22 @@
 #include "store/cluster.hpp"
 
 #include "common/error.hpp"
+#include "common/logging.hpp"
 
 namespace dcdb::store {
 
 StoreCluster::StoreCluster(ClusterConfig config)
     : config_(std::move(config)),
-      local_writes_(
-          telemetry::resolve_registry(config_.registry, owned_registry_)
-              .counter("store.cluster.writes.local")),
-      total_writes_(
-          telemetry::resolve_registry(config_.registry, owned_registry_)
-              .counter("store.cluster.writes.total")) {
+      registry_(telemetry::resolve_registry(config_.registry, owned_registry_)),
+      local_writes_(registry_.counter("store.cluster.writes.local")),
+      total_writes_(registry_.counter("store.cluster.writes.total")),
+      maintenance_errors_(
+          registry_.counter("store.cluster.maintenance.errors")) {
     if (config_.nodes == 0) throw StoreError("cluster needs >= 1 node");
     if (config_.replication == 0 || config_.replication > config_.nodes)
         throw StoreError("replication must be in [1, nodes]");
     partitioner_ = make_partitioner(config_.partitioner);
     nodes_.reserve(config_.nodes);
-    telemetry::MetricRegistry& registry =
-        telemetry::resolve_registry(config_.registry, owned_registry_);
     for (std::size_t i = 0; i < config_.nodes; ++i) {
         NodeConfig nc;
         nc.data_dir = config_.base_dir + "/node" + std::to_string(i);
@@ -26,7 +24,7 @@ StoreCluster::StoreCluster(ClusterConfig config)
         nc.commitlog_enabled = config_.commitlog_enabled;
         nc.commitlog_sync_every = config_.commitlog_sync_every;
         nc.compaction_min_tables = config_.compaction_min_tables;
-        nc.registry = &registry;
+        nc.registry = &registry_;
         nc.metric_prefix = "store.node" + std::to_string(i);
         nodes_.push_back(std::make_unique<StorageNode>(std::move(nc)));
     }
@@ -161,7 +159,16 @@ void StoreCluster::maintenance_loop(std::chrono::milliseconds interval) {
                 maintenance_cv_.wait_for(maintenance_mutex_, interval);
             if (maintenance_stop_) return;
         }
-        for (auto& node : nodes_) node->maintain();
+        for (auto& node : nodes_) {
+            try {
+                node->maintain();
+            } catch (const std::exception& e) {
+                // The node keeps serving its tables; the next round
+                // tries again.
+                maintenance_errors_.add(1);
+                DCDB_WARN("store") << "maintenance round failed: " << e.what();
+            }
+        }
         MutexLock lock(maintenance_mutex_);
         ++maintenance_rounds_;
     }

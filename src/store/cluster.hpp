@@ -80,7 +80,7 @@ class StoreCluster {
     /// spans for traced batches). Set before traffic starts.
     void set_tracer(telemetry::trace::Tracer* tracer);
 
-    /// Readiness probe: every node's data directory accepts writes.
+    /// Readiness probe: every node accepts writes (StorageNode::writable).
     bool writable() const;
 
     /// Query the primary replica.
@@ -98,7 +98,9 @@ class StoreCluster {
     /// Start the background maintenance thread: every `interval` it runs
     /// one size-tiered maintenance round (StorageNode::maintain) on each
     /// node. Maintenance is non-blocking, so inserts and queries proceed
-    /// while tiers merge. No-op when already running.
+    /// while tiers merge. A node's failed round is logged and counted
+    /// (store.cluster.maintenance.errors); the next round retries it.
+    /// No-op when already running.
     void start_maintenance(std::chrono::milliseconds interval);
     /// Stop and join the maintenance thread; safe to call when not
     /// running. The in-flight round, if any, completes first.
@@ -115,8 +117,10 @@ class StoreCluster {
 
     ClusterConfig config_;
     std::unique_ptr<telemetry::MetricRegistry> owned_registry_;
+    telemetry::MetricRegistry& registry_;  // config_.registry or owned
     telemetry::Counter& local_writes_;
     telemetry::Counter& total_writes_;
+    telemetry::Counter& maintenance_errors_;
     std::unique_ptr<Partitioner> partitioner_;
     std::vector<std::unique_ptr<StorageNode>> nodes_;
 

@@ -68,6 +68,9 @@ class CommitLog {
     /// Truncate to the header in place, after a memtable flush.
     void reset();
 
+    /// True once a write failed (RecordLog::failed).
+    bool failed() const { return log_.failed(); }
+
     /// Rows in the current log, replayed ones included (zero on reset).
     std::uint64_t records_appended() const {
         return static_cast<std::uint64_t>(records_.value());

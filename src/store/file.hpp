@@ -8,6 +8,7 @@
 // metadata dictionary ('DMS1') differ only in magic and body codec.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <functional>
@@ -68,6 +69,10 @@ class RecordLog {
     void sync() DCDB_EXCLUDES(mutex_);   // fdatasync
     void reset() DCDB_EXCLUDES(mutex_);  // truncate to the header in place
 
+    /// True once a write failed: the log refuses writes until reopened.
+    /// Takes no lock, so it never waits behind a write or an fdatasync.
+    bool failed() const { return failed_.load(); }
+
     const std::string& path() const { return path_; }
 
   private:
@@ -77,7 +82,7 @@ class RecordLog {
     const std::string path_;
     dcdb::Mutex mutex_;
     int fd_ DCDB_GUARDED_BY(mutex_){-1};  // opened O_APPEND
-    bool failed_ DCDB_GUARDED_BY(mutex_){false};
+    std::atomic<bool> failed_{false};  // set under mutex_
 };
 
 }  // namespace dcdb::store

@@ -44,6 +44,9 @@ class MetaStore {
 
     std::size_t size() const DCDB_EXCLUDES(mutex_);
 
+    /// True once a write failed: every later put and erase throws.
+    bool failed() const { return log_ && log_->failed(); }
+
   private:
     void write_record(char op, const std::string& key,
                       const std::string& value) DCDB_REQUIRES(mutex_);

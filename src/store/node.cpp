@@ -396,7 +396,8 @@ NodeStats StorageNode::stats() const {
 }
 
 bool StorageNode::writable() const {
-    return ::access(config_.data_dir.c_str(), W_OK) == 0;
+    return !(commitlog_ && commitlog_->failed()) &&
+           ::access(config_.data_dir.c_str(), W_OK) == 0;
 }
 
 }  // namespace dcdb::store

@@ -93,8 +93,11 @@ class StorageNode {
     void set_tracer(telemetry::trace::Tracer* tracer) { tracer_ = tracer; }
 
     /// Readiness probe: the data directory still accepts writes (a
-    /// full or remounted-read-only disk flips this to false).
-    bool writable() const;
+    /// full or remounted-read-only disk flips this to false) and the
+    /// commit log has not failed a write. Takes no lock, so a probe never
+    /// waits behind a flush or an fdatasync: commitlog_ is set only in the
+    /// constructor, and CommitLog::failed() reads an atomic.
+    bool writable() const DCDB_NO_THREAD_SAFETY_ANALYSIS;
 
     /// Merged view over memtable and SSTables, newest write wins per
     /// timestamp (merge_newest_wins, store/merge.hpp); an expired winner

@@ -78,14 +78,13 @@ int main(int argc, char** argv) {
                 std::printf(
                     "dcdbcollectagent: %llu messages, %llu readings, "
                     "%zu sensors, %llu decode errors, %llu store errors "
-                    "(%llu retries, %llu dead-lettered)\n",
+                    "(%llu readings refused)\n",
                     static_cast<unsigned long long>(stats.messages),
                     static_cast<unsigned long long>(stats.readings),
                     stats.known_sensors,
                     static_cast<unsigned long long>(stats.decode_errors),
                     static_cast<unsigned long long>(stats.store_errors),
-                    static_cast<unsigned long long>(stats.store_retries),
-                    static_cast<unsigned long long>(stats.dead_letters));
+                    static_cast<unsigned long long>(stats.refused));
             }
         }
         std::printf("dcdbcollectagent: shutting down\n");

@@ -12,6 +12,7 @@
 
 #include "common/clock.hpp"
 #include "common/error.hpp"
+#include "common/fault.hpp"
 #include "common/random.hpp"
 #include "core/payload.hpp"
 #include "mqtt/client.hpp"
@@ -209,6 +210,37 @@ TEST_F(PipelineTest, DerivedOutputDoesNotReenterPipeline) {
     EXPECT_EQ(pipeline.derived_written(), 1u);
     EXPECT_TRUE(
         agent_->query_stored("/sys/n0/power/ewma/ewma", 0, kTimestampMax)
+            .empty());
+}
+
+/// Passes each reading through, first arming a one-shot store fault, so
+/// the store refuses the derived write-back that follows.
+class RefusedWriteBack final : public StreamOperator {
+  public:
+    std::string name() const override { return "refused"; }
+    std::optional<Derived> process(const std::string&,
+                                   const Reading& reading) override {
+        FaultInjector::instance().arm(
+            FaultPoint::kStoreInsert, {.error_prob = 1.0, .max_triggers = 1});
+        return Derived{reading, false, ""};
+    }
+};
+
+TEST_F(PipelineTest, RefusedWriteBackLeavesTheLivePublishStored) {
+    AnalyticsPipeline pipeline(*agent_);
+    pipeline.add_stage("/sys/#", std::make_shared<RefusedWriteBack>());
+    // publish() throws unless the live publish is acknowledged.
+    publish("/sys/n0/power", {{kNsPerSec, 100}});
+    FaultInjector::instance().disarm(FaultPoint::kStoreInsert);
+
+    EXPECT_EQ(pipeline.readings_processed(), 1u);
+    EXPECT_EQ(pipeline.derived_written(), 0u);
+    EXPECT_EQ(agent_->stats().readings, 1u);
+    EXPECT_EQ(agent_->stats().store_errors, 0u);
+    EXPECT_EQ(
+        agent_->query_stored("/sys/n0/power", 0, kTimestampMax).size(), 1u);
+    EXPECT_TRUE(
+        agent_->query_stored("/sys/n0/power/refused", 0, kTimestampMax)
             .empty());
 }
 

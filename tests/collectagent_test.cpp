@@ -148,7 +148,7 @@ TEST_F(CollectAgentTest, TornPayloadSalvagesPrefixAndCountsTheTail) {
     mqtt::MqttClient client(agent.connect_inproc(), "p");
     client.connect();
     // Three whole readings plus a torn 5-byte tail: the prefix must be
-    // salvaged, only the tail is dead-lettered.
+    // salvaged, only the tail is discarded.
     auto payload = encode_readings(
         {{1 * kNsPerSec, 10}, {2 * kNsPerSec, 20}, {3 * kNsPerSec, 30}});
     payload.insert(payload.end(), {0xDE, 0xAD, 0xBE, 0xEF, 0x00});

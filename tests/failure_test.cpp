@@ -13,6 +13,7 @@
 #include <fstream>
 #include <functional>
 #include <map>
+#include <optional>
 #include <thread>
 
 #include "collectagent/collect_agent.hpp"
@@ -640,74 +641,164 @@ TEST(Failure, AgentKeepsRunningThroughBadTopicsAndPayloads) {
     EXPECT_EQ(agent.query_stored("/ok/s3", 0, kTimestampMax).size(), 1u);
 }
 
-TEST(Failure, AgentRetriesTransientStoreErrors) {
+// A QoS-1 PUBACK means stored. A publish the store refuses ends its
+// session with no PUBACK, so the publisher still holds the readings, and
+// its resend on a new session stores each of them once. Its torn tail
+// counts as a decode error once, when the resend is stored.
+TEST(Failure, AgentLeavesARefusedPublishUnacknowledged) {
     TempDir dir;
     store::StoreCluster cluster({dir.str(), 1, 1, "hierarchy", 1u << 20,
                                  false});
     store::MetaStore meta;
     collectagent::CollectAgent agent(
-        parse_config("global { listenTcp false ; storeRetryMax 4 ; "
-                     "storeRetryBackoff 1ms }"),
-        &cluster, &meta);
+        parse_config("global { listenTcp false }"), &cluster, &meta);
+    auto payload = encode_readings({{1, 1}, {2, 2}});
+    payload.insert(payload.end(), {0xAB, 0xCD, 0xEF});
+    {
+        mqtt::MqttClient client(agent.connect_inproc(), "flaky-store");
+        client.connect();
+        ScopedFault fault(FaultPoint::kStoreInsert, {.error_prob = 1.0});
+        EXPECT_THROW(client.publish("/ok/s", payload, 1), NetError);
+        EXPECT_FALSE(client.connected());
+    }
+    {
+        const auto stats = agent.stats();
+        EXPECT_EQ(stats.store_errors, 1u);
+        EXPECT_EQ(stats.refused, 2u);
+        EXPECT_EQ(stats.readings, 0u);
+        EXPECT_EQ(stats.decode_errors, 0u);
+        EXPECT_EQ(stats.salvaged, 0u);
+        EXPECT_TRUE(agent.query_stored("/ok/s", 0, kTimestampMax).empty());
+        EXPECT_FALSE(agent.cache().latest("/ok/s").has_value());
+    }
+
     mqtt::MqttClient client(agent.connect_inproc(), "flaky-store");
     client.connect();
-    {
-        // Exactly the next 3 inserts fail; the agent's 4-attempt budget
-        // must absorb them without losing either reading.
-        ScopedFault fault(FaultPoint::kStoreInsert,
-                          {.error_prob = 1.0, .max_triggers = 3});
-        client.publish("/ok/s", encode_readings({{1, 1}, {2, 2}}), 1);
-    }
+    client.publish("/ok/s", payload, 1);
     client.disconnect();
 
     const auto stats = agent.stats();
     EXPECT_EQ(stats.readings, 2u);
-    EXPECT_EQ(stats.store_errors, 3u);
-    EXPECT_EQ(stats.store_retries, 3u);
-    EXPECT_EQ(stats.dead_letters, 0u);
-    EXPECT_EQ(agent.query_stored("/ok/s", 0, kTimestampMax).size(), 2u);
+    EXPECT_EQ(stats.refused, 2u);
+    EXPECT_EQ(stats.decode_errors, 1u);
+    EXPECT_EQ(stats.salvaged, 2u);
+    const auto rows = agent.query_stored("/ok/s", 0, kTimestampMax);
+    ASSERT_EQ(rows.size(), 2u);
+    EXPECT_EQ(rows[0].ts, 1u);
+    EXPECT_EQ(rows[1].ts, 2u);
 }
 
-TEST(Failure, AgentDeadLettersWholeBatchAtomicallyAndRecovers) {
+// A first sighting whose dictionary record the disk refuses is a store
+// failure, not a decode error: the publish is refused whole, and the
+// agent is not ready while the dictionary's log has failed.
+TEST(Failure, AgentRefusesAPublishWhoseDictionaryWriteFails) {
+    TempDir dir;
+    store::StoreCluster cluster({dir.str(), 1, 1, "hierarchy", 1u << 20,
+                                 false});
+    const std::string meta_path = dir.str() + "/meta.log";
+    store::MetaStore meta(meta_path);
+    collectagent::CollectAgent agent(
+        parse_config("global { listenTcp false }"), &cluster, &meta);
+    mqtt::MqttClient client(agent.connect_inproc(), "full-disk");
+    client.connect();
+    {
+        const FileSizeLimit full(fs::file_size(meta_path));
+        EXPECT_THROW(
+            client.publish("/new/s", encode_readings({{1, 1}}), 1),
+            NetError);
+    }
+
+    const auto stats = agent.stats();
+    EXPECT_EQ(stats.decode_errors, 0u);
+    EXPECT_EQ(stats.store_errors, 1u);
+    EXPECT_EQ(stats.refused, 1u);
+    EXPECT_EQ(stats.readings, 0u);
+    SensorId sid;
+    EXPECT_FALSE(agent.mapper().lookup("/new/s", sid));
+    const Readiness ready = agent.readiness();
+    EXPECT_FALSE(ready.ready);
+    EXPECT_EQ(ready.reason, "topic dictionary not writable");
+}
+
+// After one failed commit-log append the node refuses every insert until
+// it is reopened: every later publish goes unacknowledged, even once the
+// disk has room again, and the agent reports itself not ready.
+TEST(Failure, FailedCommitLogRefusesEveryPublishAndIsNotReady) {
+    TempDir dir;
+    store::StoreCluster cluster({dir.str(), 1, 1, "hierarchy", 1u << 20,
+                                 true});
+    store::MetaStore meta;
+    collectagent::CollectAgent agent(
+        parse_config("global { listenTcp false }"), &cluster, &meta);
+    const std::string log_path = dir.str() + "/node0/commit.log";
+    {
+        mqtt::MqttClient client(agent.connect_inproc(), "log");
+        client.connect();
+        client.publish("/ok/s", encode_readings({{1, 1}}), 1);
+        EXPECT_TRUE(agent.readiness().ready);
+        const FileSizeLimit full(fs::file_size(log_path));
+        EXPECT_THROW(client.publish("/ok/s", encode_readings({{2, 2}}), 1),
+                     NetError);
+    }
+    for (TimestampNs ts = 3; ts <= 5; ++ts) {
+        mqtt::MqttClient client(agent.connect_inproc(), "log");
+        client.connect();
+        EXPECT_THROW(client.publish("/ok/s", encode_readings({{ts, 1}}), 1),
+                     NetError);
+    }
+
+    const auto stats = agent.stats();
+    EXPECT_EQ(stats.store_errors, 4u);
+    EXPECT_EQ(stats.refused, 4u);
+    EXPECT_EQ(stats.readings, 1u);
+    const auto rows = agent.query_stored("/ok/s", 0, kTimestampMax);
+    ASSERT_EQ(rows.size(), 1u);
+    EXPECT_EQ(rows[0].ts, 1u);
+    const Readiness ready = agent.readiness();
+    EXPECT_FALSE(ready.ready);
+    EXPECT_EQ(ready.reason, "store not writable");
+}
+
+TEST(Failure, AgentRefusesWholeBatchAtomicallyAndRecovers) {
     TempDir dir;
     store::StoreCluster cluster({dir.str(), 1, 1, "hierarchy", 1u << 20,
                                  false});
     store::MetaStore meta;
-    // storeRetryMax 1: a single failed attempt dead-letters the batch.
     collectagent::CollectAgent agent(
-        parse_config("global { listenTcp false ; storeRetryMax 1 }"),
-        &cluster, &meta);
-    mqtt::MqttClient client(agent.connect_inproc(), "dead-store");
-    client.connect();
+        parse_config("global { listenTcp false }"), &cluster, &meta);
     {
+        mqtt::MqttClient client(agent.connect_inproc(), "dead-store");
+        client.connect();
         ScopedFault fault(FaultPoint::kStoreInsert,
                           {.error_prob = 1.0, .max_triggers = 1});
-        client.publish("/ok/s",
-                       encode_readings({{1, 1}, {2, 2}, {3, 3}, {4, 4},
-                                        {5, 5}}),
-                       1);
+        EXPECT_THROW(client.publish("/ok/s",
+                                    encode_readings({{1, 1}, {2, 2}, {3, 3},
+                                                     {4, 4}, {5, 5}}),
+                                    1),
+                     NetError);
     }
 
     // The batch is the unit of work: it lands atomically or every
-    // reading in it is dead-lettered — dead_letters stays a count of
-    // READINGS lost, never a count of batches.
+    // reading in it is refused — refused stays a count of READINGS,
+    // never a count of batches.
     {
         const auto stats = agent.stats();
-        EXPECT_EQ(stats.dead_letters, 5u);
+        EXPECT_EQ(stats.refused, 5u);
         EXPECT_EQ(stats.store_errors, 1u);
-        EXPECT_EQ(stats.store_retries, 0u);
         EXPECT_EQ(stats.readings, 0u);
         EXPECT_TRUE(agent.query_stored("/ok/s", 0, kTimestampMax).empty());
         EXPECT_FALSE(agent.cache().latest("/ok/s").has_value());
     }
 
-    // A dead-lettered batch must not wedge the pipeline: the next
-    // message (fault budget exhausted) persists fully.
+    // A refused batch must not wedge the pipeline: the next message, on
+    // a new session (fault budget exhausted), persists fully.
+    mqtt::MqttClient client(agent.connect_inproc(), "dead-store");
+    client.connect();
     client.publish("/ok/s", encode_readings({{6, 6}, {7, 7}}), 1);
     client.disconnect();
 
     const auto stats = agent.stats();
-    EXPECT_EQ(stats.dead_letters, 5u);
+    EXPECT_EQ(stats.refused, 5u);
     EXPECT_EQ(stats.readings, 2u);
     const auto rows = agent.query_stored("/ok/s", 0, kTimestampMax);
     ASSERT_EQ(rows.size(), 2u);
@@ -717,30 +808,30 @@ TEST(Failure, AgentDeadLettersWholeBatchAtomicallyAndRecovers) {
 }
 
 // A first sighting joins the hierarchy and the agent's sensor index only
-// once its batch is stored. A dead-lettered first batch keeps its SID
+// once its batch is stored. A refused first batch keeps its SID
 // reserved in the dictionary but serves no cached reading, adds no tree
 // leaf and is not a known sensor; the next stored batch, in another
 // spelling and through ingest, indexes it under that same SID.
-TEST(Failure, DeadLetteredFirstSightingIsIndexedOnlyOnceStored) {
+TEST(Failure, RefusedFirstSightingIsIndexedOnlyOnceStored) {
     TempDir dir;
     store::StoreCluster cluster({dir.str(), 1, 1, "hierarchy", 1u << 20,
                                  false});
     store::MetaStore meta;
     collectagent::CollectAgent agent(
-        parse_config("global { listenTcp false ; storeRetryMax 1 }"),
-        &cluster, &meta);
+        parse_config("global { listenTcp false }"), &cluster, &meta);
     mqtt::MqttClient client(agent.connect_inproc(), "first-sighting");
     client.connect();
     {
         ScopedFault fault(FaultPoint::kStoreInsert,
                           {.error_prob = 1.0, .max_triggers = 1});
-        client.publish("/first/s", encode_readings({{1, 1}, {2, 2}}), 1);
+        EXPECT_THROW(
+            client.publish("/first/s", encode_readings({{1, 1}, {2, 2}}), 1),
+            NetError);
     }
-    client.disconnect();
 
     SensorId reserved;
     ASSERT_TRUE(agent.mapper().lookup("/first/s", reserved));
-    EXPECT_EQ(agent.stats().dead_letters, 2u);
+    EXPECT_EQ(agent.stats().refused, 2u);
     EXPECT_EQ(agent.stats().known_sensors, 0u);
     EXPECT_EQ(agent.cache().sensor_count(), 0u);
     EXPECT_FALSE(agent.cache().latest("/first/s").has_value());
@@ -810,17 +901,18 @@ TEST(Failure, EndToEndNoLossThroughAgentRestartAndStoreFaults) {
     store::StoreCluster cluster({dir.str(), 1, 1, "hierarchy", 1u << 20,
                                  false});
     store::MetaStore meta;
-    const std::string agent_conf =
-        "global { listenTcp true ; storeRetryMax 6 ; "
-        "storeRetryBackoff 500us";
+    const std::string agent_conf = "global { listenTcp true";
 
     auto agent = std::make_unique<collectagent::CollectAgent>(
         parse_config(agent_conf + " }"), &cluster, &meta);
     const std::uint16_t port = agent->mqtt_port();
 
-    // ~10% of store inserts fail transiently for the WHOLE test; the
-    // agent's retry budget (6 attempts) must absorb every one.
-    ScopedFault store_fault(FaultPoint::kStoreInsert, {.error_prob = 0.1});
+    // ~10% of store inserts fail transiently for the whole run, up to
+    // the orderly shutdown; the Pusher's resends of the unacknowledged
+    // publishes must absorb every one.
+    std::optional<ScopedFault> store_fault;
+    store_fault.emplace(FaultPoint::kStoreInsert,
+                        FaultSpec{.error_prob = 0.1});
 
     auto config = parse_config(
         "global { mqttBroker 127.0.0.1:" + std::to_string(port) +
@@ -868,7 +960,10 @@ TEST(Failure, EndToEndNoLossThroughAgentRestartAndStoreFaults) {
     ASSERT_TRUE(pusher.mqtt_connected()) << "pusher never reconnected";
 
     // Orderly shutdown flushes every remaining pending reading (QoS 1:
-    // each publish returns only once the agent stored it).
+    // each publish returns only once the agent stored it). That final
+    // flush is one attempt with no resend after it, so the store fault
+    // is lifted first.
+    store_fault.reset();
     pusher.stop();
 
     const auto ps = pusher.stats();
@@ -880,7 +975,6 @@ TEST(Failure, EndToEndNoLossThroughAgentRestartAndStoreFaults) {
 
     const auto as = agent2->stats();
     EXPECT_GT(as.store_errors, 0u) << "fault injection never fired";
-    EXPECT_EQ(as.dead_letters, 0u);
 
     // 100% delivery, by count and content: every reading the Pusher ever
     // sampled (== its cache, window 2m >> test length) must be in the
@@ -996,6 +1090,48 @@ TEST(Failure, CompactionErrorLeavesNodeServingAndRetryable) {
     rows = node.query(key, 0, kTimestampMax);
     ASSERT_EQ(rows.size(), 1u);
     EXPECT_EQ(rows[0].value, 2);
+}
+
+// A failed background round must not end the process: the maintenance
+// thread logs and counts it, the node keeps serving, and a later round
+// merges the tier.
+TEST(Failure, MaintenanceThreadSurvivesAFailedRound) {
+    TempDir dir;
+    telemetry::MetricRegistry registry;
+    store::ClusterConfig config;
+    config.base_dir = dir.str();
+    config.commitlog_enabled = false;
+    config.registry = &registry;
+    store::StoreCluster cluster(config);
+    store::StorageNode& node = cluster.node(0);
+    store::Key key;
+    key.sid[0] = 1;
+    for (TimestampNs ts = 1; ts <= 400; ++ts) {
+        node.insert(key, ts, static_cast<Value>(ts * 10));
+        if (ts % 100 == 0) node.flush();
+    }
+    ASSERT_EQ(node.stats().sstables, 4u);
+    {
+        ScopedFault fault(FaultPoint::kStoreCompact,
+                          {.error_prob = 1.0, .max_triggers = 1});
+        cluster.start_maintenance(std::chrono::milliseconds(5));
+        const auto deadline = steady_ns() + 10 * kNsPerSec;
+        while (steady_ns() < deadline && node.stats().sstables != 1)
+            std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        EXPECT_EQ(fault.injected(), 1u);
+    }
+    EXPECT_TRUE(cluster.maintenance_running());
+    cluster.stop_maintenance();
+
+    EXPECT_EQ(node.stats().sstables, 1u);
+    EXPECT_EQ(registry.counter("store.cluster.maintenance.errors").value(),
+              1u);
+    const auto rows = node.query(key, 0, kTimestampMax);
+    ASSERT_EQ(rows.size(), 400u);
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        EXPECT_EQ(rows[i].ts, i + 1);
+        EXPECT_EQ(rows[i].value, static_cast<Value>((i + 1) * 10));
+    }
 }
 
 }  // namespace
