@@ -10,7 +10,8 @@ AnalyticsPipeline::AnalyticsPipeline(collectagent::CollectAgent& agent)
     : agent_(agent),
       processed_(agent.telemetry().counter("analytics.readings.processed")),
       derived_(agent.telemetry().counter("analytics.derived.written")),
-      events_(agent.telemetry().counter("analytics.events.emitted")) {
+      events_(agent.telemetry().counter("analytics.events.emitted")),
+      errors_(agent.telemetry().counter("analytics.errors")) {
     agent_.set_live_listener(
         [this](const std::string& topic, const Reading& reading) {
             on_reading(topic, reading);
@@ -41,6 +42,7 @@ void AnalyticsPipeline::on_reading(const std::string& topic,
         try {
             out = stage.op->process(topic, reading);
         } catch (const std::exception& e) {
+            errors_.add(1);
             DCDB_WARN("analytics") << "operator " << stage.op->name()
                                    << " failed on " << topic << ": "
                                    << e.what();
@@ -59,6 +61,7 @@ void AnalyticsPipeline::on_reading(const std::string& topic,
             } catch (const std::exception& e) {
                 // The live reading is stored already: a refused
                 // write-back must not refuse its publish.
+                errors_.add(1);
                 DCDB_WARN("analytics") << "write-back to " << derived
                                        << " failed: " << e.what();
             }

@@ -64,10 +64,12 @@ class AnalyticsPipeline {
     std::vector<Stage> stages_;  // fixed after attach-time configuration
     EventHandler event_handler_;
     // Registered in the host agent's registry, so the analytics.* series
-    // ride the agent's /metrics page and self-feed.
+    // ride the agent's /metrics page and self-feed. errors_ counts an
+    // operator that throws and a derived write-back the store refuses.
     telemetry::Counter& processed_;
     telemetry::Counter& derived_;
     telemetry::Counter& events_;
+    telemetry::Counter& errors_;
 };
 
 }  // namespace dcdb::analytics

@@ -1,7 +1,6 @@
 #include "pusher/telemetry_feed.hpp"
 
 #include <memory>
-#include <utility>
 
 #include "common/error.hpp"
 #include "common/logging.hpp"
@@ -10,8 +9,8 @@ namespace dcdb::pusher {
 
 TelemetryGroup::TelemetryGroup(const telemetry::MetricRegistry* registry,
                                const std::string& topic_prefix,
-                               TimestampNs interval_ns, RefreshHook refresh)
-    : SensorGroup("telemetry", interval_ns), refresh_(std::move(refresh)) {
+                               TimestampNs interval_ns)
+    : SensorGroup("telemetry", interval_ns), registry_(registry) {
     for (const auto& entry : registry->entries()) {
         std::string base_topic;
         try {
@@ -57,7 +56,7 @@ TelemetryGroup::TelemetryGroup(const telemetry::MetricRegistry* registry,
 }
 
 bool TelemetryGroup::do_read(TimestampNs /*ts*/, std::vector<Value>& out) {
-    if (refresh_) refresh_();
+    registry_->refresh();
     for (std::size_t i = 0; i < sources_.size(); ++i) {
         const Source& src = sources_[i];
         if (src.counter) {
@@ -84,10 +83,9 @@ bool TelemetryGroup::do_read(TimestampNs /*ts*/, std::vector<Value>& out) {
 
 TelemetryPlugin::TelemetryPlugin(const telemetry::MetricRegistry* registry,
                                  const std::string& topic_prefix,
-                                 TimestampNs interval_ns,
-                                 TelemetryGroup::RefreshHook refresh) {
-    add_group(std::make_unique<TelemetryGroup>(
-        registry, topic_prefix, interval_ns, std::move(refresh)));
+                                 TimestampNs interval_ns) {
+    add_group(
+        std::make_unique<TelemetryGroup>(registry, topic_prefix, interval_ns));
 }
 
 }  // namespace dcdb::pusher

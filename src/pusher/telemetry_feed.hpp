@@ -20,7 +20,6 @@
 // immutable so sampler and push threads iterate it without locks.
 #pragma once
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -32,16 +31,12 @@ namespace dcdb::pusher {
 
 class TelemetryGroup : public SensorGroup {
   public:
-    /// Invoked at the start of every sample so the owner can refresh
-    /// gauges that are computed on demand (e.g. pusher.cache.bytes).
-    using RefreshHook = std::function<void()>;
-
     /// Builds one sensor per registry entry present *now*. Metric names
     /// whose topic would exceed the 8-level SID grammar are skipped with
-    /// a warning rather than failing the Pusher.
+    /// a warning rather than failing the Pusher. Every sample runs the
+    /// registry's refresh hook first (MetricRegistry::set_refresh).
     TelemetryGroup(const telemetry::MetricRegistry* registry,
-                   const std::string& topic_prefix, TimestampNs interval_ns,
-                   RefreshHook refresh = nullptr);
+                   const std::string& topic_prefix, TimestampNs interval_ns);
 
   protected:
     bool do_read(TimestampNs ts, std::vector<Value>& out) override;
@@ -56,7 +51,7 @@ class TelemetryGroup : public SensorGroup {
         enum class Stat { kValue, kP50, kP99, kCount } stat{Stat::kValue};
     };
 
-    RefreshHook refresh_;
+    const telemetry::MetricRegistry* registry_;
     std::vector<Source> sources_;  // parallel to sensors()
 };
 
@@ -66,8 +61,7 @@ class TelemetryGroup : public SensorGroup {
 class TelemetryPlugin : public Plugin {
   public:
     TelemetryPlugin(const telemetry::MetricRegistry* registry,
-                    const std::string& topic_prefix, TimestampNs interval_ns,
-                    TelemetryGroup::RefreshHook refresh = nullptr);
+                    const std::string& topic_prefix, TimestampNs interval_ns);
 
     std::string name() const override { return "telemetry"; }
 

@@ -76,6 +76,7 @@ std::string format_quantile(double v) {
 
 std::string to_prometheus(const MetricRegistry& registry,
                           const std::string& name_prefix) {
+    registry.refresh();
     std::string out;
     for (const auto& entry : registry.entries()) {
         const std::string name = exposition_name(name_prefix, entry.name);
@@ -99,6 +100,7 @@ std::string to_prometheus(const MetricRegistry& registry,
 }
 
 std::string to_json(const MetricRegistry& registry) {
+    registry.refresh();
     std::string counters, gauges, histograms;
     for (const auto& entry : registry.entries()) {
         switch (entry.kind) {

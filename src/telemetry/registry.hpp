@@ -17,9 +17,11 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/mutex.hpp"
@@ -31,7 +33,10 @@ enum class MetricKind { kCounter, kGauge, kHistogram };
 
 class MetricRegistry {
   public:
-    MetricRegistry() = default;
+    /// `refresh`, if set, must be safe to call from any thread once the
+    /// registry is shared.
+    explicit MetricRegistry(std::function<void()> refresh = nullptr)
+        : refresh_(std::move(refresh)) {}
     MetricRegistry(const MetricRegistry&) = delete;
     MetricRegistry& operator=(const MetricRegistry&) = delete;
 
@@ -54,6 +59,13 @@ class MetricRegistry {
     std::vector<Entry> entries() const DCDB_EXCLUDES(mutex_);
 
     std::size_t size() const DCDB_EXCLUDES(mutex_);
+
+    /// Run the owner's refresh hook, which sets the gauges it computes
+    /// on demand (a cache's size, its pending readings). The exporters
+    /// and the self-feed run it before they read.
+    void refresh() const {
+        if (refresh_) refresh_();
+    }
 
     /// Name grammar: 1-6 components separated by '.', each matching
     /// [a-z0-9_]+ (the sensor-topic alphabet, so names embed into topics
@@ -80,6 +92,7 @@ class MetricRegistry {
 
     mutable Mutex mutex_;
     std::map<std::string, Slot> metrics_ DCDB_GUARDED_BY(mutex_);
+    const std::function<void()> refresh_;
 };
 
 /// Shared pattern for components that accept an optional external

@@ -226,22 +226,43 @@ class RefusedWriteBack final : public StreamOperator {
     }
 };
 
-TEST_F(PipelineTest, RefusedWriteBackLeavesTheLivePublishStored) {
-    AnalyticsPipeline pipeline(*agent_);
-    pipeline.add_stage("/sys/#", std::make_shared<RefusedWriteBack>());
-    // publish() throws unless the live publish is acknowledged.
-    publish("/sys/n0/power", {{kNsPerSec, 100}});
-    FaultInjector::instance().disarm(FaultPoint::kStoreInsert);
+class ThrowingOperator final : public StreamOperator {
+  public:
+    std::string name() const override { return "throws"; }
+    std::optional<Derived> process(const std::string&,
+                                   const Reading&) override {
+        throw Error("operator failed");
+    }
+};
 
-    EXPECT_EQ(pipeline.readings_processed(), 1u);
-    EXPECT_EQ(pipeline.derived_written(), 0u);
-    EXPECT_EQ(agent_->stats().readings, 1u);
-    EXPECT_EQ(agent_->stats().store_errors, 0u);
-    EXPECT_EQ(
-        agent_->query_stored("/sys/n0/power", 0, kTimestampMax).size(), 1u);
-    EXPECT_TRUE(
-        agent_->query_stored("/sys/n0/power/refused", 0, kTimestampMax)
-            .empty());
+// A refused write-back and an operator that throws each count one
+// analytics.errors, and neither refuses the live publish.
+TEST_F(PipelineTest, RefusedWriteBackLeavesTheLivePublishStored) {
+    const std::shared_ptr<StreamOperator> failing[] = {
+        std::make_shared<RefusedWriteBack>(),
+        std::make_shared<ThrowingOperator>()};
+    std::uint64_t n = 0;
+    for (const auto& op : failing) {
+        ++n;
+        AnalyticsPipeline pipeline(*agent_);
+        pipeline.add_stage("/sys/#", op);
+        const std::string topic = "/sys/n" + std::to_string(n) + "/power";
+        // publish() throws unless the live publish is acknowledged.
+        publish(topic, {{kNsPerSec, 100}});
+        FaultInjector::instance().disarm(FaultPoint::kStoreInsert);
+
+        // The agent's analytics.* counters add up over both pipelines.
+        EXPECT_EQ(pipeline.readings_processed(), n);
+        EXPECT_EQ(pipeline.derived_written(), 0u);
+        EXPECT_EQ(agent_->telemetry().counter("analytics.errors").value(), n)
+            << op->name();
+        EXPECT_EQ(agent_->stats().readings, n);
+        EXPECT_EQ(agent_->stats().store_errors, 0u);
+        EXPECT_EQ(agent_->query_stored(topic, 0, kTimestampMax).size(), 1u);
+        EXPECT_TRUE(
+            agent_->query_stored(topic + "/" + op->name(), 0, kTimestampMax)
+                .empty());
+    }
 }
 
 TEST_F(PipelineTest, InvalidFilterRejected) {

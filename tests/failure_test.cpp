@@ -896,6 +896,75 @@ TEST(Failure, PusherPendingRingBoundsLossAndDrainsOnRecovery) {
     EXPECT_EQ(s.readings_pushed + s.readings_dropped, kReads);
 }
 
+// An agent that accepts sessions but refuses every publish (a failed
+// commit log, /readyz 503) is redialled on the backoff, not every round:
+// a handshake advances the backoff as a failed attempt does, and only a
+// round that published resets it.
+TEST(Failure, PusherBacksOffFromAnAgentThatRefusesEveryPublish) {
+    TempDir dir;
+    store::StoreCluster cluster({dir.str(), 1, 1, "hierarchy", 1u << 20,
+                                 false});
+    store::MetaStore meta;
+    collectagent::CollectAgent agent(
+        parse_config("global { listenTcp true }"), &cluster, &meta);
+    ScopedFault fault(FaultPoint::kStoreInsert, {.error_prob = 1.0});
+    pusher::Pusher pusher(parse_config(
+        "global { mqttBroker 127.0.0.1:" + std::to_string(agent.mqtt_port()) +
+        " ; topicPrefix /refuse ; qos 1 ; reconnectBackoffMin 5s }\n"
+        "plugins { tester { group g { sensors 3 ; interval 1s } } }\n"));
+    pusher::SensorGroup& group = *pusher.plugins().front()->groups().front();
+    for (TimestampNs i = 1; i <= 5; ++i)
+        group.read_all(i * kNsPerSec, &pusher.cache());
+    for (int round = 0; round < 20; ++round) pusher.push_now();
+
+    const auto ps = pusher.stats();
+    EXPECT_LE(ps.reconnects, 1u);
+    EXPECT_EQ(ps.readings_pushed, 0u);
+    EXPECT_EQ(ps.readings_pending, 15u);
+    const auto as = agent.stats();
+    EXPECT_LE(as.store_errors, 2u);
+    EXPECT_EQ(as.readings, 0u);
+}
+
+// An orderly shutdown delivers the backlog through a refused flush: the
+// refusal ends the flush's session, and the flush reconnects on the
+// backoff and sends the readings again.
+TEST(Failure, StopDeliversTheBacklogThroughARefusedFlush) {
+    TempDir dir;
+    store::StoreCluster cluster({dir.str(), 1, 1, "hierarchy", 1u << 20,
+                                 false});
+    store::MetaStore meta;
+    collectagent::CollectAgent agent(
+        parse_config("global { listenTcp true }"), &cluster, &meta);
+    // No push round runs before stop(): the flush carries every reading.
+    pusher::Pusher pusher(parse_config(
+        "global { mqttBroker 127.0.0.1:" + std::to_string(agent.mqtt_port()) +
+        " ; topicPrefix /flush ; pushInterval 1h ; qos 1 }\n"
+        "plugins { tester { group g { sensors 3 ; interval 20ms } } }\n"));
+    pusher.start();
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    {
+        ScopedFault fault(FaultPoint::kStoreInsert,
+                          {.error_prob = 1.0, .max_triggers = 1});
+        pusher.stop();
+    }
+
+    const auto ps = pusher.stats();
+    EXPECT_EQ(ps.readings_pending, 0u);
+    EXPECT_EQ(ps.readings_dropped, 0u);
+    EXPECT_EQ(ps.reconnects, 1u);
+    EXPECT_EQ(agent.stats().store_errors, 1u);
+    for (int i = 0; i < 3; ++i) {
+        const std::string topic = "/flush/tester/g/s" + std::to_string(i);
+        const auto sampled = pusher.cache().view(topic, 0, kTimestampMax);
+        const auto stored = agent.query_stored(topic, 0, kTimestampMax);
+        ASSERT_FALSE(sampled.empty()) << topic;
+        ASSERT_EQ(stored.size(), sampled.size()) << topic;
+        for (std::size_t k = 0; k < sampled.size(); ++k)
+            EXPECT_EQ(stored[k].ts, sampled[k].ts) << topic << " #" << k;
+    }
+}
+
 TEST(Failure, EndToEndNoLossThroughAgentRestartAndStoreFaults) {
     TempDir dir;
     store::StoreCluster cluster({dir.str(), 1, 1, "hierarchy", 1u << 20,
@@ -907,9 +976,9 @@ TEST(Failure, EndToEndNoLossThroughAgentRestartAndStoreFaults) {
         parse_config(agent_conf + " }"), &cluster, &meta);
     const std::uint16_t port = agent->mqtt_port();
 
-    // ~10% of store inserts fail transiently for the whole run, up to
-    // the orderly shutdown; the Pusher's resends of the unacknowledged
-    // publishes must absorb every one.
+    // ~10% of store inserts fail transiently for the whole run, the
+    // orderly shutdown included; the Pusher's resends of the
+    // unacknowledged publishes must absorb every one.
     std::optional<ScopedFault> store_fault;
     store_fault.emplace(FaultPoint::kStoreInsert,
                         FaultSpec{.error_prob = 0.1});
@@ -960,11 +1029,10 @@ TEST(Failure, EndToEndNoLossThroughAgentRestartAndStoreFaults) {
     ASSERT_TRUE(pusher.mqtt_connected()) << "pusher never reconnected";
 
     // Orderly shutdown flushes every remaining pending reading (QoS 1:
-    // each publish returns only once the agent stored it). That final
-    // flush is one attempt with no resend after it, so the store fault
-    // is lifted first.
-    store_fault.reset();
+    // each publish returns only once the agent stored it). A flush the
+    // store refuses reconnects and sends again.
     pusher.stop();
+    store_fault.reset();
 
     const auto ps = pusher.stats();
     EXPECT_GT(ps.publish_failures, 0u);

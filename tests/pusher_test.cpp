@@ -530,12 +530,7 @@ TEST(Pusher, PendingRingDropsAreCountedWhileTheAgentIsUnreachable) {
 
     constexpr std::uint64_t kDropped = kReads - SensorCache::kMaxPending;
     EXPECT_EQ(pending_readings(pusher), SensorCache::kMaxPending);
-    // The Pusher's half of the ledger balances from stats() alone.
-    const PusherStats s = pusher.stats();
-    EXPECT_EQ(s.readings_dropped, kDropped);
-    EXPECT_EQ(s.readings_pending, SensorCache::kMaxPending);
-    EXPECT_EQ(s.readings_pushed + s.readings_dropped + s.readings_pending,
-              kReads);
+    // /metrics computes its gauges when it is read, before any stats().
     const auto metrics = http_get("127.0.0.1", pusher.rest_port(), "/metrics");
     ASSERT_EQ(metrics.status, 200);
     EXPECT_NE(metrics.body.find("\ndcdb_pusher_push_dropped " +
@@ -547,6 +542,15 @@ TEST(Pusher, PendingRingDropsAreCountedWhileTheAgentIsUnreachable) {
                                 "\n"),
               std::string::npos)
         << metrics.body;
+    EXPECT_EQ(metrics.body.find("\ndcdb_pusher_cache_bytes 0\n"),
+              std::string::npos)
+        << metrics.body;
+    // The Pusher's half of the ledger balances from stats() alone.
+    const PusherStats s = pusher.stats();
+    EXPECT_EQ(s.readings_dropped, kDropped);
+    EXPECT_EQ(s.readings_pending, SensorCache::kMaxPending);
+    EXPECT_EQ(s.readings_pushed + s.readings_dropped + s.readings_pending,
+              kReads);
 }
 
 // Nothing publishes a cache-only Pusher's pending readings, so its
@@ -1016,6 +1020,30 @@ TEST(Pusher, BadBrokerAddressThrows) {
         "global { mqttBroker not-an-address }\n"
         "plugins { tester { group g { sensors 1 } } }\n");
     EXPECT_THROW(Pusher pusher(std::move(config)), ConfigError);
+}
+
+// An injected transport carries the first session only. A failed first
+// handshake on it does not throw from the constructor: it counts as a
+// failed attempt, as does every attempt once that session is gone.
+TEST(Pusher, InjectedTransportCarriesOnlyTheFirstSession) {
+    mqtt::MqttBroker broker(mqtt::BrokerMode::kReduced, nullptr, 0,
+                            /*listen_tcp=*/false);
+    ScopedFault fault(FaultPoint::kMqttSend,
+                      {.error_prob = 1.0, .max_triggers = 1});
+    Pusher pusher(
+        parse_config("global { topicPrefix /once ; reconnectBackoffMin 1ms ;\n"
+                     "  reconnectBackoffMax 1ms }\n"
+                     "plugins { tester { group g { sensors 1 } } }\n"),
+        broker.connect_inproc());
+    EXPECT_FALSE(pusher.mqtt_connected());
+    EXPECT_EQ(pusher.stats().reconnect_failures, 1u);
+
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    pusher.push_now();
+    const auto s = pusher.stats();
+    EXPECT_EQ(s.reconnect_failures, 2u);
+    EXPECT_EQ(s.reconnects, 0u);
+    EXPECT_FALSE(pusher.mqtt_connected());
 }
 
 TEST(Pusher, UnknownPluginNameThrows) {

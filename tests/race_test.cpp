@@ -23,6 +23,7 @@
 #include <thread>
 #include <vector>
 
+#include "collectagent/collect_agent.hpp"
 #include "common/fault.hpp"
 #include "common/random.hpp"
 #include "core/hierarchy.hpp"
@@ -36,6 +37,7 @@
 #include "pusher/pusher.hpp"
 #include "pusher/sampler.hpp"
 #include "pusher/sensor_group.hpp"
+#include "store/cluster.hpp"
 #include "store/commitlog.hpp"
 #include "store/metastore.hpp"
 #include "store/node.hpp"
@@ -832,20 +834,23 @@ TEST(SensorBaseRace, SamplersVersusDrainsAndCacheReaders) {
         SensorCache::kMaxPending);
 }
 
-// Two threads push while a third stops the Pusher, with half of all
-// MQTT sends failing: every round and the final flush share one push
-// lock, and every sampled reading is still accounted for.
-TEST(PusherRace, PushNowVersusStopWithFlakySends) {
-    mqtt::MqttBroker broker(mqtt::BrokerMode::kReduced, nullptr, 0,
-                            /*listen_tcp=*/false);
+// Two threads push while a third stops the Pusher, with publishes
+// failing at `point`: every round, reconnect and the final flush share
+// one push lock, the push thread's wait wakes on stop(), and every
+// sampled reading is still accounted for.
+void push_now_versus_stop(const std::string& global,
+                          std::unique_ptr<mqtt::Transport> transport,
+                          FaultPoint point, FaultSpec spec) {
     // One sensor per group, so one sample is one reading.
     pusher::Pusher pusher(
-        parse_config("global { topicPrefix /race ; pushInterval 5ms }\n"
+        parse_config("global { topicPrefix /race ; pushInterval 5ms ; " +
+                     global +
+                     " }\n"
                      "plugins { tester {\n"
                      "  group a { sensors 1 ; interval 2ms }\n"
                      "  group b { sensors 1 ; interval 3ms } } }\n"),
-        broker.connect_inproc());
-    ScopedFault fault(FaultPoint::kMqttSend, {.error_prob = 0.5});
+        std::move(transport));
+    ScopedFault fault(point, spec);
     pusher.start();
 
     std::atomic<bool> stopped{false};
@@ -872,6 +877,30 @@ TEST(PusherRace, PushNowVersusStopWithFlakySends) {
     EXPECT_EQ(s.readings_dropped, 0u);
     EXPECT_EQ(s.readings_pushed + s.readings_dropped + s.readings_pending,
               s.samples_taken);
+}
+
+TEST(PusherRace, PushNowVersusStopWithFlakySends) {
+    {
+        // Half of all MQTT sends fail on an in-process session.
+        mqtt::MqttBroker broker(mqtt::BrokerMode::kReduced, nullptr, 0,
+                                /*listen_tcp=*/false);
+        push_now_versus_stop("", broker.connect_inproc(),
+                             FaultPoint::kMqttSend, {.error_prob = 0.5});
+    }
+    // A TCP agent refuses ~30% of the store inserts. Each refusal ends
+    // its session, so the rounds and the flush reconnect on the backoff.
+    TempDir dir;
+    store::StoreCluster cluster({dir.str(), 1, 1, "hierarchy", 1u << 20,
+                                 false});
+    store::MetaStore meta;
+    collectagent::CollectAgent agent(
+        parse_config("global { listenTcp true }"), &cluster, &meta);
+    push_now_versus_stop("mqttBroker 127.0.0.1:" +
+                             std::to_string(agent.mqtt_port()) +
+                             " ; qos 1 ; reconnectBackoffMin 1ms ;"
+                             " reconnectBackoffMax 5ms",
+                         nullptr, FaultPoint::kStoreInsert,
+                         {.error_prob = 0.3});
 }
 
 // Reloads run while the sampler reads a 1 ms group, push rounds publish
