@@ -24,10 +24,17 @@
 //   5. The byte path from the Pusher's encoder to the commit-log record
 //      performs ZERO heap allocations per round trip once warm: encode
 //      into a reused buffer, write_publish over an in-proc pair,
-//      read_packet into a reused Packet, decode_batch, build the
-//      BatchEntrys, encode the commit-log record, then write and read
+//      read_packet into a reused Packet, decode_batch, build one
+//      mutation per section, encode the commit-log record, then write and read
 //      the PUBACK. And a header that declares a 64 MiB body which never
 //      arrives pins under 1 MiB before it ends in ProtocolError.
+//   6. CollectAgent::on_publish on KNOWN sensors performs ZERO heap
+//      allocations, the store insert included: a publish through the
+//      agent's in-proc broker session is decoded, resolved, stored as
+//      one mutation per section (commit-log record and memtable) and
+//      cached before its PUBACK. It is measured after one memtable flush
+//      and one round that recreates the partitions: the memtable keeps
+//      its arena blocks across the flush.
 //
 // It also re-checks the storage-side half of the bargain: a monotone
 // sensor series stored through the v2 SSTable writer costs <= 4 bytes
@@ -43,13 +50,16 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "collectagent/collect_agent.hpp"
 #include "common/clock.hpp"
+#include "common/config.hpp"
 #include "core/payload.hpp"
 #include "core/sensor_cache.hpp"
 #include "core/sensor_id.hpp"
 #include "core/sensor_index.hpp"
 #include "mqtt/transport.hpp"
 #include "pusher/sensor_group.hpp"
+#include "store/cluster.hpp"
 #include "store/commitlog.hpp"
 #include "store/metastore.hpp"
 #include "store/node.hpp"
@@ -244,7 +254,8 @@ int byte_path_smoke() {
     mqtt::Packet packet;
     mqtt::Packet ack;
     BatchPayloadView view;
-    std::vector<store::BatchEntry> batch;
+    std::vector<store::Row> rows(kSensors * kReadingsEach);
+    std::vector<store::Mutation> mutations;
     std::vector<std::uint8_t> record;
     std::uint64_t stored = 0;
     std::uint64_t acked = 0;
@@ -265,16 +276,22 @@ int byte_path_smoke() {
         const auto* pub = std::get_if<mqtt::Publish>(&packet);
         if (pub == nullptr) return;
         decode_batch(pub->payload, view);
-        batch.clear();
+        // One mutation per section: every round stays in day bucket 0.
+        mutations.clear();
+        std::size_t n = 0;
         for (const auto& section : view.sections) {
             const SensorId sid = mapper.to_sid(section.topic);
+            const std::size_t begin = n;
             for (std::size_t i = 0; i < section.readings.size(); ++i) {
                 const Reading r = section.readings[i];
-                batch.push_back({sensor_key(sid, r.ts), r.ts, r.value, 0});
+                rows[n++] = {r.ts, r.value, 0};
             }
+            mutations.push_back(
+                {sensor_key(sid, rows[begin].ts),
+                 std::span<const store::Row>(rows).subspan(begin, n - begin)});
         }
-        store::CommitLog::encode_record(batch, record);
-        stored += batch.size();
+        store::CommitLog::encode_record(mutations, record);
+        stored += n;
         agent_end.write_packet(mqtt::Puback{pub->packet_id});
         if (!pusher_end.read_packet(ack)) return;
         const auto* puback = std::get_if<mqtt::Puback>(&ack);
@@ -297,7 +314,8 @@ int byte_path_smoke() {
         static_cast<std::uint64_t>(kByteRoundTrips) * kSensors * kReadingsEach;
     if (stored != expected ||
         acked != static_cast<std::uint64_t>(kByteRoundTrips) ||
-        record.size() != 4 + kSensors * kReadingsEach * 40 + 4) {
+        record.size() !=
+            4 + kSensors * (24 + kReadingsEach * 20) + 4) {
         std::fprintf(stderr, "ingest smoke: byte path lost a reading or "
                              "an acknowledgement\n");
         return 1;
@@ -340,6 +358,95 @@ int byte_path_smoke() {
                      "ingest smoke: a declared length pinned memory before "
                      "its bytes arrived, or the stalled frame was not "
                      "refused\n");
+        return 1;
+    }
+    return 0;
+}
+
+/// Check 6: publishes of 32 known sensors x 32 readings through the
+/// Collect Agent into its store.
+int agent_publish_smoke() {
+    constexpr int kSensors = 32;
+    constexpr int kReadingsEach = 32;
+    constexpr int kMeasuredRounds = 40;  // fewer than a memtable holds
+    bench::ScratchDir scratch("ingest_smoke_agent");
+    store::StoreCluster cluster(
+        {scratch.str(), 1, 1, "hierarchy", std::size_t{1} << 20, true});
+    store::MetaStore meta;
+    collectagent::CollectAgent agent(
+        parse_config("global { listenTcp false }"), &cluster, &meta);
+    mqtt::PacketStream pusher(agent.connect_inproc());
+    mqtt::Packet packet;
+    pusher.write_packet(mqtt::Connect{"bench", 60, true});
+    if (!pusher.read_packet(packet) ||
+        std::get_if<mqtt::Connack>(&packet) == nullptr) {
+        std::fprintf(stderr, "ingest smoke: agent refused the session\n");
+        return 1;
+    }
+
+    std::vector<std::string> topics;
+    std::vector<std::vector<Reading>> readings(
+        kSensors, std::vector<Reading>(kReadingsEach));
+    std::vector<SensorBatch> sections;
+    for (int s = 0; s < kSensors; ++s)
+        topics.push_back("/bench/node0/agent/group/s" + std::to_string(s));
+    for (int s = 0; s < kSensors; ++s)
+        sections.push_back({topics[static_cast<std::size_t>(s)],
+                            readings[static_cast<std::size_t>(s)]});
+    std::vector<std::uint8_t> payload;
+    std::uint64_t acked = 0;
+    int round = 0;
+    // Every round stays in day bucket 0, so no partition is new after the
+    // first round of a memtable.
+    const auto publish_round = [&] {
+        for (int s = 0; s < kSensors; ++s) {
+            auto& rs = readings[static_cast<std::size_t>(s)];
+            for (int i = 0; i < kReadingsEach; ++i) {
+                const auto ts = static_cast<TimestampNs>(
+                    round * kReadingsEach + i + 1) * kNsPerSec;
+                rs[static_cast<std::size_t>(i)] = {ts, s + round};
+            }
+        }
+        const auto id = static_cast<std::uint16_t>(round % 0xFFFF + 1);
+        ++round;
+        encode_batch(sections, {}, payload);
+        pusher.write_publish(topics[0], payload, 1, id);
+        if (!pusher.read_packet(packet)) return;
+        const auto* puback = std::get_if<mqtt::Puback>(&packet);
+        if (puback != nullptr && puback->packet_id == id) ++acked;
+    };
+    store::StorageNode& node = cluster.node(0);
+    while (node.stats().flushes == 0 && round < 1000) publish_round();
+    publish_round();  // recreates the partitions
+    const std::uint64_t warm = acked;
+    const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+    for (int i = 0; i < kMeasuredRounds; ++i) publish_round();
+    const std::uint64_t allocs =
+        g_allocations.load(std::memory_order_relaxed) - before;
+    std::printf("ingest smoke: %d agent publishes of %d readings on known "
+                "sensors, after %llu warm-up rounds and 1 flush, %llu heap "
+                "allocations\n",
+                kMeasuredRounds, kSensors * kReadingsEach,
+                static_cast<unsigned long long>(warm),
+                static_cast<unsigned long long>(allocs));
+    const auto stored = agent.query_stored(topics[kSensors - 1], 0,
+                                           kTimestampMax);
+    if (acked != static_cast<std::uint64_t>(round) ||
+        node.stats().flushes != 1 ||
+        stored.size() != static_cast<std::size_t>(round) * kReadingsEach ||
+        agent.stats().readings !=
+            static_cast<std::uint64_t>(round) * kSensors * kReadingsEach) {
+        std::fprintf(stderr, "ingest smoke: the agent lost a publish or a "
+                             "reading, or flushed while measured\n");
+        return 1;
+    }
+    if (allocs != 0) {
+        std::fprintf(stderr,
+                     "ingest smoke: the agent's publish path allocated "
+                     "%llu times — decode, resolve, the mutations, the "
+                     "commit-log record, the memtable insert and the "
+                     "cache push must not touch the heap\n",
+                     static_cast<unsigned long long>(allocs));
         return 1;
     }
     return 0;
@@ -526,7 +633,10 @@ int smoke() {
 
     // 5. Zero allocations on the byte path, and no memory pinned by a
     // declared length.
-    return byte_path_smoke();
+    if (const int failed = byte_path_smoke()) return failed;
+
+    // 6. Zero allocations in the agent's publish path, store included.
+    return agent_publish_smoke();
 }
 
 }  // namespace

@@ -47,20 +47,18 @@ BENCHMARK(BM_FaultRollArmed);
 void BM_CommitLogAppendSyncEvery(benchmark::State& state) {
     bench::ScratchDir dir("commitlog_sync");
     store::CommitLog log(dir.str() + "/commit.log",
-                         [](const store::Key&, const store::Row&) {});
+                         [](const store::Key&, std::span<const store::Row>) {});
     const auto cadence = static_cast<std::uint64_t>(state.range(0));
 
-    store::BatchEntry entry;
-    entry.key.sid[0] = 7;
-    entry.ts = 1;
-    entry.value = 42;
+    store::Row row{1, 42, 0};
+    store::Mutation mutation{store::Key{}, {&row, 1}};
+    mutation.key.sid[0] = 7;
     std::vector<std::uint8_t> record;
     std::uint64_t since_sync = 0;
     for (auto _ : state) {
-        ++entry.ts;
-        store::CommitLog::encode_record(
-            std::span<const store::BatchEntry>(&entry, 1), record);
-        log.append(record);
+        ++row.ts;
+        store::CommitLog::encode_record({&mutation, 1}, record);
+        log.append(record, 1);
         if (cadence != 0 && ++since_sync >= cadence) {
             log.sync();
             since_sync = 0;

@@ -135,7 +135,6 @@ void CollectAgent::on_publish(const mqtt::Publish& message) {
     // scratch keeps the steady-state decode path allocation-free.
     thread_local BatchPayloadView view;
     thread_local std::vector<PendingSection> sections;
-    thread_local std::vector<store::BatchEntry> batch;
     sections.clear();
 
     const std::span<const std::uint8_t> payload(message.payload);
@@ -170,7 +169,7 @@ void CollectAgent::on_publish(const mqtt::Publish& message) {
                 discarded +=
                     resolve_section(message.topic, salvage.readings, sections);
         }
-        store_sections(sections, batch, arrival);
+        store_sections(sections, arrival);
     } catch (const StoreError& e) {
         store_errors_.add(1);
         refused_.add(decoded - discarded);
@@ -187,18 +186,42 @@ void CollectAgent::on_publish(const mqtt::Publish& message) {
 }
 
 void CollectAgent::store_sections(std::span<const PendingSection> sections,
-                                  std::vector<store::BatchEntry>& batch,
                                   const Arrival& arrival) {
-    batch.clear();
+    // Each section's readings are decoded once into rows, and cut into
+    // one mutation per day bucket: a section that crosses midnight is
+    // two runs. The scratch is sized before any span points into it.
+    // A live listener below may re-enter through ingest, which reuses
+    // this scratch; it is not read again once the batch is stored.
+    thread_local std::vector<store::Row> rows;
+    thread_local std::vector<store::Mutation> mutations;
+    std::size_t readings = 0;
+    for (const auto& pending : sections) readings += pending.readings.size();
+    if (readings == 0) return;
+    rows.resize(readings);
+    mutations.clear();
+    std::size_t n = 0;
     for (const auto& pending : sections) {
+        std::size_t begin = n;
+        const auto cut = [&] {
+            mutations.push_back(
+                {sensor_key(pending.sensor.sid, rows[begin].ts),
+                 std::span<const store::Row>(rows).subspan(begin, n - begin)});
+            begin = n;
+        };
+        TimestampNs day_begin = 0;  // [day_begin, day_end): the run's bucket
+        TimestampNs day_end = 0;
         for (std::size_t i = 0; i < pending.readings.size(); ++i) {
             const Reading reading = pending.readings[i];
-            batch.push_back(store::BatchEntry{
-                sensor_key(pending.sensor.sid, reading.ts), reading.ts,
-                reading.value, ttl_s_});
+            if (reading.ts < day_begin || reading.ts >= day_end) {
+                if (n > begin) cut();
+                day_begin = reading.ts - reading.ts % kBucketWidthNs;
+                day_end = day_begin + kBucketWidthNs;
+            }
+            rows[n++] = store::Row{reading.ts, reading.value,
+                                   store::Row::expiry_at(reading.ts, ttl_s_)};
         }
+        cut();  // a kept section is never empty
     }
-    if (batch.empty()) return;
 
     const telemetry::trace::TraceContext* trace =
         arrival.trace.valid() ? &arrival.trace : nullptr;
@@ -207,11 +230,12 @@ void CollectAgent::store_sections(std::span<const PendingSection> sections,
         tracer_.record_span(*trace, telemetry::trace::Stage::kDecode,
                             arrival.decode_wall,
                             steady_ns() - arrival.decode_start,
-                            static_cast<std::uint32_t>(batch.size()));
+                            static_cast<std::uint32_t>(readings));
     }
     const TimestampNs insert_wall = trace ? now_ns() : 0;
     const TimestampNs insert_start = steady_ns();
-    cluster_->insert_batch(batch, -1, trace);
+    cluster_->insert_batch(std::span<const store::Mutation>(mutations), -1,
+                           trace);
     const std::uint64_t insert_dur = steady_ns() - insert_start;
     if (trace) {
         // Exemplar: the slowest buckets of the store-latency histogram
@@ -219,19 +243,18 @@ void CollectAgent::store_sections(std::span<const PendingSection> sections,
         store_latency_.record(insert_dur, trace->trace_id);
         tracer_.record_span(*trace, telemetry::trace::Stage::kInsert,
                             insert_wall, insert_dur,
-                            static_cast<std::uint32_t>(batch.size()));
+                            static_cast<std::uint32_t>(readings));
         // The reading is durable on the primary: the trace is complete
         // end-to-end (sample deadline -> store insert).
         tracer_.complete(*trace, now_ns());
     } else {
         store_latency_.record(insert_dur);
     }
-    readings_.add(batch.size());
+    readings_.add(readings);
 
     // Cache the newest persisted reading per sensor through its handle
     // (a first sighting joins the hierarchy and the cache here) and
-    // notify the live listener, which may re-enter through ingest: that
-    // uses its own batch, and `batch` is not read again below.
+    // notify the live listener, which may re-enter through ingest.
     thread_local std::string topic_scratch;
     for (const auto& pending : sections) {
         if (arrival.live && live_listener_) {
@@ -252,9 +275,7 @@ void CollectAgent::ingest(const std::string& topic, const Reading& reading) {
     const std::vector<std::uint8_t> record = encode_readings({reading});
     const PendingSection section{topic, index_.resolve(topic),
                                  decode_readings_view(record).readings};
-    std::vector<store::BatchEntry> batch;
-    store_sections(std::span<const PendingSection>(&section, 1), batch,
-                   Arrival{});
+    store_sections(std::span<const PendingSection>(&section, 1), Arrival{});
 }
 
 std::vector<Reading> CollectAgent::query_stored(const std::string& topic,

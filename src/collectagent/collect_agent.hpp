@@ -145,12 +145,12 @@ class CollectAgent {
                                 std::vector<PendingSection>& out);
 
     /// The path on_publish and ingest share once their sections are
-    /// resolved: builds the batch in `batch`, stores it as one unit (one
-    /// commit-log record) and, once it is stored, pushes each section's
-    /// newest reading through its handle. If the store refuses the
-    /// batch, throws StoreError before caching any of it.
+    /// resolved: decodes each section into one mutation per day bucket,
+    /// stores them as one batch (one commit-log record) and, once it is
+    /// stored, pushes each section's newest reading through its handle.
+    /// If the store refuses the batch, throws StoreError before caching
+    /// any of it.
     void store_sections(std::span<const PendingSection> sections,
-                        std::vector<store::BatchEntry>& batch,
                         const Arrival& arrival);
 
     store::StoreCluster* cluster_;

@@ -30,6 +30,13 @@ inline void store_be64(std::uint8_t* p, std::uint64_t v) {
         v = __builtin_bswap64(v);
     std::memcpy(p, &v, sizeof v);
 }
+inline std::uint64_t load_be64(const std::uint8_t* p) {
+    std::uint64_t v;
+    std::memcpy(&v, p, sizeof v);
+    if constexpr (std::endian::native == std::endian::little)
+        v = __builtin_bswap64(v);
+    return v;
+}
 
 /// Scratch buffers reused across messages keep up to this much capacity.
 /// One grown past it by a one-off large message (a preload burst, a

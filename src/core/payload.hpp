@@ -38,6 +38,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/bytebuf.hpp"
 #include "common/types.hpp"
 #include "telemetry/trace.hpp"
 
@@ -73,10 +74,7 @@ class ReadingsView {
     bool empty() const { return count_ == 0; }
     Reading operator[](std::size_t i) const {
         const std::uint8_t* p = records_.data() + i * kReadingWireBytes;
-        std::uint64_t ts = 0, value = 0;
-        for (int b = 0; b < 8; ++b) ts = (ts << 8) | p[b];
-        for (int b = 8; b < 16; ++b) value = (value << 8) | p[b];
-        return Reading{ts, static_cast<Value>(value)};
+        return Reading{load_be64(p), static_cast<Value>(load_be64(p + 8))};
     }
 
   private:

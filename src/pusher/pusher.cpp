@@ -92,6 +92,9 @@ Pusher::Pusher(ConfigNode config, std::unique_ptr<mqtt::Transport> transport)
         config_.get_bool_or("global.burstMode", false)
             ? kBurstIntervalNs
             : config_.get_duration_ns_or("global.pushInterval", kNsPerSec);
+    // The push thread staggers its sends modulo the interval.
+    if (push_interval_ns_ == 0)
+        throw ConfigError("pushInterval must be positive");
     qos_ = static_cast<std::uint8_t>(config_.get_i64_or("global.qos", 0));
     if (publishes_) {
         // The agent may simply not be up yet: sample into the cache and

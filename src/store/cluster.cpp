@@ -38,21 +38,30 @@ std::size_t StoreCluster::primary_node(const Key& key) const {
 
 void StoreCluster::insert(const Key& key, TimestampNs ts, Value value,
                           std::uint32_t ttl_s, int local_hint) {
-    const BatchEntry entry{key, ts, value, ttl_s};
-    insert_batch(std::span<const BatchEntry>(&entry, 1), local_hint);
+    const Row row{ts, value, Row::expiry_at(ts, ttl_s)};
+    const Mutation mutation{key, std::span<const Row>(&row, 1)};
+    insert_batch(std::span<const Mutation>(&mutation, 1), local_hint);
 }
 
 void StoreCluster::insert_batch(std::span<const BatchEntry> entries,
                                 int local_hint,
                                 const telemetry::trace::TraceContext* trace) {
-    if (entries.empty()) return;
+    insert_batch(to_mutations(entries), local_hint, trace);
+}
+
+void StoreCluster::insert_batch(std::span<const Mutation> mutations,
+                                int local_hint,
+                                const telemetry::trace::TraceContext* trace) {
+    std::uint64_t rows = 0;
+    for (const auto& m : mutations) rows += m.rows.size();
+    if (rows == 0) return;
 
     if (nodes_.size() == 1) {
         // One node owns every key (replication is then 1 too): the batch
         // goes through as it is, with no per-node copy.
-        nodes_[0]->insert_batch(entries, trace);
-        total_writes_.add(entries.size());
-        if (local_hint == 0) local_writes_.add(entries.size());
+        nodes_[0]->insert_batch(mutations, trace);
+        total_writes_.add(rows);
+        if (local_hint == 0) local_writes_.add(rows);
         return;
     }
 
@@ -60,23 +69,23 @@ void StoreCluster::insert_batch(std::span<const BatchEntry> entries,
     // call (one lock acquisition, one commit-log record) per replica
     // sweep. thread_local keeps the steady-state path allocation-free;
     // agent session threads each get their own buckets.
-    thread_local std::vector<std::vector<BatchEntry>> buckets;
+    thread_local std::vector<std::vector<Mutation>> buckets;
     if (buckets.size() < nodes_.size()) buckets.resize(nodes_.size());
     for (auto& bucket : buckets) bucket.clear();
 
     std::uint64_t local = 0;
-    for (const auto& entry : entries) {
-        const std::size_t primary = primary_node(entry.key);
+    for (const auto& m : mutations) {
+        const std::size_t primary = primary_node(m.key);
         if (local_hint >= 0 &&
             static_cast<std::size_t>(local_hint) == primary)
-            ++local;
+            local += m.rows.size();
         for (std::size_t r = 0; r < config_.replication; ++r)
-            buckets[(primary + r) % nodes_.size()].push_back(entry);
+            buckets[(primary + r) % nodes_.size()].push_back(m);
     }
     for (std::size_t i = 0; i < nodes_.size(); ++i)
         if (!buckets[i].empty()) nodes_[i]->insert_batch(buckets[i], trace);
 
-    total_writes_.add(entries.size());
+    total_writes_.add(rows);
     if (local > 0) local_writes_.add(local);
 }
 

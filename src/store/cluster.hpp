@@ -60,18 +60,22 @@ class StoreCluster {
     /// Primary owner of a key.
     std::size_t primary_node(const Key& key) const;
 
-    /// Insert into the primary and its replicas, as a batch of one:
+    /// Insert into the primary and its replicas, as a one-row mutation:
     /// insert_batch is the only write path. `local_hint`, when >= 0, is
     /// the index of the node colocated with the writer; used only for
     /// locality accounting (the paper's "nearest server" claim).
     void insert(const Key& key, TimestampNs ts, Value value,
                 std::uint32_t ttl_s = 0, int local_hint = -1);
 
-    /// Batched insert: entries are routed per key, grouped by
-    /// destination node, and each group lands via
-    /// StorageNode::insert_batch — one writer-lock acquisition and one
-    /// commit-log record per (node, replica) touched, instead of one
-    /// per reading. Write accounting is in readings.
+    /// Batched insert: each mutation goes whole to the node its key
+    /// names and to that node's replicas, and each node's share lands
+    /// via StorageNode::insert_batch — one writer-lock acquisition and
+    /// one commit-log record per node touched. Write accounting is in
+    /// readings.
+    void insert_batch(std::span<const Mutation> mutations,
+                      int local_hint = -1,
+                      const telemetry::trace::TraceContext* trace = nullptr);
+    /// The same, for entries cut into mutations by to_mutations().
     void insert_batch(std::span<const BatchEntry> entries,
                       int local_hint = -1,
                       const telemetry::trace::TraceContext* trace = nullptr);

@@ -1,9 +1,10 @@
 // Append-only commit log for durability between memtable flushes
 // (Cassandra's commit-log role): a RecordLog (store/file.hpp) with magic
-// 'DCL2', version 3, and one record per *batch*, whose body is its rows,
-//   len / 40 x (key(20) + ts(8) + value(8) + expiry(4))   big-endian.
-// A batch is atomic under crash: replay delivers all of its rows or
-// (torn or corrupt) none, and a torn batch ends replay.
+// 'DCL2', version 4, and one record per *batch*, whose body is its runs,
+//   key(20) | u32 row count n | n x (ts(8) + value(8) + expiry(4))
+// repeated, big-endian. A batch is atomic under crash: replay delivers
+// all of its runs or (torn or corrupt) none, and a torn batch ends
+// replay.
 #pragma once
 
 #include <functional>
@@ -18,30 +19,36 @@
 
 namespace dcdb::store {
 
+/// The store's write unit: a run of one partition's rows, as a Collect
+/// Agent section yields them (one sensor, one day bucket). The rows are
+/// usually in timestamp order; of equal timestamps the later row wins.
+struct Mutation {
+    Key key;
+    std::span<const Row> rows;
+};
+
 /// One reading of a batched insert; `ttl_s` 0 means no expiry. Entries
-/// of one batch may address different keys (the key's time bucket is
-/// derived per reading, and an agent batch spans sensors).
+/// of one batch may address different keys. to_mutations() turns
+/// entries into mutations, so they take the one write path.
 struct BatchEntry {
     Key key;
     TimestampNs ts{0};
     Value value{0};
     std::uint32_t ttl_s{0};
 
-    /// The stored row: the TTL becomes an absolute expiry in UNIX
-    /// seconds.
-    Row row() const {
-        return Row{ts, value,
-                   ttl_s == 0 ? 0u
-                              : static_cast<std::uint32_t>(ts / kNsPerSec +
-                                                           ttl_s)};
-    }
+    Row row() const { return Row{ts, value, Row::expiry_at(ts, ttl_s)}; }
 };
+
+/// `entries` as mutations, one per run of consecutive entries with equal
+/// keys. The rows and mutations live in thread-local scratch: the span is
+/// valid until the calling thread's next call.
+std::span<const Mutation> to_mutations(std::span<const BatchEntry> entries);
 
 class CommitLog {
   public:
-    using Apply = std::function<void(const Key&, const Row&)>;
+    using Apply = std::function<void(const Key&, std::span<const Row>)>;
 
-    /// Open (creating if needed) the log at `path`, replaying each row
+    /// Open (creating if needed) the log at `path`, replaying each run
     /// of every intact record into `apply` in append order (RecordLog's
     /// open policy: the torn tail is truncated, a foreign header refused).
     CommitLog(std::string path, const Apply& apply);
@@ -51,14 +58,16 @@ class CommitLog {
     CommitLog& operator=(const CommitLog&) = delete;
 
     /// Encode a whole batch as ONE sealed record into `out`, replacing
-    /// its contents. Needs no lock: StorageNode encodes into thread-local
+    /// its contents; runs without rows are left out. Returns the rows
+    /// encoded. Needs no lock: StorageNode encodes into thread-local
     /// scratch before it takes its writer lock.
-    static void encode_record(std::span<const BatchEntry> entries,
-                              std::vector<std::uint8_t>& out);
+    static std::size_t encode_record(std::span<const Mutation> mutations,
+                                     std::vector<std::uint8_t>& out);
 
-    /// Append one record from encode_record(): one write(2),
-    /// crash-atomic. It survives a killed process once this returns.
-    void append(std::span<const std::uint8_t> record);
+    /// Append one record of `rows` rows from encode_record(): one
+    /// write(2), crash-atomic. It survives a killed process once this
+    /// returns.
+    void append(std::span<const std::uint8_t> record, std::size_t rows);
 
     /// fdatasync: the appended records reach the device, and survive a
     /// machine crash. StorageNode calls it every commitlog_sync_every

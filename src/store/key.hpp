@@ -19,7 +19,13 @@ struct Key {
     std::array<std::uint8_t, 16> sid{};  // 128-bit sensor id
     std::uint32_t bucket{0};             // coarse time bucket
 
-    friend bool operator==(const Key&, const Key&) = default;
+    // Not defaulted: the defaulted comparison calls libc's memcmp, while
+    // this fixed-size equality test compiles inline. The memtable's
+    // index compares a key on every probe.
+    friend bool operator==(const Key& a, const Key& b) {
+        return std::memcmp(a.sid.data(), b.sid.data(), a.sid.size()) == 0 &&
+               a.bucket == b.bucket;
+    }
     friend auto operator<=>(const Key& a, const Key& b) {
         const int c = std::memcmp(a.sid.data(), b.sid.data(), a.sid.size());
         if (c != 0) return c <=> 0;

@@ -1,10 +1,10 @@
 // Row cursors and the one newest-wins merge (DESIGN.md §9).
 //
 // A RowCursor walks one source's rows of one partition within [t0, t1],
-// in timestamp order: a memtable partition's span as it is, or an SSTable
-// partition whose blocks outside the window are skipped and whose other
-// blocks are decoded one at a time into scratch the cursor reuses. It is
-// defined beside the block reader, in sstable.cpp.
+// in timestamp order: a memtable partition's chunks, or an SSTable
+// partition's blocks. Chunks and blocks outside the window are skipped;
+// a chunk is read in place, a block is decoded into scratch the cursor
+// reuses. It is defined beside the block reader, in sstable.cpp.
 //
 // merge_newest_wins() reconciles cursors by Cassandra's one rule for
 // reads and compactions alike: of the rows that share a timestamp, the
@@ -23,11 +23,29 @@ namespace dcdb::store {
 
 class SsTable;
 
+/// One link of a memtable partition: a sorted run of `size` rows, stored
+/// right behind this header, every one older than the next chunk's first.
+/// A chunk is never empty. The last chunk's `size` is not kept current:
+/// the memtable holds it beside the partition's key, so that an append
+/// writes no header.
+struct RowChunk {
+    RowChunk* next{nullptr};
+    std::uint32_t size{0};
+    std::uint32_t capacity{0};
+
+    Row* rows() { return reinterpret_cast<Row*>(this + 1); }
+    const Row* rows() const { return reinterpret_cast<const Row*>(this + 1); }
+};
+
 class RowCursor {
   public:
-    /// A sorted run of rows, such as a memtable partition, trimmed to
-    /// [t0, t1]. The rows must outlive the cursor.
-    RowCursor(std::span<const Row> rows, TimestampNs t0, TimestampNs t1);
+    /// A cursor with no rows.
+    RowCursor() = default;
+    /// A memtable partition's chunks from `first` on, whose last chunk
+    /// holds `last_size` rows, trimmed to [t0, t1]. The chunks must
+    /// outlive the cursor.
+    RowCursor(const RowChunk* first, std::uint32_t last_size, TimestampNs t0,
+              TimestampNs t1);
     /// Partition `partition` (an index in key order) of `table`, trimmed
     /// to [t0, t1]. The table must outlive the cursor.
     RowCursor(const SsTable& table, std::size_t partition, TimestampNs t0,
@@ -45,14 +63,16 @@ class RowCursor {
     }
 
   private:
-    /// Decode the table's next blocks until one has rows in the window;
-    /// the run stays empty when none is left (or the source is a span).
+    /// Step to the source's next chunk or decoded block that has rows in
+    /// the window; the run stays empty when none is left.
     void load_block();
 
-    std::span<const Row> run_;  // the span, or the decoded block's window
+    std::span<const Row> run_;  // the chunk's or decoded block's window
     std::size_t pos_{0};
     TimestampNs t0_{0};
     TimestampNs t1_{0};
+    const RowChunk* chunk_{nullptr};  // the next chunk to read
+    std::uint32_t last_size_{0};
     const SsTable* table_{nullptr};
     std::size_t partition_{0};
     std::size_t block_{0};      // the next block to decode

@@ -41,6 +41,12 @@ StorageNode::StorageNode(NodeConfig config)
       compaction_bytes_(
           telemetry::resolve_registry(config_.registry, owned_registry_)
               .counter(config_.metric_prefix + ".compaction.bytes")),
+      flush_errors_(
+          telemetry::resolve_registry(config_.registry, owned_registry_)
+              .counter(config_.metric_prefix + ".flush.errors")),
+      commitlog_bytes_(
+          telemetry::resolve_registry(config_.registry, owned_registry_)
+              .counter(config_.metric_prefix + ".commitlog.bytes")),
       flush_latency_(
           telemetry::resolve_registry(config_.registry, owned_registry_)
               .histogram(config_.metric_prefix + ".flush.latency")),
@@ -93,8 +99,8 @@ StorageNode::StorageNode(NodeConfig config)
     const std::string log_path = config_.data_dir + "/commit.log";
     if (config_.commitlog_enabled || fs::exists(log_path)) {
         auto log = std::make_unique<CommitLog>(
-            log_path, [this](const Key& key, const Row& row) {
-                memtable_.insert(key, row);
+            log_path, [this](const Key& key, std::span<const Row> rows) {
+                memtable_.insert(key, rows);
             });
         if (config_.commitlog_enabled) commitlog_ = std::move(log);
     }
@@ -106,13 +112,21 @@ std::string StorageNode::sstable_path(std::uint64_t generation) const {
 
 void StorageNode::insert(const Key& key, TimestampNs ts, Value value,
                          std::uint32_t ttl_s) {
-    const BatchEntry entry{key, ts, value, ttl_s};
-    insert_batch(std::span<const BatchEntry>(&entry, 1));
+    const Row row{ts, value, Row::expiry_at(ts, ttl_s)};
+    const Mutation mutation{key, std::span<const Row>(&row, 1)};
+    insert_batch(std::span<const Mutation>(&mutation, 1));
 }
 
 void StorageNode::insert_batch(std::span<const BatchEntry> entries,
                                const telemetry::trace::TraceContext* trace) {
-    if (entries.empty()) return;
+    insert_batch(to_mutations(entries), trace);
+}
+
+void StorageNode::insert_batch(std::span<const Mutation> mutations,
+                               const telemetry::trace::TraceContext* trace) {
+    std::size_t rows = 0;
+    for (const auto& m : mutations) rows += m.rows.size();
+    if (rows == 0) return;
 
     // Fault hook: errors model a transiently failing storage server
     // (callers are expected to retry), drops model silent write loss
@@ -126,10 +140,10 @@ void StorageNode::insert_batch(std::span<const BatchEntry> entries,
     if (fault == FaultAction::kDrop) return;
 
     // The commit-log record and its CRC are encoded straight from the
-    // entries before the writer lock is taken. The scratch is
+    // mutations before the writer lock is taken. The scratch is
     // thread_local, so the steady-state batch path does not allocate.
     thread_local std::vector<std::uint8_t> record;
-    if (config_.commitlog_enabled) CommitLog::encode_record(entries, record);
+    if (config_.commitlog_enabled) CommitLog::encode_record(mutations, record);
 
     // Span timings are captured inside the writer lock but recorded
     // after it drops — the flight-recorder write is lock-free, yet there
@@ -149,13 +163,14 @@ void StorageNode::insert_batch(std::span<const BatchEntry> entries,
                 append_wall = now_ns();
                 append_start = steady_ns();
             }
-            commitlog_->append(record);
+            commitlog_->append(record, rows);
+            commitlog_bytes_.add(record.size());
             if (traced) append_dur = steady_ns() - append_start;
             // The sync cadence counts rows, not batches: the durability
             // contract ("a machine crash loses at most
             // commitlog_sync_every readings") must not widen just
             // because the writer batched.
-            appends_since_sync_ += entries.size();
+            appends_since_sync_ += rows;
             if (config_.commitlog_sync_every != 0 &&
                 appends_since_sync_ >= config_.commitlog_sync_every) {
                 if (traced) sync_wall = now_ns();
@@ -170,8 +185,8 @@ void StorageNode::insert_batch(std::span<const BatchEntry> entries,
                 appends_since_sync_ = 0;
             }
         }
-        for (const auto& e : entries) memtable_.insert(e.key, e.row());
-        writes_.add(entries.size());
+        for (const auto& m : mutations) memtable_.insert(m.key, m.rows);
+        writes_.add(rows);
         if (memtable_.approx_bytes() >= config_.memtable_flush_bytes)
             flush_locked();
     }
@@ -179,12 +194,12 @@ void StorageNode::insert_batch(std::span<const BatchEntry> entries,
     if (traced && append_wall != 0) {
         tracer_->record_span(*trace, telemetry::trace::Stage::kLogAppend,
                              append_wall, append_dur,
-                             static_cast<std::uint32_t>(entries.size()));
+                             static_cast<std::uint32_t>(rows));
     }
     if (traced && synced) {
         tracer_->record_span(*trace, telemetry::trace::Stage::kSync,
                              sync_wall, sync_dur,
-                             static_cast<std::uint32_t>(entries.size()));
+                             static_cast<std::uint32_t>(rows));
     }
 }
 
@@ -197,7 +212,7 @@ std::vector<Row> StorageNode::query(const Key& key, TimestampNs t0,
     // newest-to-oldest, as merge_newest_wins takes them.
     std::vector<RowCursor> sources;
     sources.reserve(sstables_.size() + 1);
-    sources.emplace_back(memtable_.rows(key), t0, t1);
+    sources.push_back(memtable_.cursor(key, t0, t1));
     for (auto it = sstables_.rbegin(); it != sstables_.rend(); ++it) {
         // Bloom effectiveness: every negative is one SSTable probe the
         // filter saved. The node probes once per table; SsTable::cursor
@@ -230,18 +245,36 @@ void StorageNode::flush_locked() {
     if (memtable_.empty()) return;
     const TimestampNs start = steady_ns();
     const std::uint64_t gen = next_generation_++;
-    // SsTable::write publishes durably (fsync -> rename -> dir fsync)
-    // before returning: once it does, the rows survive a crash with or
-    // without the commit log, so resetting the log below is safe.
-    sstables_.push_back(SsTable::write(sstable_path(gen), gen,
-                                       memtable_.sorted_partitions()));
+    FaultAction fault = FaultAction::kNone;
+    try {
+        // finish() publishes durably (fsync -> rename -> dir fsync)
+        // before returning: once it does, the rows survive a crash with
+        // or without the commit log, so resetting the log below is safe.
+        const std::vector<Key> keys = memtable_.sorted_keys();
+        SsTableWriter writer(sstable_path(gen), gen, keys.size());
+        for (const Key& key : keys) {
+            writer.begin_partition(key);
+            for (RowCursor c = memtable_.cursor(key, 0, kTimestampMax);
+                 !c.done(); c.next())
+                writer.add_row(c.row());
+            writer.end_partition();
+        }
+        sstables_.push_back(writer.finish());
 
-    // Fault hook sitting exactly in the crash-durability window: the new
-    // SSTable is on disk, the commit log still holds the same rows.
-    const FaultAction fault =
-        FaultInjector::instance().apply(FaultPoint::kStoreFlush);
-    if (fault == FaultAction::kError)
-        throw StoreError("injected store flush fault");
+        // Fault hook sitting exactly in the crash-durability window: the
+        // new SSTable is on disk, the commit log still holds the same
+        // rows.
+        fault = FaultInjector::instance().apply(FaultPoint::kStoreFlush);
+        if (fault == FaultAction::kError)
+            throw StoreError("injected store flush fault");
+    } catch (...) {
+        // The rows stay in the memtable and the log; the next insert
+        // retries the flush. Not ready until one succeeds.
+        flush_failed_.store(true);
+        flush_errors_.add(1);
+        throw;
+    }
+    flush_failed_.store(false);
     if (fault == FaultAction::kDrop)
         return;  // flush "crashed" before the commit-log reset
 
@@ -388,6 +421,7 @@ NodeStats StorageNode::stats() const {
     s.memtable_rows = memtable_.row_count();
     for (const auto& table : sstables_) s.disk_bytes += table->file_bytes();
     if (commitlog_) s.commitlog_syncs = commitlog_->syncs();
+    s.commitlog_bytes = commitlog_bytes_.value();
     s.bloom_checks = bloom_checks_.value();
     s.bloom_negatives = bloom_negatives_.value();
     s.compaction_tables = compaction_tables_.value();
@@ -396,7 +430,7 @@ NodeStats StorageNode::stats() const {
 }
 
 bool StorageNode::writable() const {
-    return !(commitlog_ && commitlog_->failed()) &&
+    return !flush_failed_.load() && !(commitlog_ && commitlog_->failed()) &&
            ::access(config_.data_dir.c_str(), W_OK) == 0;
 }
 

@@ -53,6 +53,8 @@ struct NodeStats {
     std::size_t memtable_rows{0};
     std::uint64_t disk_bytes{0};
     std::uint64_t commitlog_syncs{0};
+    /// Bytes of the commit-log records appended (frames included).
+    std::uint64_t commitlog_bytes{0};
     std::uint64_t bloom_checks{0};
     /// SSTable probes skipped because the bloom filter proved absence.
     std::uint64_t bloom_negatives{0};
@@ -72,18 +74,23 @@ class StorageNode {
 
     /// Insert one reading; `ttl_s` 0 means no expiry. Triggers a memtable
     /// flush when the configured threshold is crossed. Implemented as a
-    /// batch of one — insert_batch is the only write path.
+    /// one-row mutation — insert_batch is the only write path.
     void insert(const Key& key, TimestampNs ts, Value value,
                 std::uint32_t ttl_s = 0) DCDB_EXCLUDES(mutex_);
 
-    /// Insert a whole batch under ONE writer-lock acquisition and ONE
-    /// commit-log record (crash-atomic: replay delivers all of the
-    /// batch's rows or none). The record is encoded before the lock is
-    /// taken; the lock covers its write, the sync cadence and the
-    /// memtable insert. The fault hook rolls once per batch — a batch
-    /// is the unit of work, so it fails or lands as a unit.
+    /// Insert a whole batch of mutations under ONE writer-lock
+    /// acquisition and ONE commit-log record (crash-atomic: replay
+    /// delivers all of the batch's rows or none). The record is encoded
+    /// before the lock is taken; the lock covers its write, the sync
+    /// cadence and the memtable insert, one index probe per mutation.
+    /// The fault hook rolls once per batch — a batch is the unit of
+    /// work, so it fails or lands as a unit.
     /// A non-null `trace` (plus a tracer via set_tracer) adds
     /// log_append / sync spans for this batch to the flight recorder.
+    void insert_batch(std::span<const Mutation> mutations,
+                      const telemetry::trace::TraceContext* trace = nullptr)
+        DCDB_EXCLUDES(mutex_);
+    /// The same, for entries cut into mutations by to_mutations().
     void insert_batch(std::span<const BatchEntry> entries,
                       const telemetry::trace::TraceContext* trace = nullptr)
         DCDB_EXCLUDES(mutex_);
@@ -93,10 +100,12 @@ class StorageNode {
     void set_tracer(telemetry::trace::Tracer* tracer) { tracer_ = tracer; }
 
     /// Readiness probe: the data directory still accepts writes (a
-    /// full or remounted-read-only disk flips this to false) and the
-    /// commit log has not failed a write. Takes no lock, so a probe never
-    /// waits behind a flush or an fdatasync: commitlog_ is set only in the
-    /// constructor, and CommitLog::failed() reads an atomic.
+    /// full or remounted-read-only disk flips this to false), the
+    /// commit log has not failed a write, and the last memtable flush
+    /// did not fail (every insert retries it, and is refused until one
+    /// succeeds). Takes no lock, so a probe never waits behind a flush or
+    /// an fdatasync: commitlog_ is set only in the constructor, and
+    /// CommitLog::failed() and flush_failed_ read atomics.
     bool writable() const DCDB_NO_THREAD_SAFETY_ANALYSIS;
 
     /// Merged view over memtable and SSTables, newest write wins per
@@ -148,6 +157,8 @@ class StorageNode {
     telemetry::Counter& bloom_negatives_;
     telemetry::Counter& compaction_tables_;
     telemetry::Counter& compaction_bytes_;
+    telemetry::Counter& flush_errors_;
+    telemetry::Counter& commitlog_bytes_;
     telemetry::Histogram& flush_latency_;
     telemetry::Histogram& compaction_latency_;
     /// Writer-lock hold time of the maintenance phases (snapshot, swap):
@@ -165,6 +176,9 @@ class StorageNode {
     // only set at construction. Lock order: mutex_ -> RecordLog.
     std::unique_ptr<CommitLog> commitlog_ DCDB_GUARDED_BY(mutex_);
     std::size_t appends_since_sync_ DCDB_GUARDED_BY(mutex_){0};
+    // Set when a flush throws, cleared when one succeeds; written under
+    // mutex_, read by writable() without it.
+    std::atomic<bool> flush_failed_{false};
     // Oldest-to-newest shadowing order == ascending generation: flushes
     // append fresh generations and a tier merge inherits its newest
     // input's generation, so the invariant survives mid-sequence merges

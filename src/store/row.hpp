@@ -17,6 +17,14 @@ struct Row {
 
     static constexpr std::size_t kBytes = 20;  // 8 + 8 + 4 serialized
 
+    /// The expiry of a row written at `ts` with a TTL of `ttl_s` seconds
+    /// (0 = never expires).
+    static std::uint32_t expiry_at(TimestampNs ts, std::uint32_t ttl_s) {
+        return ttl_s == 0
+                   ? 0u
+                   : static_cast<std::uint32_t>(ts / kNsPerSec + ttl_s);
+    }
+
     bool expired(TimestampNs now) const {
         return expiry_s != 0 &&
                static_cast<TimestampNs>(expiry_s) * kNsPerSec <= now;

@@ -264,7 +264,7 @@ void SsTable::read_block(const IndexEntry& entry, const BlockRef& block,
 RowCursor SsTable::cursor(const Key& key, TimestampNs t0,
                           TimestampNs t1) const {
     const IndexEntry* entry = find_entry(key);
-    if (!entry) return RowCursor({}, t0, t1);
+    if (!entry) return RowCursor();
     return RowCursor(*this, static_cast<std::size_t>(entry - index_.data()),
                      t0, t1);
 }
@@ -291,9 +291,11 @@ std::span<const Row> window(std::span<const Row> rows, TimestampNs t0,
 
 }  // namespace
 
-RowCursor::RowCursor(std::span<const Row> rows, TimestampNs t0,
-                     TimestampNs t1)
-    : run_(window(rows, t0, t1)), t0_(t0), t1_(t1) {}
+RowCursor::RowCursor(const RowChunk* first, std::uint32_t last_size,
+                     TimestampNs t0, TimestampNs t1)
+    : t0_(t0), t1_(t1), chunk_(first), last_size_(last_size) {
+    load_block();
+}
 
 RowCursor::RowCursor(const SsTable& table, std::size_t partition,
                      TimestampNs t0, TimestampNs t1)
@@ -315,6 +317,15 @@ RowCursor::RowCursor(const SsTable& table, std::size_t partition,
 void RowCursor::load_block() {
     run_ = {};
     pos_ = 0;
+    // Chunks ascend in ts, as blocks do.
+    while (chunk_ != nullptr && chunk_->rows()[0].ts <= t1_) {
+        const std::span<const Row> rows(
+            chunk_->rows(), chunk_->next ? chunk_->size : last_size_);
+        chunk_ = chunk_->next;
+        if (rows.back().ts < t0_) continue;
+        run_ = window(rows, t0_, t1_);
+        if (!run_.empty()) return;
+    }
     while (block_ < end_block_) {
         const SsTable::IndexEntry& entry = table_->index_[partition_];
         scratch_.clear();

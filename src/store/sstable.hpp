@@ -50,8 +50,9 @@ inline constexpr std::size_t kBlockRows = 512;
 class SsTable {
   public:
     /// Write a new table from partitions in ascending key order: any
-    /// sized range of (key, rows) pairs, such as a std::map or the
-    /// memtable's sorted_partitions(). Returns the opened table.
+    /// sized range of (key, rows) pairs, such as a std::map. Returns the
+    /// opened table. (A flush drains memtable cursors into
+    /// SsTableWriter instead.)
     template <typename Partitions>
     static std::unique_ptr<SsTable> write(const std::string& path,
                                           std::uint64_t generation,

@@ -80,6 +80,37 @@ TEST_F(CollectAgentTest, IngestsPublishedReadingsIntoStore) {
     EXPECT_EQ(stats.decode_errors, 0u);
 }
 
+// A section that crosses midnight is two runs, one per day bucket, with
+// a TTL that becomes each row's expiry: both runs are stored, and a
+// straggler from the day before lands in the first.
+TEST_F(CollectAgentTest, SectionAcrossMidnightIsStoredInBothDayBuckets) {
+    CollectAgent agent(parse_config("global { listenTcp false ; ttl 1000000000 }"),
+                       cluster_.get(), meta_.get());
+    mqtt::MqttClient client(agent.connect_inproc(), "test-pusher");
+    client.connect();
+    const TimestampNs midnight = 20'454 * kBucketWidthNs;
+    std::vector<Reading> readings;
+    for (int i = -3; i < 3; ++i)
+        readings.push_back({midnight + i * kNsPerSec, i});
+    readings.push_back({midnight - 10 * kNsPerSec, -10});
+    const std::string topic = "/sys/rack0/node1/midnight";
+    client.publish(topic, encode_readings(readings), 1);
+    client.disconnect();
+
+    SensorId sid;
+    ASSERT_TRUE(agent.mapper().lookup(topic, sid));
+    const auto before = cluster_->query(sensor_key(sid, midnight - 1), 0,
+                                        kTimestampMax);
+    const auto after =
+        cluster_->query(sensor_key(sid, midnight), 0, kTimestampMax);
+    ASSERT_EQ(before.size(), 4u);
+    ASSERT_EQ(after.size(), 3u);
+    EXPECT_EQ(before.front().value, -10);
+    EXPECT_EQ(after.front().ts, midnight);
+    EXPECT_EQ(after.back().expiry_s, midnight / kNsPerSec + 2 + 1000000000);
+    EXPECT_EQ(agent.stats().readings, readings.size());
+}
+
 TEST_F(CollectAgentTest, CacheHoldsLatestReadingPerSensor) {
     CollectAgent agent(parse_config("global { listenTcp false }"),
                        cluster_.get(), meta_.get());

@@ -508,26 +508,28 @@ TEST(Failure, FailedLogWriteRefusesLaterWritesUntilReopened) {
     EXPECT_EQ(store::MetaStore(meta_path).get("c"), "3");
 
     const std::string log_path = dir.str() + "/commit.log";
-    const auto ignore = [](const store::Key&, const store::Row&) {};
+    const auto ignore = [](const store::Key&, std::span<const store::Row>) {};
     std::vector<std::uint8_t> record;
-    store::CommitLog::encode_record(
-        std::vector<store::BatchEntry>{{store::Key{}, 1, 10, 0}}, record);
+    const store::Row row{1, 10, 0};
+    const store::Mutation mutation{store::Key{}, {&row, 1}};
+    store::CommitLog::encode_record({&mutation, 1}, record);
     {
         store::CommitLog log(log_path, ignore);
-        log.append(record);
+        log.append(record, 1);
         {
             const FileSizeLimit full(fs::file_size(log_path));
-            EXPECT_THROW(log.append(record), StoreError);
+            EXPECT_THROW(log.append(record, 1), StoreError);
         }
-        EXPECT_THROW(log.append(record), StoreError);
+        EXPECT_THROW(log.append(record, 1), StoreError);
         EXPECT_THROW(log.sync(), StoreError);
         EXPECT_THROW(log.reset(), StoreError);
     }
     std::uint64_t replayed = 0;
-    store::CommitLog log(log_path, [&](const store::Key&, const store::Row&) {
-        ++replayed;
+    store::CommitLog log(log_path, [&](const store::Key&,
+                                       std::span<const store::Row> rows) {
+        replayed += rows.size();
     });
-    log.append(record);
+    log.append(record, 1);
     log.sync();
     EXPECT_EQ(log.records_appended(), replayed + 1);
 }
@@ -757,6 +759,38 @@ TEST(Failure, FailedCommitLogRefusesEveryPublishAndIsNotReady) {
     const Readiness ready = agent.readiness();
     EXPECT_FALSE(ready.ready);
     EXPECT_EQ(ready.reason, "store not writable");
+}
+
+// A flush that fails leaves its rows in the memtable, and every insert
+// retries it: the node is not ready from the failed flush until one
+// succeeds, and the failure is counted.
+TEST(Failure, FailedFlushMakesTheNodeNotReadyUntilAFlushSucceeds) {
+    TempDir dir;
+    telemetry::MetricRegistry registry;
+    store::ClusterConfig config{dir.str(), 1, 1, "hierarchy", 64, false};
+    config.registry = &registry;
+    store::StoreCluster cluster(config);
+    store::MetaStore meta;
+    collectagent::CollectAgent agent(
+        parse_config("global { listenTcp false }"), &cluster, &meta);
+    store::StorageNode& node = cluster.node(0);
+    const store::Key key{};
+    {
+        ScopedFault fault(FaultPoint::kStoreFlush,
+                          {.error_prob = 1.0, .max_triggers = 1});
+        EXPECT_THROW(node.insert(key, 1, 10), StoreError);
+    }
+    EXPECT_FALSE(node.writable());
+    const Readiness ready = agent.readiness();
+    EXPECT_FALSE(ready.ready);
+    EXPECT_EQ(ready.reason, "store not writable");
+    EXPECT_EQ(registry.counter("store.node0.flush.errors").value(), 1u);
+
+    node.insert(key, 2, 20);  // flushes both rows
+    EXPECT_TRUE(node.writable());
+    EXPECT_TRUE(agent.readiness().ready);
+    EXPECT_EQ(node.stats().memtable_rows, 0u);
+    EXPECT_EQ(node.query(key, 0, kTimestampMax).size(), 2u);
 }
 
 TEST(Failure, AgentRefusesWholeBatchAtomicallyAndRecovers) {

@@ -41,7 +41,8 @@ class StoreProperty : public Seeded {};
 // regardless of how inserts interleave with flushes, compactions, tier
 // merges, purges and restarts. An insert whose TTL has already passed
 // deletes its (key, ts) in the model: it hides every older copy, and a
-// merge may drop it only together with them.
+// merge may drop it only together with them. A batch of runs applies
+// its rows in order, so of equal timestamps the later row wins.
 TEST_P(StoreProperty, RandomWorkloadMatchesReferenceModel) {
     const auto dir = fs::temp_directory_path() /
                      ("dcdb_prop_store_" + std::to_string(::getpid()) + "_" +
@@ -63,15 +64,43 @@ TEST_P(StoreProperty, RandomWorkloadMatchesReferenceModel) {
     store::NodeConfig config{dir.string(), 16u << 10, true};
     config.compaction_min_tables = 2;
     auto node = std::make_unique<store::StorageNode>(config);
+    std::vector<store::Row> run_rows;
+    std::vector<store::Mutation> runs;
 
     for (int op = 0; op < 2000; ++op) {
         const double dice = rng.uniform();
-        if (dice < 0.70) {
+        if (dice < 0.55) {
             const store::Key key = random_key();
             const TimestampNs ts = 1 + rng.below(500);
             const Value value = static_cast<Value>(rng.next_u64() % 1000);
             node->insert(key, ts, value);
             model[key][ts] = value;
+        } else if (dice < 0.70) {
+            // Runs over one to three keys (a key may repeat), each
+            // starting past the key's newest row or anywhere before it,
+            // ascending with now and then a rewrite of the row before.
+            constexpr std::size_t kMaxRun = 16;
+            const std::size_t count = 1 + rng.below(3);
+            run_rows.resize(count * kMaxRun);
+            runs.clear();
+            for (std::size_t r = 0; r < count; ++r) {
+                const store::Key key = random_key();
+                const auto& rows = model[key];
+                TimestampNs ts = rng.below(2) == 0 && !rows.empty()
+                                     ? rows.rbegin()->first + 1
+                                     : 1 + rng.below(500);
+                const std::size_t n = 1 + rng.below(kMaxRun);
+                for (std::size_t i = 0; i < n; ++i) {
+                    run_rows[r * kMaxRun + i] = store::Row{
+                        ts, static_cast<Value>(rng.next_u64() % 1000), 0};
+                    ts += rng.below(3);
+                }
+                runs.push_back({key, std::span<const store::Row>(run_rows)
+                                         .subspan(r * kMaxRun, n)});
+            }
+            node->insert_batch(runs);
+            for (const auto& run : runs)
+                for (const auto& row : run.rows) model[run.key][row.ts] = row.value;
         } else if (dice < 0.78) {
             // ttl_s 1 at these nanosecond timestamps expired in 1970.
             const store::Key key = random_key();

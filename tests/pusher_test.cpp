@@ -1046,6 +1046,16 @@ TEST(Pusher, InjectedTransportCarriesOnlyTheFirstSession) {
     EXPECT_FALSE(pusher.mqtt_connected());
 }
 
+// The push thread staggers its sends modulo the interval: a zero
+// interval is refused at construction instead of dividing by zero once
+// start() runs.
+TEST(Pusher, ZeroPushIntervalThrows) {
+    auto config = parse_config(
+        "global { mqttBroker 127.0.0.1:1 ; pushInterval 0 }\n"
+        "plugins { tester { group g { sensors 1 } } }\n");
+    EXPECT_THROW(Pusher pusher(std::move(config)), ConfigError);
+}
+
 TEST(Pusher, UnknownPluginNameThrows) {
     auto config = parse_config("plugins { warpdrive { } }\n");
     EXPECT_THROW(Pusher pusher(std::move(config)), ConfigError);

@@ -556,18 +556,19 @@ TEST(CommitLogRace, AppendSyncRotateReplay) {
     const std::string path = dir.str() + "/commit.log";
     {
         store::CommitLog log(path,
-                             [](const store::Key&, const store::Row&) {});
+                             [](const store::Key&,
+                                std::span<const store::Row>) {});
         std::vector<std::thread> appenders;
         for (int a = 0; a < kAppenders; ++a) {
             appenders.emplace_back([&, a] {
                 std::vector<std::uint8_t> record;
                 for (int i = 0; i < kAppends; ++i) {
-                    const store::BatchEntry entry{
+                    const store::Row row{static_cast<TimestampNs>(i), i, 0};
+                    const store::Mutation mutation{
                         make_key(static_cast<std::uint8_t>(a + 1)),
-                        static_cast<TimestampNs>(i), i, 0};
-                    store::CommitLog::encode_record(
-                        std::span<const store::BatchEntry>(&entry, 1), record);
-                    log.append(record);
+                        {&row, 1}};
+                    store::CommitLog::encode_record({&mutation, 1}, record);
+                    log.append(record, 1);
                     if (i % 64 == 0) log.sync();
                 }
             });
@@ -588,7 +589,9 @@ TEST(CommitLogRace, AppendSyncRotateReplay) {
     const auto size = fs::file_size(path);
     std::uint64_t replayed = 0;
     const store::CommitLog reopened(
-        path, [&](const store::Key&, const store::Row&) { ++replayed; });
+        path, [&](const store::Key&, std::span<const store::Row> rows) {
+            replayed += rows.size();
+        });
     EXPECT_EQ(reopened.records_appended(), replayed);
     EXPECT_EQ(fs::file_size(path), size);  // no torn bytes to truncate
     EXPECT_LE(replayed,

@@ -227,6 +227,59 @@ TEST(Memtable, ApproxBytesGrows) {
     EXPECT_GT(mt.approx_bytes(), before + 100 * Row::kBytes - 1);
 }
 
+// Runs in order, runs that overlap the partition's tail or reach back
+// past many chunks, and equal-timestamp rewrites inside a run: the
+// memtable reads back what a map that applies each row in turn holds,
+// through chunk growth and splits, and again after clear() reuses its
+// arena.
+TEST(Memtable, RunsMatchAMapOfTheirRows) {
+    Memtable mt;
+    std::mt19937_64 rng(11);
+    for (int round = 0; round < 2; ++round) {
+        SCOPED_TRACE(round);
+        mt.clear();
+        std::map<Key, std::map<TimestampNs, Value>> model;
+        std::vector<Row> run;
+        for (int i = 0; i < 3000; ++i) {
+            const Key key = make_key(static_cast<std::uint8_t>(rng() % 3));
+            auto& rows = model[key];
+            const TimestampNs newest = rows.empty() ? 0 : rows.rbegin()->first;
+            TimestampNs ts =
+                rng() % 4 != 0 ? newest + 1 : 1 + rng() % (newest + 1);
+            run.clear();
+            for (std::size_t n = 1 + rng() % 40; n > 0; --n) {
+                run.push_back(Row{ts, static_cast<Value>(rng() % 1000), 0});
+                ts += rng() % 3;  // 0 rewrites the row just written
+            }
+            mt.insert(key, run);
+            for (const Row& r : run) rows[r.ts] = r.value;
+        }
+        std::size_t total = 0;
+        for (const auto& [key, rows] : model) {
+            total += rows.size();
+            for (int q = 0; q < 20; ++q) {
+                TimestampNs lo = rng() % (rows.rbegin()->first + 2);
+                TimestampNs hi = rng() % (rows.rbegin()->first + 2);
+                if (q == 0) lo = 0, hi = kTimestampMax;
+                if (lo > hi) std::swap(lo, hi);
+                std::vector<Row> out;
+                mt.query(key, lo, hi, out);
+                auto it = rows.lower_bound(lo);
+                for (const Row& r : out) {
+                    ASSERT_NE(it, rows.end());
+                    EXPECT_EQ(r.ts, it->first);
+                    EXPECT_EQ(r.value, it->second);
+                    ++it;
+                }
+                EXPECT_TRUE(it == rows.end() || it->first > hi);
+            }
+        }
+        EXPECT_EQ(mt.row_count(), total);
+        EXPECT_EQ(mt.approx_bytes(),
+                  total * Row::kBytes + model.size() * (Key::kBytes + 48));
+    }
+}
+
 // --------------------------------------------------------------- sstable
 
 TEST(SsTable, WriteOpenQuery) {
@@ -376,13 +429,22 @@ TEST(SsTable, QueriesAndRowReadsCrossCompressedBlockBoundaries) {
 
 // ------------------------------------------------------------- commitlog
 
-void ignore_row(const Key&, const Row&) {}
+void ignore_row(const Key&, std::span<const Row>) {}
+
+/// A replay callback that hands `f` each row of each replayed run.
+template <typename F>
+CommitLog::Apply each_row(F f) {
+    return [f](const Key& key, std::span<const Row> rows) mutable {
+        for (const Row& row : rows) f(key, row);
+    };
+}
 
 /// Append a batch as one record, the way StorageNode does.
 void append_batch(CommitLog& log, std::span<const BatchEntry> entries) {
     std::vector<std::uint8_t> record;
-    CommitLog::encode_record(entries, record);
-    log.append(record);
+    const std::size_t rows =
+        CommitLog::encode_record(to_mutations(entries), record);
+    log.append(record, rows);
 }
 
 /// Append one row as its own record; timestamps under a second make the
@@ -402,8 +464,9 @@ TEST(CommitLog, AppendAndReplay) {
     }
     const auto size = fs::file_size(path);
     std::vector<std::pair<Key, Row>> seen;
-    CommitLog log(
-        path, [&](const Key& k, const Row& r) { seen.emplace_back(k, r); });
+    CommitLog log(path, each_row([&](const Key& k, const Row& r) {
+                      seen.emplace_back(k, r);
+                  }));
     EXPECT_EQ(log.records_appended(), 2u);
     EXPECT_EQ(fs::file_size(path), size);  // every byte was intact
     ASSERT_EQ(seen.size(), 2u);
@@ -426,7 +489,7 @@ TEST(CommitLog, ReplayStopsAtCorruptTail) {
     fclose(f);
 
     std::uint64_t count = 0;
-    CommitLog log(path, [&](const Key&, const Row&) { ++count; });
+    CommitLog log(path, each_row([&](const Key&, const Row&) { ++count; }));
     EXPECT_EQ(count, 1u);
 }
 
@@ -441,7 +504,7 @@ TEST(CommitLog, ResetTruncates) {
         EXPECT_EQ(fs::file_size(path), 8u);  // the header, in place
     }
     std::uint64_t count = 0;
-    CommitLog log(path, [&](const Key&, const Row&) { ++count; });
+    CommitLog log(path, each_row([&](const Key&, const Row&) { ++count; }));
     EXPECT_EQ(count, 0u);
 }
 
@@ -462,14 +525,15 @@ TEST(CommitLog, AppendBatchReplaysAllRowsFromOneRecord) {
         log.sync();
         EXPECT_EQ(log.records_appended(), 5u);
     }
-    // One header + ONE record for the whole batch:
-    // 8 + (len(4) + 5 * entry(40) + crc(4)).
-    EXPECT_EQ(fs::file_size(path), 8u + 4u + 5u * 40u + 4u);
+    // One header + ONE record for the whole batch, one run per key:
+    // 8 + (len(4) + 3 * (key(20) + count(4)) + 5 * row(20) + crc(4)).
+    EXPECT_EQ(fs::file_size(path), 8u + 4u + 3u * 24u + 5u * 20u + 4u);
     std::vector<std::pair<Key, Row>> seen;
-    CommitLog log(
-        path, [&](const Key& k, const Row& r) { seen.emplace_back(k, r); });
+    CommitLog log(path, each_row([&](const Key& k, const Row& r) {
+                      seen.emplace_back(k, r);
+                  }));
     EXPECT_EQ(log.records_appended(), 5u);
-    EXPECT_EQ(fs::file_size(path), 8u + 4u + 5u * 40u + 4u);
+    EXPECT_EQ(fs::file_size(path), 8u + 4u + 3u * 24u + 5u * 20u + 4u);
     ASSERT_EQ(seen.size(), 5u);
     EXPECT_EQ(seen[2].first, make_key(2));
     EXPECT_EQ(seen[2].second.expiry_s, 7u);
@@ -497,9 +561,10 @@ TEST(CommitLog, TornBatchedTailReplaysNoneOfItsRows) {
     // Tear the second record: a torn batch is all-or-nothing on replay.
     fs::resize_file(path, fs::file_size(path) - 5);
     std::vector<Row> seen;
-    CommitLog log(path, [&](const Key&, const Row& r) { seen.push_back(r); });
+    CommitLog log(path,
+                  each_row([&](const Key&, const Row& r) { seen.push_back(r); }));
     EXPECT_EQ(log.records_appended(), 3u);
-    EXPECT_EQ(fs::file_size(path), 8u + 4u + 3u * 40u + 4u);
+    EXPECT_EQ(fs::file_size(path), 8u + 4u + 24u + 3u * 20u + 4u);
     ASSERT_EQ(seen.size(), 3u);
     EXPECT_EQ(seen.back().ts, 3u);
 }
@@ -509,40 +574,54 @@ TEST(CommitLog, RecordEncodedFromBatchEntriesReplaysSameRows) {
     const std::string path = dir.str() + "/commit.log";
     // Realistic timestamps, so a TTL becomes ts/1e9 + ttl seconds.
     const TimestampNs t0 = 1'767'225'600ull * kNsPerSec;
+    // Runs of 4 entries per key, the last of 2: 13 runs.
     std::vector<BatchEntry> batch;
     for (std::uint8_t i = 0; i < 50; ++i) {
-        batch.push_back({make_key(static_cast<std::uint8_t>(i % 7 + 1), i),
+        batch.push_back({make_key(static_cast<std::uint8_t>(i / 4 % 7 + 1),
+                                  i / 8u),
                          t0 + i * 1'500'000'000ull, -1000 + i * 37,
                          i % 3 == 0 ? 0u : 3600u * i});
     }
     std::vector<std::uint8_t> record(999, 0xEE);  // dirty reused scratch
-    CommitLog::encode_record(batch, record);
+    EXPECT_EQ(CommitLog::encode_record(to_mutations(batch), record),
+              batch.size());
 
-    // The v3 record byte for byte: len, (key, ts, value, expiry)*, crc.
-    ByteWriter ref;
-    ref.u32be(static_cast<std::uint32_t>(batch.size() * 40));
-    for (const auto& e : batch) {
+    // The v4 record byte for byte: len, (key, count, (ts, value,
+    // expiry) * count)*, crc.
+    ByteWriter body;
+    for (std::size_t i = 0; i < batch.size();) {
+        std::size_t end = i + 1;
+        while (end < batch.size() && batch[end].key == batch[i].key) ++end;
         std::uint8_t kb[Key::kBytes];
-        e.key.serialize(kb);
-        ref.bytes(kb, sizeof kb);
-        ref.u64be(e.ts);
-        ref.i64be(e.value);
-        ref.u32be(e.ttl_s == 0 ? 0u
-                               : static_cast<std::uint32_t>(
-                                     e.ts / kNsPerSec + e.ttl_s));
+        batch[i].key.serialize(kb);
+        body.bytes(kb, sizeof kb);
+        body.u32be(static_cast<std::uint32_t>(end - i));
+        for (; i < end; ++i) {
+            const BatchEntry& e = batch[i];
+            body.u64be(e.ts);
+            body.i64be(e.value);
+            body.u32be(e.ttl_s == 0 ? 0u
+                                    : static_cast<std::uint32_t>(
+                                          e.ts / kNsPerSec + e.ttl_s));
+        }
     }
+    ByteWriter ref;
+    ref.u32be(static_cast<std::uint32_t>(body.size()));
+    ref.bytes(body.data().data(), body.size());
     ref.u32be(static_cast<std::uint32_t>(murmur3_token(ref.data())));
     EXPECT_EQ(record, ref.data());
+    EXPECT_EQ(record.size(), 8u + 13u * 24u + 50u * 20u);
 
     {
         CommitLog log(path, ignore_row);
-        log.append(record);
+        log.append(record, batch.size());
         log.sync();
         EXPECT_EQ(log.records_appended(), batch.size());
     }
     std::vector<std::pair<Key, Row>> seen;
-    CommitLog log(
-        path, [&](const Key& k, const Row& r) { seen.emplace_back(k, r); });
+    CommitLog log(path, each_row([&](const Key& k, const Row& r) {
+                      seen.emplace_back(k, r);
+                  }));
     EXPECT_EQ(log.records_appended(), batch.size());
     ASSERT_EQ(seen.size(), batch.size());
     for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -550,6 +629,45 @@ TEST(CommitLog, RecordEncodedFromBatchEntriesReplaysSameRows) {
         EXPECT_EQ(seen[i].second, batch[i].row());
     }
     EXPECT_EQ(seen[1].second.expiry_s, 1'767'225'601u + 3600u);
+}
+
+// A section that crosses midnight is two runs of one sensor, in two day
+// buckets. Its record replays both runs, or, torn, neither of them.
+TEST(CommitLog, TornRecordAcrossTwoDayBucketsReplaysAllOrNone) {
+    constexpr TimestampNs kDay = 24ull * 3600 * kNsPerSec;
+    const TimestampNs midnight = 20'454 * kDay;
+    std::vector<BatchEntry> section;
+    for (TimestampNs ts = midnight - 5 * kNsPerSec;
+         ts < midnight + 5 * kNsPerSec; ts += kNsPerSec) {
+        section.push_back({make_key(1, static_cast<std::uint32_t>(ts / kDay)),
+                           ts, static_cast<Value>(ts / kNsPerSec), 0});
+    }
+    ASSERT_EQ(to_mutations(section).size(), 2u);
+    for (const bool torn : {false, true}) {
+        SCOPED_TRACE(torn ? "torn" : "intact");
+        TempDir dir;
+        const std::string path = dir.str() + "/commit.log";
+        {
+            CommitLog log(path, ignore_row);
+            append_row(log, {make_key(2), 1, 1, 0});
+            append_batch(log, section);
+            log.sync();
+        }
+        if (torn) fs::resize_file(path, fs::file_size(path) - 1);
+        std::vector<std::pair<Key, std::vector<Row>>> runs;
+        CommitLog log(path, [&](const Key& k, std::span<const Row> rows) {
+            runs.emplace_back(k, std::vector<Row>(rows.begin(), rows.end()));
+        });
+        ASSERT_EQ(runs.size(), torn ? 1u : 3u);
+        EXPECT_EQ(runs[0].first, make_key(2));
+        EXPECT_EQ(log.records_appended(), torn ? 1u : 11u);
+        if (torn) continue;
+        EXPECT_EQ(runs[1].first.bucket + 1, runs[2].first.bucket);
+        ASSERT_EQ(runs[1].second.size(), 5u);
+        ASSERT_EQ(runs[2].second.size(), 5u);
+        EXPECT_EQ(runs[1].second.back().ts, midnight - kNsPerSec);
+        EXPECT_EQ(runs[2].second.front().ts, midnight);
+    }
 }
 
 /// A headerless log: one 44-byte per-row record, the format commit logs
@@ -589,6 +707,27 @@ void write_v2_log(const std::string& path) {
     fclose(f);
 }
 
+/// A version-3 DCL2 log: one record framed by its byte length whose body
+/// repeats the key before every row.
+void write_v3_log(const std::string& path) {
+    ByteWriter w;
+    w.u32be(0x44434C32);  // 'DCL2'
+    w.u32be(3);
+    ByteWriter rec;
+    rec.u32be(40);
+    std::uint8_t kb[Key::kBytes];
+    make_key(1).serialize(kb);
+    rec.bytes(kb, sizeof kb);
+    rec.u64be(10);
+    rec.i64be(100);
+    rec.u32be(0);
+    rec.u32be(static_cast<std::uint32_t>(murmur3_token(rec.data())));
+    w.bytes(rec.data().data(), rec.size());
+    FILE* f = fopen(path.c_str(), "wb");
+    fwrite(w.data().data(), 1, w.size(), f);
+    fclose(f);
+}
+
 std::string read_file(const std::string& path) {
     std::ifstream in(path, std::ios::binary);
     return std::string(std::istreambuf_iterator<char>(in), {});
@@ -602,26 +741,29 @@ TEST(CommitLog, HeaderlessFileReplaysNothingAndIsNotAppendedTo) {
     // Appending behind bytes replay cannot read would lose the appends,
     // and discarding them would lose their rows: the log is refused.
     EXPECT_THROW(
-        CommitLog log(path, [&](const Key&, const Row&) { ++count; }),
+        CommitLog log(path, each_row([&](const Key&, const Row&) { ++count; })),
         StoreError);
     EXPECT_EQ(count, 0u);
     EXPECT_EQ(fs::file_size(path), 44u);
 }
 
-// A log of another format (headerless, or DCL2 version 2) stops the node
-// from opening, with the file left as it was: replaying it as version 3
-// would misread its rows, and truncating it would drop them.
+// A log of another format (headerless, or DCL2 version 2 or 3) stops the
+// node from opening, with the file left as it was: replaying it as
+// version 4 would misread its rows, and truncating it would drop them.
 TEST(StorageNode, ForeignCommitLogIsRefusedAndLeftUntouched) {
-    for (const bool headerless : {true, false}) {
-        SCOPED_TRACE(headerless ? "headerless" : "DCL2 version 2");
+    for (const int version : {0, 2, 3}) {
+        SCOPED_TRACE(version == 0 ? std::string("headerless")
+                                  : "DCL2 version " + std::to_string(version));
         TempDir dir;
         NodeConfig config;
         config.data_dir = dir.str();
         const std::string path = dir.str() + "/commit.log";
-        if (headerless) {
+        if (version == 0) {
             write_headerless_log(path);
-        } else {
+        } else if (version == 2) {
             write_v2_log(path);
+        } else {
+            write_v3_log(path);
         }
         const std::string before = read_file(path);
         EXPECT_THROW(StorageNode node(config), StoreError);
@@ -633,7 +775,7 @@ TEST(StorageNode, ForeignCommitLogIsRefusedAndLeftUntouched) {
 
 // The hash-indexed memtable sorts its partitions once, at flush: the
 // table it writes must equal, byte for byte, one written from the same
-// rows in key order.
+// rows in key order, whether they came one by one or in runs.
 TEST(StorageNode, FlushedTableEqualsKeyOrderedWrite) {
     TempDir dir;
     NodeConfig config;
@@ -643,21 +785,32 @@ TEST(StorageNode, FlushedTableEqualsKeyOrderedWrite) {
     StorageNode node(config);
 
     std::map<Key, std::vector<Row>> ordered;
+    const auto apply = [&](const Key& key, const Row& row) {
+        auto& rows = ordered[key];
+        const auto pos = std::lower_bound(
+            rows.begin(), rows.end(), row.ts,
+            [](const Row& r, TimestampNs t) { return r.ts < t; });
+        if (pos != rows.end() && pos->ts == row.ts)
+            *pos = row;  // newest write wins
+        else
+            rows.insert(pos, row);
+    };
     std::mt19937_64 rng(7);
+    std::vector<Row> run;
     for (int i = 0; i < 5000; ++i) {
         const Key key = make_key(static_cast<std::uint8_t>(rng() % 40),
                                  static_cast<std::uint32_t>(rng() % 3));
-        const TimestampNs ts = 1 + rng() % 2000;  // stragglers and upserts
-        const Value value = static_cast<Value>(rng() % 100000);
-        node.insert(key, ts, value);
-        auto& rows = ordered[key];
-        const auto pos = std::lower_bound(
-            rows.begin(), rows.end(), ts,
-            [](const Row& r, TimestampNs t) { return r.ts < t; });
-        if (pos != rows.end() && pos->ts == ts)
-            pos->value = value;  // newest write wins
-        else
-            rows.insert(pos, Row{ts, value, 0});
+        TimestampNs ts = 1 + rng() % 2000;  // stragglers and upserts
+        run.clear();
+        // Every other insert is a run: mostly ascending, now and then
+        // rewriting the row before.
+        for (std::size_t n = i % 2 == 0 ? 1 : 1 + rng() % 64; n > 0; --n) {
+            run.push_back(Row{ts, static_cast<Value>(rng() % 100000), 0});
+            ts += rng() % 8;
+        }
+        const Mutation mutation{key, run};
+        node.insert_batch(std::span<const Mutation>(&mutation, 1));
+        for (const Row& row : run) apply(key, row);
     }
     node.flush();
     const auto reference =
@@ -674,6 +827,40 @@ TEST(StorageNode, FlushedTableEqualsKeyOrderedWrite) {
     const auto flushed = read_file(config.data_dir + "/sstable-1.db");
     EXPECT_GT(flushed.size(), 0u);
     EXPECT_EQ(flushed, read_file(reference->path()));
+}
+
+// The commit log writes each run's key once: 32 runs of 32 rows cost
+// at most 22 bytes a row, against 40 when every row carried its key.
+// A batch of one-row runs pays the run head on every row.
+TEST(StorageNode, CommitLogBytesPerRowOfRuns) {
+    for (const std::size_t rows_per_run : {std::size_t{32}, std::size_t{1}}) {
+        SCOPED_TRACE(rows_per_run);
+        TempDir dir;
+        telemetry::MetricRegistry registry;
+        NodeConfig config;
+        config.data_dir = dir.str();
+        config.registry = &registry;
+        StorageNode node(config);
+        std::vector<Row> rows(32 * rows_per_run);
+        std::vector<Mutation> batch;
+        for (std::size_t r = 0; r < 32; ++r) {
+            for (std::size_t i = 0; i < rows_per_run; ++i)
+                rows[r * rows_per_run + i] =
+                    Row{static_cast<TimestampNs>(i + 1), 7, 0};
+            batch.push_back({make_key(static_cast<std::uint8_t>(r)),
+                             std::span<const Row>(rows).subspan(
+                                 r * rows_per_run, rows_per_run)});
+        }
+        node.insert_batch(batch);
+        const std::uint64_t bytes = node.stats().commitlog_bytes;
+        EXPECT_EQ(bytes, registry.counter("store.commitlog.bytes").value());
+        const double per_row =
+            static_cast<double>(bytes) / static_cast<double>(rows.size());
+        RecordProperty(rows_per_run == 1 ? "bytes_per_row_1" : "bytes_per_row_32",
+                       std::to_string(per_row));
+        EXPECT_LE(per_row, rows_per_run == 1 ? 45.0 : 22.0);
+        EXPECT_EQ(bytes, 8 + 32 * (24 + rows_per_run * 20));
+    }
 }
 
 TEST(StorageNode, InsertQueryAcrossFlush) {
